@@ -15,11 +15,49 @@ import json
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import ConfigError, IntegrityError
 from .generator import PolicyGenerator
 
 MAGIC = b"PSPC"
 FORMAT_VERSION = 1
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_shapes(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(shape, list) and all(map(_is_count, shape)) for shape in value)
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+# `PolicyGenerator.describe()`, field by field
+GENERATOR_FIELDS = {
+    "obs_size": _is_count, "num_actions": _is_count, "architecture": _is_text,
+    "latent_dim": _is_count, "hidden_dim": _is_count, "hidden_layers": _is_count,
+    "policy_activation": _is_text, "value_activation": _is_text,
+}
+
+# the header fields that loading and its callers read
+HEADER_FIELDS = {
+    "generator": lambda v: (_is_object(v) and set(v) == set(GENERATOR_FIELDS)
+                            and all(GENERATOR_FIELDS[k](v[k]) for k in v)),
+    "weight_count": _is_count,
+    "moment_shapes": _is_shapes,
+    "optimizer_step": _is_count,
+    "step": _is_count,
+    "env": _is_text,
+    "env_config": _is_object,
+    "extra": _is_object,
+}
 
 
 def save_checkpoint(path, gen: PolicyGenerator, optimizer=None, step: int = 0,
@@ -61,15 +99,15 @@ class LoadedCheckpoint:
 
     @property
     def env_name(self) -> str:
-        return self.header.get("env", "")
+        return self.header["env"]
 
     @property
     def env_config(self) -> dict:
-        return self.header.get("env_config", {})
+        return self.header["env_config"]
 
     def restore_optimizer(self, optimizer):
         if self.moments:
-            optimizer.load_state(self.moments, self.header.get("optimizer_step", 0))
+            optimizer.load_state(self.moments, self.header["optimizer_step"])
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
@@ -83,20 +121,43 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     digest = blob[-32:]
     if hashlib.sha256(header_bytes + payload).digest() != digest:
         raise IntegrityError(f"{path}: checksum mismatch, refusing to load")
-    header = json.loads(header_bytes)
-    if header.get("format_version") != FORMAT_VERSION:
-        raise IntegrityError(f"{path}: unsupported format version "
-                             f"{header.get('format_version')!r}")
-    gen = PolicyGenerator.from_description(header["generator"])
-    flat = np.frombuffer(payload, dtype="<f8")
+    header = _read_header(path, header_bytes)
+    try:
+        gen = PolicyGenerator.from_description(header["generator"])
+    except ConfigError as exc:
+        raise IntegrityError(f"{path}: header field 'generator': {exc}") from exc
     n = header["weight_count"]
+    if n != gen.parameter_count:
+        raise IntegrityError(f"{path}: header field 'weight_count' is {n}, but the "
+                             f"generator has {gen.parameter_count} weights")
+    sizes = [int(np.prod(shape)) if shape else 1 for shape in header["moment_shapes"]]
+    if len(payload) != 8 * (n + sum(sizes)):
+        raise IntegrityError(f"{path}: payload size mismatch")
+    flat = np.frombuffer(payload, dtype="<f8")
     gen.set_flat(flat[:n].astype(np.float64))
     moments = []
     offset = n
-    for shape in header["moment_shapes"]:
-        size = int(np.prod(shape)) if shape else 1
+    for shape, size in zip(header["moment_shapes"], sizes):
         moments.append(flat[offset:offset + size].reshape(shape).astype(np.float64).copy())
         offset += size
-    if offset != flat.size:
-        raise IntegrityError(f"{path}: payload size mismatch")
-    return LoadedCheckpoint(header, gen, moments, header.get("step", 0))
+    return LoadedCheckpoint(header, gen, moments, header["step"])
+
+
+def _read_header(path, header_bytes: bytes) -> dict:
+    """Parse a header and check the fields in HEADER_FIELDS."""
+    try:
+        header = json.loads(header_bytes)
+    except ValueError as exc:
+        raise IntegrityError(f"{path}: header is not JSON") from exc
+    if not isinstance(header, dict):
+        raise IntegrityError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise IntegrityError(f"{path}: unsupported format version "
+                             f"{header.get('format_version')!r}")
+    for field, valid in HEADER_FIELDS.items():
+        if field not in header:
+            raise IntegrityError(f"{path}: header field {field!r} is missing")
+        if not valid(header[field]):
+            raise IntegrityError(f"{path}: header field {field!r} is malformed: "
+                                 f"{header[field]!r}")
+    return header

@@ -93,6 +93,10 @@ def cmd_adapt(args) -> int:
     loaded = load_checkpoint(args.checkpoint)
     gen = loaded.generator
     env_name = args.env or loaded.env_name
+    if env_name == "soccer":
+        raise ConfigError("adapt scores a latent by its mean return over all agents, "
+                          "which is always 0 in soccer (one side's +1 is the other's "
+                          "-1); use `policyspace eval bots` to search soccer latents")
     if env_name in ABLATION_NAMES and env_name != "none":
         factory = lambda: make_env(env_name)
     elif env_name == loaded.env_name and loaded.env_config:

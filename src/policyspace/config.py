@@ -229,16 +229,53 @@ def write_manifest(path, resolved: dict):
 
 def read_manifest(path) -> dict:
     with open(path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {path} is not a JSON object")
     for field in ("config", "seed", "env"):
         if field not in manifest:
             raise ConfigError(f"manifest missing required field {field!r}")
     return manifest
 
 
+def _has_type(value, typ) -> bool:
+    if typ is float:
+        return type(value) in (int, float)
+    return type(value) is typ
+
+
+def check_resolved(config) -> dict:
+    """Check that a manifest's resolved config sets every schema field, and
+    only those, with values of the schema's types; returns the config."""
+    if not isinstance(config, dict):
+        raise ConfigError("manifest field 'config' must be an object")
+    for section in config:
+        if section not in SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+    for section, fields in SCHEMA.items():
+        values = config.get(section)
+        if not isinstance(values, dict):
+            raise ConfigError(f"missing config section [{section}]")
+        if section == "env":
+            continue
+        for key in values:
+            if key not in fields:
+                raise ConfigError(f"unknown config field [{section}] {key}")
+        for key, typ in fields.items():
+            if key not in values:
+                raise ConfigError(f"missing config field [{section}] {key}")
+            if not _has_type(values[key], typ):
+                raise ConfigError(f"field [{section}] {key}: {values[key]!r} is not "
+                                  f"a {typ.__name__}")
+    return config
+
+
 def load_run_spec(path) -> dict:
     """A run is specified by either an INI config or an existing manifest."""
     text = open(path).read()
     if text.lstrip().startswith("{"):
-        return read_manifest(path)["config"]
+        return resolve_config(check_resolved(read_manifest(path)["config"]))
     return resolve_config(load_config_file(path))

@@ -117,6 +117,11 @@ class MarkovSoccer(Environment):
         obs[2 * n] = 1.0 if self.possession == side else 0.0
         return obs
 
+    def observation_key(self, side: str) -> tuple:
+        """The state `observe(side)` reads that changes during a game: equal
+        keys give equal observations on one pitch, so policies can cache by it."""
+        return (side, self.pos["left"], self.pos["right"], self.possession)
+
     # -- dynamics ------------------------------------------------------------------
 
     def _try_move(self, side: str, action: int):
@@ -225,13 +230,6 @@ class Bot:
     def start(self) -> tuple:
         return BOT_STARTS[self.kind]
 
-    def initial_possession(self, rng: np.random.Generator) -> str:
-        if self.role == "offense":
-            return "left"       # bot starts with the ball
-        if self.role == "defense":
-            return "right"      # the learned policy starts with the ball
-        return "left" if rng.random() < 0.5 else "right"
-
     def action(self, env: MarkovSoccer, rng: np.random.Generator) -> int:
         return bot_action(self.kind, env, rng)
 
@@ -283,6 +281,7 @@ def bot_action(kind: str, env: MarkovSoccer, rng: np.random.Generator) -> int:
 def bot_match_config(bot: Bot, base: SoccerConfig | None = None) -> SoccerConfig:
     """Environment setup for a bot game: bot on the left, learned policy right."""
     cfg = base or SoccerConfig()
+    # an offensive bot starts with the ball, a defensive one without it
     possession = {"offense": "left", "defense": "right", "mixed": "random"}[bot.role]
     start_right = cfg.start_right
     if tuple(bot.start) == tuple(start_right):

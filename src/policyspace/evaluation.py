@@ -46,16 +46,29 @@ def specialization(record: dict) -> float:
 
 
 class LatentPolicy:
-    """A generator frozen at one latent, acting from side-invariant observations."""
+    """A generator frozen at one latent, acting from side-invariant observations.
+
+    A soccer observation is a function of `MarkovSoccer.observation_key`,
+    which takes at most 1,520 values on the 4x5 pitch, so the policy computes
+    each key's action distribution once and keeps it for its own lifetime.
+    Actions and random draws are the same as without the cache. The
+    generator's weights and the latent must not change, and the policy must
+    stay on one pitch size, while it is alive.
+    """
 
     def __init__(self, gen: PolicyGenerator, latent: np.ndarray):
         self.gen = gen
         self.latent = np.asarray(latent, dtype=np.float64)
+        self._cdfs: dict = {}   # observation key -> (cumulative probs, their total)
 
     def act(self, env: MarkovSoccer, side: str, rng: np.random.Generator) -> int:
-        obs = env.observe(side)
-        probs = self.gen.probs_np(obs[None], self.latent[None])[0]
-        return int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
+        key = env.observation_key(side)
+        cdf = self._cdfs.get(key)
+        if cdf is None:
+            probs = self.gen.probs_np(env.observe(side)[None], self.latent[None])[0]
+            cdf = self._cdfs[key] = (np.cumsum(probs), probs.sum())
+        cumulative, total = cdf
+        return int(np.searchsorted(cumulative, rng.random() * total))
 
 
 class BotPolicy:
@@ -124,11 +137,13 @@ def select_latent_vs_bot(gen: PolicyGenerator, bot: Bot, search: SearchConfig,
                          base: SoccerConfig | None = None) -> tuple[np.ndarray, float]:
     """Latent-search the family for its best answer to one scripted bot."""
     config = bot_match_config(bot, base)
+    bot_policy = BotPolicy(bot)
 
     def score(z: np.ndarray) -> float:
+        policy = LatentPolicy(gen, z)
         total = 0.0
         for _ in range(search.episodes_per_latent):
-            result = play_game(config, BotPolicy(bot), LatentPolicy(gen, z),
+            result = play_game(config, bot_policy, policy,
                                int(rng.integers(2 ** 62)), rng)
             total += 1.0 if result == "right" else (-1.0 if result == "left" else 0.0)
         return total / search.episodes_per_latent
@@ -171,13 +186,14 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
     panel = sample_latents(rng, family_panel, gen_one.latent_dim)
     panel_seeds = rng.integers(2 ** 62, size=search.episodes_per_latent)
     panel_order = rng.integers(len(panel), size=search.episodes_per_latent)
+    panel_policies = [LatentPolicy(gen_one, z) for z in panel]
 
     def score_two(z: np.ndarray) -> float:
+        policy = LatentPolicy(gen_two, z)
         total = 0.0
         for k in range(search.episodes_per_latent):
-            opponent = LatentPolicy(gen_one, panel[panel_order[k]])
             game_rng = np.random.default_rng(int(panel_seeds[k]))
-            result = play_game(config, opponent, LatentPolicy(gen_two, z),
+            result = play_game(config, panel_policies[panel_order[k]], policy,
                                int(panel_seeds[k]), game_rng)
             total += 1.0 if result == "right" else (-1.0 if result == "left" else 0.0)
         return total / search.episodes_per_latent
@@ -189,10 +205,11 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
     reply_seeds = rng.integers(2 ** 62, size=search.episodes_per_latent)
 
     def score_one(z: np.ndarray) -> float:
+        policy = LatentPolicy(gen_one, z)
         total = 0.0
         for k in range(search.episodes_per_latent):
             game_rng = np.random.default_rng(int(reply_seeds[k]))
-            result = play_game(config, LatentPolicy(gen_one, z), fixed_opponent,
+            result = play_game(config, policy, fixed_opponent,
                                int(reply_seeds[k]), game_rng)
             total += 1.0 if result == "left" else (-1.0 if result == "right" else 0.0)
         return total / search.episodes_per_latent

@@ -449,6 +449,8 @@ class Trainer:
                 clip_grad_norm(params, cfg.grad_clip)
                 self.opt.step()
                 last = parts
+                # free this minibatch's graph before the next one is built
+                objective = loss = div = None
         return {
             "l_div": l_div_value,
             "entropy": last["entropy"],

@@ -43,3 +43,20 @@ def check_gradients(loss_fn, params, h=1e-5, tol=1e-4):
     err = relative_error(analytic, numeric)
     assert err < tol, f"gradient mismatch: relative error {err:.3e} >= {tol}"
     return err
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Apply `edit(header_dict)` to a checkpoint file's header in place and
+    re-seal it with a valid checksum, so only the header's content is bad."""
+    import hashlib
+    import json
+
+    blob = open(path, "rb").read()
+    header_len = int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8:8 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    payload = blob[8 + header_len:-32]
+    with open(path, "wb") as fh:
+        fh.write(blob[:4] + len(header_bytes).to_bytes(4, "little") + header_bytes
+                 + payload + hashlib.sha256(header_bytes + payload).digest())

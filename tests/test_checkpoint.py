@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import rewrite_checkpoint_header
 from policyspace.checkpoint import load_checkpoint, save_checkpoint
 from policyspace.errors import IntegrityError
 from policyspace.generator import PolicyGenerator, sample_latents
@@ -89,3 +90,32 @@ def test_checkpoint_without_optimizer(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.moments == []
     assert loaded.step == 3
+
+
+# a valid checksum over a header that save_checkpoint would never write
+MALFORMED_HEADERS = {
+    "generator missing": lambda h: h.pop("generator"),
+    "generator not an object": lambda h: h.update(generator="multiplicative"),
+    "generator field missing": lambda h: h["generator"].pop("hidden_dim"),
+    "generator field unknown": lambda h: h["generator"].update(dropout=0.5),
+    "generator field mistyped": lambda h: h["generator"].update(hidden_dim="8"),
+    "unknown architecture": lambda h: h["generator"].update(architecture="lstm"),
+    "weight_count missing": lambda h: h.pop("weight_count"),
+    "weight_count mistyped": lambda h: h.update(weight_count="100"),
+    "weight_count negative": lambda h: h.update(weight_count=-1),
+    "weight_count wrong": lambda h: h.update(weight_count=h["weight_count"] - 1),
+    "moment_shapes missing": lambda h: h.pop("moment_shapes"),
+    "moment_shapes not a list": lambda h: h.update(moment_shapes=7),
+    "moment_shape negative": lambda h: h.update(moment_shapes=[[-2]]),
+    "moment_shapes beyond the payload": lambda h: h.update(moment_shapes=[[3]]),
+    "env_config not an object": lambda h: h.update(env_config=["soccer"]),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_malformed_header_with_valid_checksum_is_an_integrity_error(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_gen(6), None)
+    rewrite_checkpoint_header(path, edit)
+    with pytest.raises(IntegrityError, match=r"header field '\w+'|payload size"):
+        load_checkpoint(path)

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from helpers import rewrite_checkpoint_header
 from policyspace.checkpoint import save_checkpoint
 from policyspace.cli import build_parser, main
-from policyspace.config import load_config_file, resolve_config
+from policyspace.config import load_config_file, resolve_config, write_manifest
 from policyspace.envs import MultiGoal
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator
@@ -148,6 +149,33 @@ def test_train_missing_file_exit_2(tmp_path):
     assert main(["train", str(tmp_path / "nope.ini")]) == 2
 
 
+MANIFEST_FAULTS = {
+    "missing field": (lambda c: c["run"].pop("run_name"), "run_name"),
+    "unknown field": (lambda c: c["trainer"].update(warp_speed=9), "warp_speed"),
+    "missing section": (lambda c: c.pop("model"), "model"),
+    "unknown section": (lambda c: c.update(physics={}), "physics"),
+    "mistyped field": (lambda c: c["trainer"].update(batch_size="40"), "batch_size"),
+    "unknown method": (lambda c: c["run"].update(method="greedy"), "method"),
+}
+
+
+@pytest.mark.parametrize("edit, field", MANIFEST_FAULTS.values(), ids=MANIFEST_FAULTS.keys())
+def test_train_rejects_malformed_manifest_with_exit_2(tmp_path, capsys, edit, field):
+    resolved = resolve_config(load_config_file(write_config(tmp_path)))
+    edit(resolved)
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, resolved)
+    assert main(["train", str(manifest), "--run-dir", str(tmp_path / "run")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_unparseable_manifest_with_exit_2(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"config": ')
+    assert main(["train", str(manifest)]) == 2
+
+
 # -- adapt -----------------------------------------------------------------------
 
 
@@ -196,6 +224,15 @@ def test_adapt_refuses_corrupt_checkpoint(tmp_path, capsys):
     assert main(["adapt", str(ckpt), "--generations", "2"]) == 4
 
 
+@pytest.mark.parametrize("env_flag", [[], ["--env", "soccer"]], ids=["checkpoint", "flag"])
+def test_adapt_refuses_soccer_with_exit_2(tmp_path, capsys, env_flag):
+    # soccer pays +1 to one side and -1 to the other, so the mean over all
+    # agents that adapt maximizes is 0 for every latent
+    ckpt = soccer_checkpoint(tmp_path) if not env_flag else multigoal_checkpoint(tmp_path)
+    assert main(["adapt", str(ckpt), "--generations", "2", *env_flag]) == 2
+    assert "eval bots" in capsys.readouterr().err
+
+
 # -- eval ------------------------------------------------------------------------
 
 
@@ -215,6 +252,25 @@ def farmworld_checkpoint(tmp_path, seed=0, name="farm.ckpt"):
     save_checkpoint(path, gen, None, step=0, env_name="farmworld",
                     env_config=cfg, extra={"method": "adap", "seed": seed})
     return path
+
+
+HEADER_FAULTS = {
+    "generator missing": lambda h: h.pop("generator"),
+    "weight_count malformed": lambda h: h.update(weight_count="many"),
+    "moment_shapes malformed": lambda h: h.update(moment_shapes=[["x"]]),
+}
+
+
+@pytest.mark.parametrize("edit", HEADER_FAULTS.values(), ids=HEADER_FAULTS.keys())
+@pytest.mark.parametrize("verb, make_checkpoint", [
+    (["adapt"], multigoal_checkpoint),
+    (["eval", "bots"], soccer_checkpoint),
+], ids=["adapt", "eval"])
+def test_malformed_checkpoint_header_exit_4(tmp_path, capsys, verb, make_checkpoint, edit):
+    ckpt = make_checkpoint(tmp_path)
+    rewrite_checkpoint_header(ckpt, edit)
+    assert main([*verb, str(ckpt), "--generations", "1"]) == 4
+    assert "header field" in capsys.readouterr().err
 
 
 def test_eval_seeds_default_to_three():

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import policyspace.evaluation as evaluation
 from policyspace.envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config
 from policyspace.envs.soccer import BOT_KINDS
 from policyspace.evaluation import (BotPolicy, LatentPolicy, MatchScore,
@@ -118,6 +121,116 @@ def test_latent_policy_plays_deterministic_weights():
     a1 = LatentPolicy(gen, z).act(env, "right", np.random.default_rng(5))
     a2 = LatentPolicy(gen, z).act(env, "right", np.random.default_rng(5))
     assert a1 == a2
+
+
+# -- the memoized latent policy ------------------------------------------------------
+
+
+class UncachedLatentPolicy:
+    """Reference sampler: one forward pass of the observation on every call."""
+
+    def __init__(self, gen, latent):
+        self.gen = gen
+        self.latent = np.asarray(latent, dtype=np.float64)
+
+    def act(self, env, side, rng):
+        probs = self.gen.probs_np(env.observe(side)[None], self.latent[None])[0]
+        return int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
+
+
+def test_memoized_policy_matches_the_uncached_sampler_in_every_state():
+    gen = soccer_gen(30)
+    z = sample_latent(np.random.default_rng(31))
+    memoized, reference = LatentPolicy(gen, z), UncachedLatentPolicy(gen, z)
+    config = SoccerConfig()
+    env = MarkovSoccer(config)
+    env.reset(0)
+    cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
+    states = [(left, right, possession) for left in cells for right in cells
+              if left != right for possession in ("left", "right")]
+    for i, (left, right, possession) in enumerate(states):
+        env.pos = {"left": left, "right": right}
+        env.possession = possession
+        for side in ("left", "right"):
+            for repeat in range(3):   # the first call fills the cache, the rest hit it
+                seed = [i, side == "right", repeat]
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert memoized.act(env, side, rng_a) == reference.act(env, side, rng_b)
+                assert rng_a.random() == rng_b.random()
+    assert len(memoized._cdfs) == 2 * len(states)
+
+
+def test_observation_key_determines_the_observation():
+    # LatentPolicy caches by observation_key: equal keys must give equal
+    # observations at any tick, and one side's distinct keys distinct ones
+    seen = {"left": {}, "right": {}}
+    rng = np.random.default_rng(32)
+    for seed in range(100):
+        env = MarkovSoccer(SoccerConfig())
+        env.reset(seed)
+        while not env.finished:
+            for side in ("left", "right"):
+                obs = env.observe(side).tobytes()
+                assert seen[side].setdefault(env.observation_key(side), obs) == obs
+            env.step({side: int(rng.integers(5)) for side in ("left", "right")})
+    for by_key in seen.values():
+        assert len(by_key) > 100
+        assert len(set(by_key.values())) == len(by_key)
+
+
+def gauntlet_fingerprint(gen, rng_seed):
+    results = bot_gauntlet(gen, [Bot(kind) for kind in BOT_KINDS], games=40,
+                           search=SearchConfig(generations=3, episodes_per_latent=3),
+                           rng=np.random.default_rng(rng_seed))
+    return {kind: (row["score"].wins, row["score"].losses, row["score"].draws,
+                   row["latent"].tobytes()) for kind, row in results.items()}
+
+
+def test_gauntlet_matches_the_uncached_sampler(monkeypatch):
+    gen = soccer_gen(35)
+    memoized = gauntlet_fingerprint(gen, 36)
+    monkeypatch.setattr(evaluation, "LatentPolicy", UncachedLatentPolicy)
+    assert gauntlet_fingerprint(gen, 36) == memoized
+
+
+def test_round_robin_matches_the_uncached_sampler(monkeypatch):
+    def run():
+        series, info = round_robin_pair(soccer_gen(37), soccer_gen(38),
+                                        SearchConfig(generations=3, episodes_per_latent=3),
+                                        np.random.default_rng(39), games=40)
+        return (series, info["latent_one"].tobytes(), info["latent_two"].tobytes())
+
+    memoized = run()
+    monkeypatch.setattr(evaluation, "LatentPolicy", UncachedLatentPolicy)
+    assert run() == memoized
+
+
+def test_gauntlet_forwards_each_state_once_per_policy(monkeypatch):
+    policies = []
+
+    class CountedPolicy(LatentPolicy):
+        def __init__(self, gen, latent):
+            super().__init__(gen, latent)
+            policies.append(self)
+
+    forwards = Counter()
+    original = PolicyGenerator.probs_np
+
+    def counting(self, obs, z):
+        forwards[z.tobytes(), obs.tobytes()] += 1
+        return original(self, obs, z)
+
+    monkeypatch.setattr(evaluation, "LatentPolicy", CountedPolicy)
+    monkeypatch.setattr(PolicyGenerator, "probs_np", counting)
+    search = SearchConfig(generations=3, episodes_per_latent=4)
+    bots = [Bot(kind) for kind in BOT_KINDS]
+    bot_gauntlet(soccer_gen(40), bots, games=30, search=search,
+                 rng=np.random.default_rng(41))
+    # one policy per scored candidate and one for each bot's series
+    assert len(policies) == len(bots) * (search.generations + 1)
+    policies_per_latent = Counter(p.latent.tobytes() for p in policies)
+    assert all(n <= policies_per_latent[z] for (z, _), n in forwards.items())
+    assert sum(forwards.values()) == sum(len(p._cdfs) for p in policies)
 
 
 # -- gauntlet and round robin ----------------------------------------------------
