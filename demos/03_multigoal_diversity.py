@@ -9,6 +9,7 @@ import numpy as np
 
 from policyspace import DiversityConfig, PolicyGenerator, Trainer, TrainerConfig, sample_latents
 from policyspace.envs import MultiGoal
+from policyspace.latent_search import run_episode
 
 
 def goal_coverage(gen, n_latents=32, seed=0):
@@ -17,9 +18,7 @@ def goal_coverage(gen, n_latents=32, seed=0):
     for z in sample_latents(rng, n_latents):
         env = MultiGoal()
         obs = env.reset(int(rng.integers(2 ** 62)))
-        while not env.finished:
-            action, _, _ = gen.act(obs["agent_0"][None], z[None], rng)
-            obs, _, _ = env.step({"agent_0": int(action[0])})
+        run_episode(gen, env, obs, {"agent_0": z}, rng)
         idx, dist = env.nearest_goal()
         if dist <= env.capture_radius:
             hits.setdefault(idx, 0)

@@ -11,7 +11,7 @@ import numpy as np
 from policyspace import DiversityConfig, PolicyGenerator, SearchConfig, Trainer, TrainerConfig
 from policyspace.envs import MultiGoal
 from policyspace.generator import sample_latent
-from policyspace.latent_search import optimize_latents
+from policyspace.latent_search import optimize_latents, run_episode
 
 print("== synthetic: maximize alignment with a hidden direction ==")
 target = sample_latent(np.random.default_rng(42))
@@ -40,9 +40,7 @@ search_rng = np.random.default_rng(3)
 def closeness_to_top_right(z):
     env = MultiGoal()
     obs = env.reset(int(search_rng.integers(2 ** 62)))
-    while not env.finished:
-        action, _, _ = gen.act(obs["agent_0"][None], z[None], search_rng)
-        obs, _, _ = env.step({"agent_0": int(action[0])})
+    run_episode(gen, env, obs, {"agent_0": z}, search_rng)
     return -float(np.linalg.norm(env.position - np.array([1.0, 1.0])))
 
 flat_before = gen.get_flat()

@@ -4,14 +4,14 @@ the latent space instead of retraining."""
 
 __version__ = "0.1.0"
 
-from .diversity import DiversityConfig, diversity_loss, estimate_for_generator, kl, smooth
+from .diversity import DiversityConfig, diversity_loss, estimate_for_generator
 from .generator import PolicyGenerator, sample_latent, sample_latents
 from .latent_search import SearchConfig, mutate, optimize_latents
 from .training import Trainer, TrainerConfig, compute_gae, ppo_objective
 
 __all__ = [
     "PolicyGenerator", "sample_latent", "sample_latents",
-    "DiversityConfig", "diversity_loss", "estimate_for_generator", "kl", "smooth",
+    "DiversityConfig", "diversity_loss", "estimate_for_generator",
     "Trainer", "TrainerConfig", "compute_gae", "ppo_objective",
     "SearchConfig", "mutate", "optimize_latents",
     "__version__",

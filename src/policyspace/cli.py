@@ -132,6 +132,9 @@ def _check_protocol_env(protocol: str, loaded, path):
 
 
 def cmd_eval(args) -> int:
+    for flag in ("games", "seeds", "episodes"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be positive, got {getattr(args, flag)}")
     checkpoints = [(path, load_checkpoint(path)) for path in args.checkpoints]
     for path, loaded in checkpoints:
         _check_protocol_env(args.protocol, loaded, path)

@@ -19,8 +19,10 @@ manifest so a run can be reproduced from the manifest alone.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import datetime
 import json
+import typing
 
 from .diversity import DiversityConfig
 from .envs import FarmworldConfig, MultiGoal, SoccerConfig, build_ablation, make_env
@@ -30,24 +32,25 @@ from .training import TrainerConfig
 
 CODE_VERSION = "policyspace-0.1.0"
 
+
+def _dataclass_section(cls, skip=()) -> tuple[dict, dict]:
+    """A config section read off a dataclass: (field -> type, field -> default)."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    return {f.name: hints[f.name] for f in fields}, {f.name: f.default for f in fields}
+
+
+TRAINER_TYPES, TRAINER_DEFAULTS = _dataclass_section(TrainerConfig, skip=("method", "diversity"))
+DIVERSITY_TYPES, DIVERSITY_DEFAULTS = _dataclass_section(DiversityConfig)
+
 # key -> type, per section; unknown keys are rejected by name
 SCHEMA = {
     "run": {
         "env": str, "method": str, "seed": int, "epochs": int,
         "checkpoint_every": int, "architecture": str, "run_name": str,
     },
-    "trainer": {
-        "batch_size": int, "minibatch_size": int, "sgd_iters": int,
-        "clip_epsilon": float, "entropy_coef": float, "value_coef": float,
-        "discount": float, "gae_lambda": float, "learning_rate": float,
-        "grad_clip": float, "optimizer": str, "num_envs": int,
-        "normalize_advantages": bool, "intrinsic_coef": float,
-        "discriminator_epochs": int, "resample_diversity_each_epoch": bool,
-    },
-    "diversity": {
-        "num_latents": int, "num_states": int, "smoothing": float,
-        "coef": float, "mode": str,
-    },
+    "trainer": TRAINER_TYPES,
+    "diversity": DIVERSITY_TYPES,
     "model": {
         "hidden_dim": int, "latent_dim": int, "hidden_layers": int,
         "policy_activation": str, "value_activation": str,
@@ -84,14 +87,8 @@ BASE_DEFAULTS = {
     "run": {"env": "", "method": "adap", "seed": 0, "epochs": 1000,
             "checkpoint_every": 50, "architecture": "multiplicative",
             "run_name": ""},
-    "trainer": {"batch_size": 4000, "minibatch_size": 400, "sgd_iters": 10,
-                "clip_epsilon": 0.2, "entropy_coef": 0.05, "value_coef": 0.5,
-                "discount": 0.99, "gae_lambda": 1.0, "learning_rate": 3e-4,
-                "grad_clip": 0.5, "optimizer": "adam", "num_envs": 8,
-                "normalize_advantages": True, "intrinsic_coef": 0.05,
-                "discriminator_epochs": 3, "resample_diversity_each_epoch": False},
-    "diversity": {"num_latents": 10, "num_states": 30, "smoothing": 0.05,
-                  "coef": 0.2, "mode": "exp_neg_kl"},
+    "trainer": TRAINER_DEFAULTS,
+    "diversity": DIVERSITY_DEFAULTS,
     "model": {"hidden_dim": 64, "latent_dim": 3, "hidden_layers": 2,
               "policy_activation": "tanh", "value_activation": "tanh"},
 }
@@ -125,15 +122,18 @@ def _coerce(section: str, key: str, raw: str):
 def load_config_file(path) -> dict:
     """Parse an INI config file into {section: {key: typed value}}."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     out: dict = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        out[section] = {key: _coerce(section, key, raw)
-                        for key, raw in parser.items(section)}
+        out[section] = {key: _coerce(section, key, raw) for key, raw in items}
     return out
 
 
@@ -157,6 +157,9 @@ def resolve_config(overrides: dict) -> dict:
                 raise ConfigError(f"unknown config field [{section}] {key}")
             resolved[section][key] = value
 
+    for key in ("seed", "epochs", "checkpoint_every"):
+        if resolved["run"][key] < 0:
+            raise ConfigError(f"field [run] {key}: must be >= 0, got {resolved['run'][key]}")
     method = resolved["run"]["method"]
     if method not in ("adap", "vanilla", "diayn_star"):
         raise ConfigError(f"field [run] method: unknown method {method!r}")
@@ -190,23 +193,8 @@ def build_generator(resolved: dict, rng) -> PolicyGenerator:
 
 
 def build_trainer_config(resolved: dict) -> TrainerConfig:
-    t = resolved["trainer"]
-    d = resolved["diversity"]
-    cfg = TrainerConfig(
-        batch_size=t["batch_size"], minibatch_size=t["minibatch_size"],
-        sgd_iters=t["sgd_iters"], clip_epsilon=t["clip_epsilon"],
-        entropy_coef=t["entropy_coef"], value_coef=t["value_coef"],
-        discount=t["discount"], gae_lambda=t["gae_lambda"],
-        learning_rate=t["learning_rate"], grad_clip=t["grad_clip"],
-        optimizer=t["optimizer"], method=resolved["run"]["method"],
-        diversity=DiversityConfig(num_latents=d["num_latents"],
-                                  num_states=d["num_states"],
-                                  smoothing=d["smoothing"], coef=d["coef"],
-                                  mode=d["mode"]),
-        resample_diversity_each_epoch=t["resample_diversity_each_epoch"],
-        normalize_advantages=t["normalize_advantages"], num_envs=t["num_envs"],
-        intrinsic_coef=t["intrinsic_coef"],
-        discriminator_epochs=t["discriminator_epochs"])
+    cfg = TrainerConfig(**resolved["trainer"], method=resolved["run"]["method"],
+                        diversity=DiversityConfig(**resolved["diversity"]))
     cfg.validate()
     return cfg
 
@@ -275,7 +263,10 @@ def check_resolved(config) -> dict:
 
 def load_run_spec(path) -> dict:
     """A run is specified by either an INI config or an existing manifest."""
-    text = open(path).read()
+    try:
+        text = open(path).read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not text: {exc}") from exc
     if text.lstrip().startswith("{"):
         return resolve_config(check_resolved(read_manifest(path)["config"]))
     return resolve_config(load_config_file(path))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .distributions import Categorical, Gaussian
 from .errors import ConfigError
 
 
@@ -39,38 +38,12 @@ class DiversityConfig:
             raise ConfigError(f"unknown diversity mode {self.mode!r}")
 
 
-def smooth(dist, b: float):
-    """Broaden a distribution: sigma' = sigma + b, or (p + b) / (1 + b*A)."""
-    if b < 0.0:
-        raise ConfigError("smoothing constant must be >= 0")
-    if dist.kind == "gaussian":
-        return Gaussian(dist.mu, dist.sigma + b)
-    return Categorical(_smooth_probs(dist.probs, b))
-
-
 def _smooth_probs(probs: Tensor, b: float) -> Tensor:
+    """Broaden each row to (p + b) / (1 + b*A), so no action has zero mass."""
     if b == 0.0:
         return probs
     num_actions = probs.data.shape[-1]
     return (probs + b) * (1.0 / (1.0 + b * num_actions))
-
-
-def kl(p, q) -> Tensor:
-    """KL-divergence KL(p || q) between same-kind distributions; 0 iff p == q.
-
-    Callers smooth both sides first so the support is strictly positive.
-    """
-    if p.kind != q.kind:
-        raise ConfigError(f"cannot compare {p.kind} with {q.kind}")
-    if p.kind == "gaussian":
-        if p.mu.data.shape != q.mu.data.shape:
-            raise ConfigError("gaussian dimensions differ")
-        var_ratio = (p.sigma / q.sigma).square()
-        mean_term = ((p.mu - q.mu) / q.sigma).square()
-        return ((q.sigma.log() - p.sigma.log()) + 0.5 * (var_ratio + mean_term) - 0.5).sum(axis=-1)
-    if p.probs.data.shape[-1] != q.probs.data.shape[-1]:
-        raise ConfigError("categorical arities differ")
-    return (p.probs * (p.probs.log() - q.probs.log())).sum(axis=-1)
 
 
 def pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:

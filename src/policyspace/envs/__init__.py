@@ -28,7 +28,9 @@ def make_env(name: str, config: dict | None = None) -> Environment:
             return Farmworld(FarmworldConfig.from_dict(config) if config else None)
         if name == "soccer":
             return MarkovSoccer(SoccerConfig.from_dict(config) if config else None)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} config: {exc}") from exc
     if name in ABLATION_NAMES and name != "none":
         return Farmworld(build_ablation(name))

@@ -19,7 +19,7 @@ from .envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config, build_ablat
 from .envs.farmworld import Farmworld
 from .errors import ConfigError
 from .generator import PolicyGenerator, sample_latent, sample_latents
-from .latent_search import SearchConfig, episode_score_fn, optimize_latents
+from .latent_search import SearchConfig, episode_score_fn, optimize_latents, run_episode
 
 
 def specialization(record: dict) -> float:
@@ -250,12 +250,7 @@ def evaluate_final_health(gen: PolicyGenerator, env_factory, latent: np.ndarray,
     for _ in range(episodes):
         env = env_factory()
         obs = env.reset(int(rng.integers(2 ** 62)))
-        while not env.finished:
-            agents = env.living_agents()
-            obs_mat = np.asarray([obs[a] for a in agents])
-            z_mat = np.repeat(latent[None], len(agents), axis=0)
-            actions, _, _ = gen.act(obs_mat, z_mat, rng)
-            obs, _, _ = env.step({a: int(x) for a, x in zip(agents, actions)})
+        run_episode(gen, env, obs, dict.fromkeys(obs, latent), rng)
         finals.append(env.mean_final_health())
     return float(np.mean(finals))
 
@@ -288,15 +283,7 @@ def specialization_episode(gen: PolicyGenerator, env: Farmworld,
     per-agent episode returns, and the blunder total."""
     obs = env.reset(int(rng.integers(2 ** 62)))
     latents = {a: sample_latent(rng, gen.latent_dim) for a in sorted(obs)}
-    returns = {a: 0.0 for a in obs}
-    while not env.finished:
-        agents = env.living_agents()
-        obs_mat = np.asarray([obs[a] for a in agents])
-        z_mat = np.asarray([latents[a] for a in agents])
-        actions, _, _ = gen.act(obs_mat, z_mat, rng)
-        obs, rewards, _ = env.step({a: int(x) for a, x in zip(agents, actions)})
-        for a, r in rewards.items():
-            returns[a] += r
+    returns = run_episode(gen, env, obs, latents, rng)
     records = env.specialization_counts()
     specs = [specialization(records[a]) for a in sorted(records)]
     rets = [returns[a] for a in sorted(returns)]

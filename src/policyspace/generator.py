@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, constant
-from .distributions import Categorical
 from .errors import ConfigError
 from .nets import DenseNet, Layer
 
@@ -52,6 +51,8 @@ class PolicyGenerator:
                  policy_activation: str = "tanh", value_activation: str = "tanh"):
         if architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {architecture!r}")
+        if min(obs_size, num_actions, latent_dim, hidden_dim) < 1 or hidden_layers < 0:
+            raise ConfigError("generator sizes must be positive (hidden_layers >= 0)")
         self.obs_size = obs_size
         self.num_actions = num_actions
         self.architecture = architecture
@@ -160,9 +161,6 @@ class PolicyGenerator:
 
     def action_probs(self, obs: np.ndarray, z: np.ndarray) -> Tensor:
         return self.logits(obs, z).softmax(axis=-1)
-
-    def action_dist(self, obs: np.ndarray, z: np.ndarray) -> Categorical:
-        return Categorical(self.action_probs(obs, z))
 
     def probs_np(self, obs: np.ndarray, z: np.ndarray) -> np.ndarray:
         logits = self.logits_np(obs, z)

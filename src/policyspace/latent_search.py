@@ -126,6 +126,21 @@ def optimize_latents(score_fn, rng: np.random.Generator,
                         best=best, trace=trace, evaluations=cfg.generations)
 
 
+def run_episode(gen, env, obs: dict, latents: dict, rng: np.random.Generator) -> dict:
+    """Play `env` from `obs` (what its `reset` returned) to the end, each agent
+    acting under its own entry of `latents`; returns each agent's return."""
+    returns = {a: 0.0 for a in obs}
+    while not env.finished:
+        agents = env.living_agents()
+        obs_mat = np.asarray([obs[a] for a in agents])
+        z_mat = np.asarray([latents[a] for a in agents])
+        actions, _, _ = gen.act(obs_mat, z_mat, rng)
+        obs, rewards, _ = env.step({a: int(x) for a, x in zip(agents, actions)})
+        for a, r in rewards.items():
+            returns[a] += r
+    return returns
+
+
 def episode_score_fn(gen, env_factory, episodes_per_latent: int, rng: np.random.Generator):
     """Score a latent by mean per-agent episode return, all agents sharing it."""
 
@@ -134,16 +149,7 @@ def episode_score_fn(gen, env_factory, episodes_per_latent: int, rng: np.random.
         for _ in range(episodes_per_latent):
             env = env_factory()
             obs = env.reset(int(rng.integers(2 ** 62)))
-            totals = {a: 0.0 for a in obs}
-            while not env.finished:
-                agents = env.living_agents()
-                obs_mat = np.asarray([obs[a] for a in agents])
-                z_mat = np.repeat(z[None], len(agents), axis=0)
-                actions, _, _ = gen.act(obs_mat, z_mat, rng)
-                obs, rewards, _ = env.step({a: int(x) for a, x in zip(agents, actions)})
-                for a, r in rewards.items():
-                    totals[a] += r
-            returns.extend(totals.values())
+            returns.extend(run_episode(gen, env, obs, dict.fromkeys(obs, z), rng).values())
         return float(np.mean(returns))
 
     return score

@@ -128,17 +128,3 @@ class DenseNet:
         for layer in self.layers:
             x = layer.forward_np(x)
         return x
-
-    # -- flat parameter vector (checkpoints, finite differences) ----------
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.data.ravel() for p in self.parameters()])
-
-    def set_flat(self, vec: np.ndarray):
-        i = 0
-        for p in self.parameters():
-            n = p.data.size
-            p.data = vec[i:i + n].reshape(p.data.shape).astype(np.float64).copy()
-            i += n
-        if i != vec.size:
-            raise ConfigError(f"flat vector has {vec.size} values, net needs {i}")

@@ -52,8 +52,28 @@ class ReplayWriter:
                 fh.write(json.dumps(rec) + "\n")
 
 
+# field -> accepted types; bool is not an int here
+HEADER_TYPES = {"env": (str,), "seed": (int,), "config": (dict,)}
+RECORD_TYPES = {"tick": (int,), "agent_id": (str,), "action": (int,),
+                "reward": (float, int), "done": (bool,)}
+
+
+def _checked(obj, types: dict, required, lineno: int) -> dict:
+    where = f"corrupt replay line {lineno}"
+    if not isinstance(obj, dict):
+        raise IntegrityError(f"{where}: not a JSON object")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise IntegrityError(f"{where}: missing {missing}")
+    for key, allowed in types.items():
+        if key in obj and type(obj[key]) not in allowed:
+            raise IntegrityError(f"{where}: field {key!r} is {obj[key]!r}, "
+                                 f"not {' or '.join(t.__name__ for t in allowed)}")
+    return obj
+
+
 def read_replay(path) -> tuple[dict, list[dict]]:
-    """Parse a replay log; corrupt lines abort with their line number."""
+    """Parse a replay log; a corrupt or mistyped line aborts with its number."""
     header = None
     records = []
     with open(path) as fh:
@@ -66,16 +86,11 @@ def read_replay(path) -> tuple[dict, list[dict]]:
             except json.JSONDecodeError as exc:
                 raise IntegrityError(f"corrupt replay line {lineno}: {exc}") from exc
             if header is None:
-                if "env" not in obj or "seed" not in obj:
-                    raise IntegrityError(f"corrupt replay line {lineno}: missing header fields")
-                header = obj
+                header = _checked(obj, HEADER_TYPES, ("env", "seed"), lineno)
+                if header["seed"] < 0:
+                    raise IntegrityError(f"corrupt replay line {lineno}: negative seed")
             else:
-                missing = {"tick", "agent_id", "action", "reward", "done"} - set(obj)
-                if missing:
-                    raise IntegrityError(f"corrupt replay line {lineno}: missing {sorted(missing)}")
-                records.append(obj)
-    if header is None and records:
-        raise IntegrityError("replay log has records but no header")
+                records.append(_checked(obj, RECORD_TYPES, RECORD_TYPES, lineno))
     return header or {}, records
 
 

@@ -60,8 +60,8 @@ class TrainerConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch_size < 1 or self.minibatch_size < 1 or self.sgd_iters < 1:
-            raise ConfigError("batch_size, minibatch_size and sgd_iters must be positive")
+        if min(self.batch_size, self.minibatch_size, self.sgd_iters, self.num_envs) < 1:
+            raise ConfigError("batch_size, minibatch_size, sgd_iters and num_envs must be positive")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ConfigError("clip_epsilon must be in (0, 1)")
         self.diversity.validate()

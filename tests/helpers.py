@@ -1,4 +1,5 @@
-"""Shared test oracles: central finite differences, independent of autodiff."""
+"""Shared test helpers: central finite differences and a plain-numpy diversity
+estimate (oracles independent of autodiff), and a random-action episode logger."""
 
 import numpy as np
 
@@ -45,6 +46,27 @@ def check_gradients(loss_fn, params, h=1e-5, tol=1e-4):
     return err
 
 
+def diversity_oracle(grid, b, mode="exp_neg_kl"):
+    """Plain loops over a (latents, states, actions) grid of distributions:
+    the mean over ordered distinct latent pairs and states of exp(-KL), or of
+    the KL itself for mode "raw_kl", between distributions smoothed to
+    (p + b) / (1 + b*A)."""
+    grid = np.asarray(grid, dtype=np.float64)
+    m, n, num_actions = grid.shape
+    total, count = 0.0, 0
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            for s in range(n):
+                p = (grid[i, s] + b) / (1.0 + b * num_actions)
+                q = (grid[j, s] + b) / (1.0 + b * num_actions)
+                kl = np.sum(p * (np.log(p) - np.log(q)))
+                total += kl if mode == "raw_kl" else np.exp(-kl)
+                count += 1
+    return total / count
+
+
 def rewrite_checkpoint_header(path, edit):
     """Apply `edit(header_dict)` to a checkpoint file's header in place and
     re-seal it with a valid checksum, so only the header's content is bad."""
@@ -60,3 +82,18 @@ def rewrite_checkpoint_header(path, edit):
     with open(path, "wb") as fh:
         fh.write(blob[:4] + len(header_bytes).to_bytes(4, "little") + header_bytes
                  + payload + hashlib.sha256(header_bytes + payload).digest())
+
+
+def random_episode(env, seed, policy_rng):
+    """Play one episode of uniformly random actions from `reset(seed)` and
+    return the ReplayWriter that logged it."""
+    from policyspace.replay import ReplayWriter
+
+    env.reset(seed=seed)
+    writer = ReplayWriter(env)
+    while not env.finished:
+        actions = {a: int(policy_rng.integers(env.num_actions)) for a in env.living_agents()}
+        tick = env.tick
+        _, rewards, dones = env.step(actions)
+        writer.record_step(tick, actions, rewards, dones)
+    return writer

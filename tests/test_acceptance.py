@@ -25,12 +25,12 @@ from policyspace.evaluation import (BotPolicy, LatentPolicy, ablation_sweep,
                                     bot_gauntlet, play_series, round_robin_matrix,
                                     specialization)
 from policyspace.generator import PolicyGenerator, sample_latent, sample_latents
-from policyspace.latent_search import SearchConfig, optimize_latents
-from policyspace.replay import ReplayWriter, read_replay, replay_episode
+from policyspace.latent_search import SearchConfig, optimize_latents, run_episode
+from policyspace.replay import read_replay, replay_episode
 from policyspace.training import (Discriminator, Trainer, TrainerConfig,
                                   collect_rollouts, ppo_objective)
 
-from helpers import finite_diff_grads, relative_error
+from helpers import finite_diff_grads, random_episode, relative_error
 
 pytestmark = pytest.mark.acceptance
 
@@ -210,9 +210,7 @@ def _goals_reached(gen, n_latents=64, seed=0, episodes=5):
         for _ in range(episodes):
             env = MultiGoal()
             obs = env.reset(int(rng.integers(2 ** 62)))
-            while not env.finished:
-                action, _, _ = gen.act(obs["agent_0"][None], z[None], rng)
-                obs, _, _ = env.step({"agent_0": int(action[0])})
+            run_episode(gen, env, obs, {"agent_0": z}, rng)
             idx, dist = env.nearest_goal()
             if dist <= env.capture_radius:
                 ends.append(idx)
@@ -372,15 +370,7 @@ def test_criterion_8_engine_invariants(tmp_path):
     # replay reproduces logged rewards bit-exactly
     cfg = FarmworldConfig(width=6, height=6, num_agents=3, num_chickens=3,
                           num_towers=3, max_episode_timesteps=60)
-    env = Farmworld(cfg)
-    env.reset(seed=42)
-    writer = ReplayWriter(env)
-    policy_rng = np.random.default_rng(2)
-    while not env.finished:
-        actions = {a: int(policy_rng.integers(6)) for a in env.living_agents()}
-        tick = env.tick
-        _, rewards, dones = env.step(actions)
-        writer.record_step(tick, actions, rewards, dones)
+    writer = random_episode(Farmworld(cfg), 42, np.random.default_rng(2))
     log = tmp_path / "episode.jsonl"
     writer.save(log)
     header, records = read_replay(log)

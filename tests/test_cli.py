@@ -4,14 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from helpers import rewrite_checkpoint_header
+from helpers import random_episode, rewrite_checkpoint_header
 from policyspace.checkpoint import save_checkpoint
 from policyspace.cli import build_parser, main
 from policyspace.config import load_config_file, resolve_config, write_manifest
 from policyspace.envs import MultiGoal
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator
-from policyspace.replay import ReplayWriter
+
 
 TINY_MULTIGOAL = """
 [run]
@@ -149,6 +149,34 @@ def test_train_missing_file_exit_2(tmp_path):
     assert main(["train", str(tmp_path / "nope.ini")]) == 2
 
 
+MALFORMED_INI = {
+    "no section header": "env = multigoal\n",
+    "duplicate section": "[run]\nenv = multigoal\n[run]\nseed = 1\n",
+    "duplicate key": "[run]\nenv = multigoal\nenv = soccer\n",
+    "bad interpolation": "[run]\nenv = multigoal\nrun_name = 100%\n",
+    "zero hidden_dim": TINY_MULTIGOAL.replace("hidden_dim = 8", "hidden_dim = 0"),
+    "negative hidden_dim": TINY_MULTIGOAL.replace("hidden_dim = 8", "hidden_dim = -1"),
+    "zero latent_dim": TINY_MULTIGOAL.replace("[model]", "[model]\nlatent_dim = 0"),
+    "negative hidden_layers": TINY_MULTIGOAL.replace("[model]", "[model]\nhidden_layers = -1"),
+    "negative seed": TINY_MULTIGOAL.replace("seed = 3", "seed = -1"),
+    "negative epochs": TINY_MULTIGOAL.replace("epochs = 2", "epochs = -1"),
+    "negative checkpoint_every": TINY_MULTIGOAL.replace("checkpoint_every = 0",
+                                                        "checkpoint_every = -1"),
+    "zero num_envs": TINY_MULTIGOAL.replace("num_envs = 2", "num_envs = 0"),
+    "unparseable env value": TINY_MULTIGOAL.replace("max_episode_timesteps = 10",
+                                                    "max_episode_timesteps = ten"),
+    "not text": "\xff\xfe[run]\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_INI.values(), ids=MALFORMED_INI.keys())
+def test_train_rejects_malformed_ini_with_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "run.ini"
+    path.write_bytes(text.encode("latin-1"))
+    assert main(["train", str(path), "--run-dir", str(tmp_path / "run")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 MANIFEST_FAULTS = {
     "missing field": (lambda c: c["run"].pop("run_name"), "run_name"),
     "unknown field": (lambda c: c["trainer"].update(warp_speed=9), "warp_speed"),
@@ -279,6 +307,19 @@ def test_eval_seeds_default_to_three():
     assert args.seeds == 3
 
 
+@pytest.mark.parametrize("protocol, flag, value", [
+    ("bots", "--games", "-5"), ("bots", "--games", "0"),
+    ("specialization", "--seeds", "0"), ("specialization", "--episodes", "0"),
+    ("ablations", "--seeds", "-1"),
+])
+def test_eval_rejects_non_positive_counts_with_exit_2(tmp_path, capsys, protocol, flag, value):
+    ckpt = soccer_checkpoint(tmp_path) if protocol == "bots" else farmworld_checkpoint(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["eval", protocol, str(ckpt), flag, value, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_protocol_env_mismatch_is_config_error(tmp_path):
     farm = farmworld_checkpoint(tmp_path)
     assert main(["eval", "bots", str(farm)]) == 2
@@ -336,15 +377,7 @@ def test_eval_specialization_writes_metrics(tmp_path):
 
 
 def logged_episode(tmp_path):
-    env = MultiGoal(max_episode_timesteps=5)
-    env.reset(seed=3)
-    writer = ReplayWriter(env)
-    rng = np.random.default_rng(0)
-    while not env.finished:
-        actions = {a: int(rng.integers(5)) for a in env.living_agents()}
-        tick = env.tick
-        _, rewards, dones = env.step(actions)
-        writer.record_step(tick, actions, rewards, dones)
+    writer = random_episode(MultiGoal(max_episode_timesteps=5), 3, np.random.default_rng(0))
     path = tmp_path / "episode.jsonl"
     writer.save(path)
     return path
@@ -372,6 +405,32 @@ def test_replay_corrupt_log_exit_4(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+REPLAY_HEADER = {"env": "multigoal", "seed": 1, "config": {"max_episode_timesteps": 5}}
+REPLAY_RECORD = {"tick": 0, "agent_id": "agent_0", "action": 1, "reward": -0.4, "done": False}
+MALFORMED_REPLAYS = {
+    "numeric header": ("5", REPLAY_RECORD, 1),
+    "string header": ('"multigoal"', REPLAY_RECORD, 1),
+    "record not an object": (REPLAY_HEADER, 7, 2),
+    "string seed": ({**REPLAY_HEADER, "seed": "x"}, REPLAY_RECORD, 1),
+    "negative seed": ({**REPLAY_HEADER, "seed": -1}, REPLAY_RECORD, 1),
+    "list config": ({**REPLAY_HEADER, "config": [1]}, REPLAY_RECORD, 1),
+    "string action": (REPLAY_HEADER, {**REPLAY_RECORD, "action": "a"}, 2),
+    "list tick": (REPLAY_HEADER, {**REPLAY_RECORD, "tick": [0]}, 2),
+    "string reward": (REPLAY_HEADER, {**REPLAY_RECORD, "reward": "x"}, 2),
+    "numeric done": (REPLAY_HEADER, {**REPLAY_RECORD, "done": 1}, 2),
+}
+
+
+@pytest.mark.parametrize("header, record, line", MALFORMED_REPLAYS.values(),
+                         ids=MALFORMED_REPLAYS.keys())
+def test_replay_malformed_log_exit_4(tmp_path, capsys, header, record, line):
+    path = tmp_path / "bad.jsonl"
+    lines = [h if isinstance(h, str) else json.dumps(h) for h in (header, record)]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(path)]) == 4
+    assert f"line {line}" in capsys.readouterr().err
+
+
 def test_replay_tampered_reward_exit_4(tmp_path):
     path = logged_episode(tmp_path)
     lines = path.read_text().splitlines()
@@ -386,15 +445,7 @@ def test_replay_farmworld_episode_via_cli(tmp_path, capsys):
     from policyspace.envs.farmworld import Farmworld, FarmworldConfig
     cfg = FarmworldConfig(width=4, height=4, num_agents=2, num_chickens=1,
                           num_towers=1, max_episode_timesteps=4)
-    env = Farmworld(cfg)
-    env.reset(seed=11)
-    writer = ReplayWriter(env)
-    rng = np.random.default_rng(1)
-    while not env.finished:
-        actions = {a: int(rng.integers(6)) for a in env.living_agents()}
-        tick = env.tick
-        _, rewards, dones = env.step(actions)
-        writer.record_step(tick, actions, rewards, dones)
+    writer = random_episode(Farmworld(cfg), 11, np.random.default_rng(1))
     log = tmp_path / "farm.jsonl"
     writer.save(log)
     assert main(["replay", str(log)]) == 0

@@ -1,31 +1,22 @@
 import numpy as np
 import pytest
 
-from policyspace.distributions import Categorical, Gaussian
-from policyspace.diversity import (DiversityConfig, diversity_loss,
-                                   estimate_for_generator, kl, pair_indices,
-                                   smooth)
+from policyspace.autodiff import constant
+from policyspace.diversity import (DiversityConfig, _smooth_probs, diversity_loss,
+                                   estimate_for_generator, pair_indices)
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator, sample_latents
 
-from helpers import check_gradients
+from helpers import check_gradients, diversity_oracle
 
 
 def test_smooth_with_zero_is_identity():
-    cat = Categorical([0.2, 0.8])
-    assert np.array_equal(smooth(cat, 0.0).probs.data, [0.2, 0.8])
-    gauss = Gaussian([0.0], [0.3])
-    assert np.array_equal(smooth(gauss, 0.0).sigma.data, [0.3])
-
-
-def test_smooth_gaussian_adds_to_sigma():
-    gauss = Gaussian([1.0], [0.1])
-    assert smooth(gauss, 0.05).sigma.data[0] == pytest.approx(0.15, abs=1e-15)
+    probs = constant(np.array([0.2, 0.8]))
+    assert np.array_equal(_smooth_probs(probs, 0.0).data, [0.2, 0.8])
 
 
 def test_smooth_categorical_direct_formula():
-    cat = Categorical([1.0, 0.0])
-    out = smooth(cat, 0.05).probs.data
+    out = _smooth_probs(constant(np.array([1.0, 0.0])), 0.05).data
     assert out == pytest.approx([1.05 / 1.1, 0.05 / 1.1], abs=1e-12)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -35,38 +26,25 @@ def test_smooth_keeps_distribution_valid():
     for _ in range(10):
         p = rng.random(5)
         p /= p.sum()
-        out = smooth(Categorical(p), rng.random() * 2).probs.data
+        out = _smooth_probs(constant(p), rng.random() * 2).data
         assert np.all(out > 0)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kl_of_identical_distributions_is_zero():
-    cat = Categorical([0.3, 0.7])
-    assert float(kl(cat, cat).data) == 0.0
-    gauss = Gaussian([0.5, -0.5], [0.2, 0.4])
-    assert float(kl(gauss, gauss).data) == pytest.approx(0.0, abs=1e-15)
+    stacked = constant(np.array([[0.3, 0.7], [0.3, 0.7]]))
+    assert float(diversity_loss(stacked, 2, 1, smoothing=0.0, mode="raw_kl").data) == 0.0
 
 
 def test_kl_categorical_direct_value():
-    p = Categorical([0.5, 0.5])
-    q = Categorical([0.25, 0.75])
-    expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-    assert float(kl(p, q).data) == pytest.approx(expected, abs=1e-12)
-    assert expected == pytest.approx(0.14384, abs=1e-5)
-
-
-def test_kl_rejects_mismatched_distributions():
-    with pytest.raises(ConfigError):
-        kl(Categorical([0.5, 0.5]), Gaussian([0.0], [1.0]))
-    with pytest.raises(ConfigError):
-        kl(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5]))
-
-
-def test_kl_gaussian_known_value():
-    # KL(N(0,1) || N(1,1)) = 0.5
-    p = Gaussian([0.0], [1.0])
-    q = Gaussian([1.0], [1.0])
-    assert float(kl(p, q).data) == pytest.approx(0.5, abs=1e-12)
+    p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+    kl_pq = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
+    kl_qp = 0.25 * np.log(0.5) + 0.75 * np.log(1.5)
+    assert kl_pq == pytest.approx(0.14384, abs=1e-5)
+    raw = float(diversity_loss(constant(np.stack([p, q])), 2, 1, smoothing=0.0,
+                               mode="raw_kl").data)
+    assert raw == pytest.approx(0.5 * (kl_pq + kl_qp), abs=1e-12)
+    assert diversity_oracle([[p], [q]], 0.0, mode="raw_kl") == pytest.approx(raw, abs=1e-12)
 
 
 def test_config_validation():
@@ -79,23 +57,10 @@ def test_config_validation():
         DiversityConfig(mode="nonsense").validate()
 
 
-def brute_force_estimate(gen, states, latents, b):
-    """Exhaustive loop over ordered distinct pairs and states, plain formulas."""
-    m, n = latents.shape[0], states.shape[0]
-    num_actions = gen.num_actions
-    total, count = 0.0, 0
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for s in range(n):
-                p = gen.probs_np(states[s:s + 1], latents[i:i + 1])[0]
-                q = gen.probs_np(states[s:s + 1], latents[j:j + 1])[0]
-                p = (p + b) / (1.0 + b * num_actions)
-                q = (q + b) / (1.0 + b * num_actions)
-                total += np.exp(-np.sum(p * (np.log(p) - np.log(q))))
-                count += 1
-    return total / count
+def probs_grid(gen, states, latents):
+    """Each (latent, state) pair's action distribution, one forward at a time."""
+    return [[gen.probs_np(states[s:s + 1], latents[i:i + 1])[0]
+             for s in range(states.shape[0])] for i in range(latents.shape[0])]
 
 
 def small_generator(seed=0):
@@ -109,7 +74,7 @@ def test_estimator_matches_brute_force_enumeration():
     states = rng.random((2, 4))
     latents = sample_latents(rng, 3)
     est = float(estimate_for_generator(gen, states, latents, smoothing=0.05).data)
-    oracle = brute_force_estimate(gen, states, latents, b=0.05)
+    oracle = diversity_oracle(probs_grid(gen, states, latents), 0.05)
     assert est == pytest.approx(oracle, abs=1e-12)
 
 
@@ -126,7 +91,6 @@ def test_identical_latents_give_maximum_one():
 def test_estimate_approaches_zero_for_distant_distributions():
     # two nearly-deterministic opposite categoricals: exp(-KL) ~ 0
     probs = np.array([[1e-9, 1.0 - 1e-9], [1.0 - 1e-9, 1e-9]])
-    from policyspace.autodiff import constant
     val = float(diversity_loss(constant(probs), num_latents=2, num_states=1,
                                smoothing=0.0).data)
     assert 0.0 < val < 1e-6
@@ -160,7 +124,6 @@ def test_estimator_symmetric_under_permutations():
 def test_exp_neg_kl_increases_as_distributions_converge():
     p = np.array([0.9, 0.1])
     q = np.array([0.1, 0.9])
-    from policyspace.autodiff import constant
     values = []
     for t in np.linspace(0.0, 1.0, 5):
         mid = (1 - t) * q + t * p
@@ -195,18 +158,5 @@ def test_raw_kl_mode_matches_mean_pairwise_kl():
     states = rng.random((2, 4))
     latents = sample_latents(rng, 3)
     raw = float(estimate_for_generator(gen, states, latents, 0.05, mode="raw_kl").data)
-    # oracle: mean KL over ordered distinct pairs and states
-    m, n = 3, 2
-    total, count = 0.0, 0
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for s in range(n):
-                p = gen.probs_np(states[s:s + 1], latents[i:i + 1])[0]
-                q = gen.probs_np(states[s:s + 1], latents[j:j + 1])[0]
-                p = (p + 0.05) / (1.0 + 0.05 * 3)
-                q = (q + 0.05) / (1.0 + 0.05 * 3)
-                total += np.sum(p * (np.log(p) - np.log(q)))
-                count += 1
-    assert raw == pytest.approx(total / count, abs=1e-12)
+    oracle = diversity_oracle(probs_grid(gen, states, latents), 0.05, mode="raw_kl")
+    assert raw == pytest.approx(oracle, abs=1e-12)

@@ -6,7 +6,9 @@ import pytest
 from policyspace.envs import MultiGoal, make_env
 from policyspace.envs.multigoal import CORNERS
 from policyspace.errors import ConfigError, IntegrityError
-from policyspace.replay import ReplayWriter, read_replay, replay_episode
+from policyspace.replay import read_replay, replay_episode
+
+from helpers import random_episode
 
 
 def test_reset_same_seed_gives_identical_observations():
@@ -102,17 +104,6 @@ def test_make_env_registry():
 
 
 # -- replay logs ------------------------------------------------------------
-
-
-def random_episode(env, seed, policy_rng):
-    obs = env.reset(seed=seed)
-    writer = ReplayWriter(env)
-    while not env.finished:
-        actions = {a: int(policy_rng.integers(env.num_actions)) for a in env.living_agents()}
-        tick = env.tick
-        obs, rewards, dones = env.step(actions)
-        writer.record_step(tick, actions, rewards, dones)
-    return writer
 
 
 def test_replay_reproduces_rewards_bit_exactly(tmp_path):

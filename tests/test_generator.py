@@ -71,13 +71,15 @@ def test_concat_distribution_kl_matches_direct_formula():
     z1, z2 = sample_latents(rng, 2)
     p = gen.probs_np(obs, z1[None])[0]
     q = gen.probs_np(obs, z2[None])[0]
-    direct = float(np.sum(p * (np.log(p) - np.log(q))))
+    direct_pq = float(np.sum(p * (np.log(p) - np.log(q))))
+    direct_qp = float(np.sum(q * (np.log(q) - np.log(p))))
 
-    from policyspace.diversity import kl
-    from policyspace.distributions import Categorical
-    via_module = float(kl(Categorical(p), Categorical(q)).data)
-    assert via_module == pytest.approx(direct, abs=1e-12)
-    assert direct > 0.0
+    from policyspace.autodiff import constant
+    from policyspace.diversity import diversity_loss
+    via_module = float(diversity_loss(constant(np.stack([p, q])), 2, 1, smoothing=0.0,
+                                      mode="raw_kl").data)
+    assert via_module == pytest.approx(0.5 * (direct_pq + direct_qp), abs=1e-12)
+    assert direct_pq > 0.0 and direct_qp > 0.0
 
 
 def test_multiplicative_branch_selection_is_structural():

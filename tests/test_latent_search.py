@@ -6,7 +6,7 @@ from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator, sample_latent
 from policyspace.latent_search import (SearchConfig, episode_score_fn,
                                        load_trace, mutate, optimize_latents,
-                                       save_trace)
+                                       run_episode, save_trace)
 
 
 def test_zero_scale_mutation_is_identity():
@@ -153,3 +153,33 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         optimize_latents(lambda z: 0.0, np.random.default_rng(0),
                          SearchConfig(episodes_per_latent=0))
+
+
+def test_run_episode_gives_each_agent_its_latent_and_sums_its_rewards():
+    from policyspace.envs.farmworld import Farmworld, FarmworldConfig
+    cfg = FarmworldConfig(width=5, height=5, num_agents=3, num_chickens=2,
+                          num_towers=2, max_episode_timesteps=15)
+    gen = PolicyGenerator(Farmworld(cfg).observation_size, 6, np.random.default_rng(20),
+                          hidden_dim=8)
+    rng = np.random.default_rng(21)
+    env = Farmworld(cfg)
+    obs = env.reset(22)
+    latents = {a: sample_latent(rng) for a in obs}
+    act, step = gen.act, env.step
+    totals = dict.fromkeys(obs, 0.0)
+
+    def checked_act(obs_mat, z_mat, rng):
+        expected = np.asarray([latents[a] for a in env.living_agents()])
+        assert np.array_equal(z_mat, expected)
+        return act(obs_mat, z_mat, rng)
+
+    def summed_step(actions):
+        out = step(actions)
+        for a, r in out[1].items():
+            totals[a] += r
+        return out
+
+    gen.act, env.step = checked_act, summed_step
+    returns = run_episode(gen, env, obs, latents, rng)
+    assert env.finished
+    assert returns == totals

@@ -73,17 +73,6 @@ def test_net_gradients_match_finite_differences(seed):
     check_gradients(loss, net.parameters())
 
 
-def test_flat_roundtrip():
-    rng = np.random.default_rng(2)
-    net = DenseNet.create(rng, [3, 4, 2], ["tanh", "identity"])
-    vec = net.get_flat()
-    assert vec.size == net.parameter_count
-    other = DenseNet.create(np.random.default_rng(77), [3, 4, 2], ["tanh", "identity"])
-    other.set_flat(vec)
-    x = rng.standard_normal(3)
-    assert np.array_equal(net.forward_np(x), other.forward_np(x))
-
-
 # -- optimizer ----------------------------------------------------------------
 
 
