@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
-The engine supports a fixed vocabulary of array operations (matmul, add,
-elementwise mul, tanh, relu, softmax, log, exp, reductions, gather/take)
-which is everything the dense policy and value networks in this package
-need. Graphs are built eagerly as operations run; ``Tensor.backward()``
+The engine supports a fixed vocabulary of array operations (the fused
+dense layer ``affine``, add, elementwise mul, softmax, log, exp, reductions,
+gather/take) which is everything the dense policy and value networks in this
+package need. Graphs are built eagerly as operations run; ``Tensor.backward()``
 walks the graph once in reverse topological order and accumulates exact
 gradients into every reachable ``Tensor`` with ``requires_grad=True``.
 """
@@ -32,6 +32,22 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def softmax_np(x: Array, axis: int = -1) -> Array:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def affine_np(x: Array, weight: Array, bias: Array, activation: str) -> Array:
+    """One dense layer, act(x @ weight.T + bias), with weight of shape (out, in)."""
+    y = x @ weight.T + bias
+    if activation == "tanh":
+        return np.tanh(y)
+    if activation == "relu":
+        return np.maximum(y, 0.0)
+    return y
 
 
 class Tensor:
@@ -146,44 +162,12 @@ class Tensor:
         out._backward = backward
         return out
 
-    def __matmul__(self, other):
-        out = Tensor(self.data @ other.data, parents=(self, other), op="matmul")
-
-        def backward(g):
-            a, b = self.data, other.data
-            if a.ndim == 1 and b.ndim == 2:      # (k,) @ (k,m)
-                self._accum(g @ b.T)
-                other._accum(np.outer(a, g))
-            elif a.ndim == 2 and b.ndim == 1:    # (n,k) @ (k,)
-                self._accum(np.outer(g, b))
-                other._accum(a.T @ g)
-            elif a.ndim == 1 and b.ndim == 1:    # dot
-                self._accum(g * b)
-                other._accum(g * a)
-            else:                                # (n,k) @ (k,m)
-                self._accum(g @ b.T)
-                other._accum(a.T @ g)
-
-        out._backward = backward
-        return out
-
     def square(self):
         out = Tensor(self.data * self.data, parents=(self,), op="square")
         out._backward = lambda g: self._accum(2.0 * self.data * g)
         return out
 
     # -- nonlinearities ---------------------------------------------------
-
-    def tanh(self):
-        t = np.tanh(self.data)
-        out = Tensor(t, parents=(self,), op="tanh")
-        out._backward = lambda g: self._accum(g * (1.0 - t * t))
-        return out
-
-    def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), parents=(self,), op="relu")
-        out._backward = lambda g: self._accum(g * (self.data > 0.0))
-        return out
 
     def exp(self):
         e = np.exp(self.data)
@@ -197,9 +181,7 @@ class Tensor:
         return out
 
     def softmax(self, axis: int = -1):
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=axis, keepdims=True)
+        p = softmax_np(self.data, axis)
         out = Tensor(p, parents=(self,), op="softmax")
 
         def backward(g):
@@ -303,3 +285,22 @@ def constant(x) -> Tensor:
 def parameter(x) -> Tensor:
     """Wrap an array as a trainable leaf."""
     return Tensor(x, requires_grad=True)
+
+
+def affine(x: Tensor, weight: Tensor, bias: Tensor, activation: str) -> Tensor:
+    """One graph node whose value is ``affine_np`` of its inputs' data."""
+    xd, w = x.data, weight.data
+    y = affine_np(xd, w, bias.data, activation)
+    out = Tensor(y, parents=(x, weight, bias), op="affine")
+
+    def backward(g):   # holds the array y, never `out`, so no node refers to itself
+        if activation == "tanh":
+            g = g * (1.0 - y * y)
+        elif activation == "relu":
+            g = g * (y > 0.0)
+        bias._accum(_unbroadcast(g, bias.data.shape))
+        x._accum(g @ w)
+        weight._accum(np.outer(xd, g).T if xd.ndim == 1 else (xd.T @ g).T)
+
+    out._backward = backward
+    return out

@@ -110,8 +110,7 @@ def cmd_adapt(args) -> int:
     result = optimize_latents(score, rng, search, latent_dim=gen.latent_dim)
     if args.trace_out:
         save_trace(args.trace_out, result.trace)
-    z = result.best_latent
-    print(f"best_latent {z[0]:+.6f} {z[1]:+.6f} {z[2]:+.6f}")
+    print("best_latent " + " ".join(f"{v:+.6f}" for v in result.best_latent))
     print(f"best_score {result.best_score:.6f}")
     print(f"evaluations {result.evaluations}")
     return 0

@@ -85,6 +85,8 @@ class FarmworldConfig:
             raise ConfigError("respawn_time must be >= 0")
         if self.num_agents < 1:
             raise ConfigError("need at least one agent")
+        if self.num_chickens < 0 or self.num_towers < 0:
+            raise ConfigError("num_chickens and num_towers must be >= 0")
         if self.ablation not in ABLATION_NAMES:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
 

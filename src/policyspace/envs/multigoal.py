@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from .base import Environment
 
 CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -30,6 +31,8 @@ class MultiGoal(Environment):
         self.capture_radius = float(capture_radius)
         self.step_size = float(step_size)
         self.start_jitter = float(start_jitter)
+        if self.start_jitter < 0:
+            raise ConfigError("start_jitter must be >= 0")
         self.position = np.zeros(2)
         self.captured = False
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, constant
+from .autodiff import Tensor, constant, softmax_np
 from .errors import ConfigError
 from .nets import DenseNet, Layer
 
@@ -82,14 +82,13 @@ class PolicyGenerator:
 
     # -- parameter access --------------------------------------------------
 
-    def policy_parameters(self) -> list[Tensor]:
+    def _policy_layers(self) -> list[Layer]:
         if self.architecture == "concat":
-            return self.policy_net.parameters()
-        params = self.shared.parameters()
-        for layer in self.branches:
-            params.extend(layer.parameters())
-        params.extend(self.head.parameters())
-        return params
+            return self.policy_net.layers
+        return [self.shared, *self.branches, self.head]
+
+    def policy_parameters(self) -> list[Tensor]:
+        return [p for layer in self._policy_layers() for p in layer.parameters()]
 
     def value_parameters(self) -> list[Tensor]:
         return self.value_net.parameters()
@@ -103,10 +102,7 @@ class PolicyGenerator:
 
     def hidden_parameter_count(self) -> tuple[int, int]:
         """(weight count, bias count) of hidden layers, logit head excluded."""
-        if self.architecture == "concat":
-            hidden = self.policy_net.layers[:-1]
-        else:
-            hidden = [self.shared] + self.branches
+        hidden = self._policy_layers()[:-1]
         weights = sum(l.weight.data.size for l in hidden)
         biases = sum(l.bias.data.size for l in hidden)
         return weights, biases
@@ -125,65 +121,53 @@ class PolicyGenerator:
 
     # -- policy forward ------------------------------------------------------
 
-    def _check_shapes(self, obs: np.ndarray, z: np.ndarray):
+    def _inputs(self, obs, z) -> tuple[np.ndarray, np.ndarray]:
+        obs = np.asarray(obs, dtype=np.float64)
+        z = np.asarray(z, dtype=np.float64)
         if obs.shape[-1] != self.obs_size:
             raise ConfigError(f"observation size {obs.shape[-1]} != expected {self.obs_size}")
         if z.shape[-1] != self.latent_dim:
             raise ConfigError(f"latent size {z.shape[-1]} != expected {self.latent_dim}")
+        return obs, z
+
+    def _logits(self, obs, z, wrap):
+        """The one logits body; `wrap` makes graph inputs (`constant`) or arrays."""
+        obs, z = self._inputs(obs, z)
+        if self.architecture == "concat":
+            return self.policy_net(wrap(np.concatenate([obs, z], axis=-1)))
+        h0 = self.shared(wrap(obs))
+        mixed = h0
+        for i, branch in enumerate(self.branches):
+            mixed = mixed + branch(h0) * z[..., i:i + 1]
+        return self.head(mixed)
 
     def logits(self, obs: np.ndarray, z: np.ndarray) -> Tensor:
         """Graph-building logits for batched (obs, z) rows."""
-        obs = np.asarray(obs, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        self._check_shapes(obs, z)
-        if self.architecture == "concat":
-            return self.policy_net.forward(np.concatenate([obs, z], axis=-1))
-        x = constant(obs)
-        h0 = self.shared(x)
-        mixed = h0
-        for i, branch in enumerate(self.branches):
-            scale = constant(z[..., i:i + 1])
-            mixed = mixed + branch(h0) * scale
-        return self.head(mixed)
+        return self._logits(obs, z, constant)
 
     def logits_np(self, obs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Gradient-free logits, bit-identical to ``logits(...).data``."""
-        obs = np.asarray(obs, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        self._check_shapes(obs, z)
-        if self.architecture == "concat":
-            return self.policy_net.forward_np(np.concatenate([obs, z], axis=-1))
-        h0 = self.shared.forward_np(obs)
-        mixed = h0
-        for i, branch in enumerate(self.branches):
-            mixed = mixed + branch.forward_np(h0) * z[..., i:i + 1]
-        return self.head.forward_np(mixed)
+        return self._logits(obs, z, np.asarray)
 
     def action_probs(self, obs: np.ndarray, z: np.ndarray) -> Tensor:
         return self.logits(obs, z).softmax(axis=-1)
 
     def probs_np(self, obs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        logits = self.logits_np(obs, z)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        return softmax_np(self.logits_np(obs, z))
 
     # -- value forward ---------------------------------------------------------
 
+    def _value(self, obs, z, wrap):
+        obs, z = self._inputs(obs, z)
+        out = self.value_net(wrap(np.concatenate([obs, z], axis=-1)))
+        return out.reshape(out.shape[:-1])
+
     def value(self, obs: np.ndarray, z: np.ndarray) -> Tensor:
         """State value conditioned on the latent; shape (batch,) or scalar."""
-        obs = np.asarray(obs, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        self._check_shapes(obs, z)
-        out = self.value_net.forward(np.concatenate([obs, z], axis=-1))
-        return out.reshape(out.data.shape[:-1])
+        return self._value(obs, z, constant)
 
     def value_np(self, obs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        self._check_shapes(obs, z)
-        out = self.value_net.forward_np(np.concatenate([obs, z], axis=-1))
-        return out[..., 0]
+        return self._value(obs, z, np.asarray)
 
     # -- rollout helper ----------------------------------------------------------
 

@@ -158,7 +158,8 @@ def episode_score_fn(gen, env_factory, episodes_per_latent: int, rng: np.random.
 def save_trace(path, trace: list[dict]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["generation", "z0", "z1", "z2", "score", "action"])
+        dim = len(trace[0]["latent"]) if trace else 0
+        writer.writerow(["generation", *[f"z{i}" for i in range(dim)], "score", "action"])
         for row in trace:
             writer.writerow([row["generation"], *[repr(v) for v in row["latent"]],
                              repr(row["score"]), row["action"]])
@@ -167,10 +168,12 @@ def save_trace(path, trace: list[dict]):
 def load_trace(path) -> list[dict]:
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        coords = (reader.fieldnames or [])[1:-2]   # z0 .. z{k-1}, as save_trace writes them
+        for rec in reader:
             rows.append({
                 "generation": int(rec["generation"]),
-                "latent": [float(rec["z0"]), float(rec["z1"]), float(rec["z2"])],
+                "latent": [float(rec[name]) for name in coords],
                 "score": float(rec["score"]),
                 "action": rec["action"],
             })

@@ -1,15 +1,16 @@
-"""Small dense networks with a graph-building and a plain-numpy forward path.
+"""Small dense networks with one forward definition.
 
-Both paths run the exact same float64 operations in the same order, so
-``forward_np`` (used in rollouts, where no gradients are needed) is
-bit-identical to ``forward(...).data``.
+A layer called on a ``Tensor`` adds one fused ``affine`` graph node; called
+on a plain array it runs ``affine_np``, the function that node computes its
+value with. So ``forward_np`` (used in rollouts, where no gradients are
+needed) is bit-identical to ``forward(...).data`` by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, constant
+from .autodiff import Tensor, affine, affine_np, constant
 from .errors import ConfigError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -44,37 +45,14 @@ class Layer:
     def out_dim(self) -> int:
         return self.weight.data.shape[0]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self._affine(x)
-
-    def _affine(self, x: Tensor) -> Tensor:
-        y = x @ _transpose(self.weight) + self.bias
-        if self.activation == "tanh":
-            return y.tanh()
-        if self.activation == "relu":
-            return y.relu()
-        return y
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        y = x @ self.weight.data.T + self.bias.data
-        if self.activation == "tanh":
-            return np.tanh(y)
-        if self.activation == "relu":
-            return np.maximum(y, 0.0)
-        return y
+    def __call__(self, x):
+        """A graph node for a `Tensor` input, a plain array for an array input."""
+        if isinstance(x, Tensor):
+            return affine(x, self.weight, self.bias, self.activation)
+        return affine_np(x, self.weight.data, self.bias.data, self.activation)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
-
-
-def _transpose(t: Tensor) -> Tensor:
-    out = Tensor(t.data.T, parents=(t,), op="transpose")
-
-    def backward(g):
-        t._accum(g.T)
-
-    out._backward = backward
-    return out
 
 
 class DenseNet:
@@ -110,21 +88,18 @@ class DenseNet:
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.parameters()]
 
-    def forward(self, x) -> Tensor:
-        """Graph-building forward; `x` is an array or Tensor of shape (n,) or (batch, n)."""
-        if not isinstance(x, Tensor):
-            x = constant(x)
-        if x.data.shape[-1] != self.in_dim:
-            raise ConfigError(f"input size {x.data.shape[-1]} != expected {self.in_dim}")
-        for layer in self.layers:
-            x = layer._affine(x)
-        return x
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Gradient-free forward, bit-identical to ``forward(x).data``."""
-        x = np.asarray(x, dtype=np.float64)
+    def __call__(self, x):
+        """Run every layer on a `Tensor` (graph) or a float64 array (no graph)."""
         if x.shape[-1] != self.in_dim:
             raise ConfigError(f"input size {x.shape[-1]} != expected {self.in_dim}")
         for layer in self.layers:
-            x = layer.forward_np(x)
+            x = layer(x)
         return x
+
+    def forward(self, x) -> Tensor:
+        """Graph-building forward; `x` is an array or Tensor of shape (n,) or (batch, n)."""
+        return self(x if isinstance(x, Tensor) else constant(x))
+
+    def forward_np(self, x) -> np.ndarray:
+        """Gradient-free forward, bit-identical to ``forward(x).data``."""
+        return self(np.asarray(x, dtype=np.float64))

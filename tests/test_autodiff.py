@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from policyspace.autodiff import Tensor, constant, parameter
+from policyspace.autodiff import Tensor, affine, constant, parameter
 from policyspace.errors import NumericError
 
 from helpers import check_gradients, finite_diff_grads, relative_error
@@ -46,15 +46,15 @@ def test_gradient_accumulates_on_reuse():
 @pytest.mark.parametrize("seed", range(5))
 def test_two_layer_net_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    w1 = parameter(rng.standard_normal((3, 4)) * 0.5)
+    w1 = parameter(rng.standard_normal((4, 3)) * 0.5)
     b1 = parameter(rng.standard_normal(4) * 0.1)
-    w2 = parameter(rng.standard_normal((4, 2)) * 0.5)
+    w2 = parameter(rng.standard_normal((2, 4)) * 0.5)
     b2 = parameter(rng.standard_normal(2) * 0.1)
     x = rng.standard_normal((5, 3))
 
     def loss():
-        h = (constant(x) @ w1 + b1).tanh()
-        out = h @ w2 + b2
+        h = affine(constant(x), w1, b1, "tanh")
+        out = affine(h, w2, b2, "identity")
         return (out * out).mean()
 
     check_gradients(loss, [w1, b1, w2, b2])
@@ -65,12 +65,17 @@ def test_elementwise_and_normalizing_ops_match_fd(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     p = parameter(rng.standard_normal((4, 5)))
     weights = constant(rng.standard_normal((4, 5)))
+    if op in ("tanh", "relu"):
+        # the activations exist only inside the fused layer; p is its input
+        w = parameter(rng.standard_normal((5, 5)))
+        b = parameter(rng.standard_normal(5))
+        params = [p, w, b]
+        forward = lambda: affine(p, w, b, op)
+    else:
+        params = [p]
+        forward = getattr(p, op)
 
-    def loss():
-        out = getattr(p, op)()
-        return (out * weights).sum()
-
-    check_gradients(loss, [p])
+    check_gradients(lambda: (forward() * weights).sum(), params)
 
 
 def test_log_and_div_match_fd():
@@ -106,11 +111,14 @@ def test_broadcast_add_and_mul_match_fd():
 
 
 def test_matmul_vector_cases_match_fd():
+    # a 1-D input: the weight gradient takes the outer-product branch
     rng = np.random.default_rng(19)
     m = parameter(rng.standard_normal((3, 4)))
     v = parameter(rng.standard_normal(4))
+    b = parameter(rng.standard_normal(3))
     u = parameter(rng.standard_normal(3))
-    check_gradients(lambda: (u @ m @ v).sum(), [m, v, u])
+    for activation in ("tanh", "relu", "identity"):
+        check_gradients(lambda: (affine(v, m, b, activation) * u).sum(), [m, v, b, u])
 
 
 def test_mean_and_reshape_match_fd():
@@ -123,10 +131,13 @@ def test_mean_and_reshape_match_fd():
 def test_forward_is_deterministic_and_pure():
     rng = np.random.default_rng(3)
     p = parameter(rng.standard_normal((4, 4)))
+    bias = parameter(np.zeros(4))
     x = constant(rng.standard_normal((2, 4)))
-    a = ((x @ p).tanh().softmax(axis=-1)).data
-    b = ((x @ p).tanh().softmax(axis=-1)).data
+    before = p.data.copy()
+    a = affine(x, p, bias, "tanh").softmax(axis=-1).data
+    b = affine(x, p, bias, "tanh").softmax(axis=-1).data
     assert np.array_equal(a, b)
+    assert np.array_equal(p.data, before) and p.grad is None
 
 
 def test_relative_error_helper_on_known_mismatch():

@@ -11,6 +11,7 @@ from policyspace.config import load_config_file, resolve_config, write_manifest
 from policyspace.envs import MultiGoal
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator
+from policyspace.latent_search import load_trace
 
 
 TINY_MULTIGOAL = """
@@ -36,6 +37,9 @@ hidden_dim = 8
 [env]
 max_episode_timesteps = 10
 """
+
+
+TINY_FARMWORLD = TINY_MULTIGOAL.replace("env = multigoal", "env = farmworld")
 
 
 def write_config(tmp_path, text=TINY_MULTIGOAL, name="run.ini"):
@@ -166,6 +170,9 @@ MALFORMED_INI = {
     "unparseable env value": TINY_MULTIGOAL.replace("max_episode_timesteps = 10",
                                                     "max_episode_timesteps = ten"),
     "not text": "\xff\xfe[run]\n",
+    "negative num_chickens": TINY_FARMWORLD.replace("[env]", "[env]\nnum_chickens = -1"),
+    "negative num_towers": TINY_FARMWORLD.replace("[env]", "[env]\nnum_towers = -1"),
+    "negative start_jitter": TINY_MULTIGOAL.replace("[env]", "[env]\nstart_jitter = -1"),
 }
 
 
@@ -234,6 +241,26 @@ def test_adapt_prints_unit_latent_and_writes_trace(tmp_path, capsys):
     assert abs(np.linalg.norm(z) - 1.0) < 1e-6
     assert trace.exists()
     assert len(trace.read_text().splitlines()) == 6  # header + 5 generations
+
+
+def test_adapt_traces_every_latent_coordinate(tmp_path, capsys):
+    config = write_config(tmp_path, TINY_MULTIGOAL.replace(
+        "[model]", "[model]\nlatent_dim = 2").replace("epochs = 2", "epochs = 1"))
+    assert main(["train", str(config), "--run-dir", str(tmp_path / "run")]) == 0
+    trace = tmp_path / "trace.csv"
+    rc = main(["adapt", str(tmp_path / "run" / "checkpoint.ckpt"), "--generations", "3",
+               "--trace-out", str(trace)])
+    assert rc == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("best_latent")][0]
+    assert len(line.split()) == 3
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "generation,z0,z1,score,action"
+    rows = load_trace(trace)
+    assert len(rows) == 3
+    for row, text in zip(rows, lines[1:]):
+        fields = text.split(",")
+        assert row["latent"] == [float(fields[1]), float(fields[2])]
+        assert row["score"] == float(fields[3]) and row["action"] == fields[4]
 
 
 def test_adapt_identical_seeds_identical_traces(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from policyspace.autodiff import parameter
+from policyspace.autodiff import constant, parameter
 from policyspace.errors import ConfigError, NumericError
 from policyspace.nets import DenseNet, Layer
 from policyspace.optim import SGD, Adam, clip_grad_norm
@@ -58,6 +58,32 @@ def test_forward_deterministic():
     net = DenseNet.create(rng, [3, 5, 2], ["tanh", "identity"])
     x = rng.standard_normal(3)
     assert np.array_equal(net.forward_np(x), net.forward_np(x))
+
+
+def graph_nodes(root):
+    """Every Tensor reachable from `root` through `_parents`, root included."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("activations", [["identity"], ["tanh", "identity"],
+                                         ["relu", "tanh", "relu", "identity"]],
+                         ids=["1-layer", "2-layer", "4-layer"])
+def test_forward_adds_one_graph_node_per_layer(activations):
+    rng = np.random.default_rng(len(activations))
+    sizes = [4] + [6] * (len(activations) - 1) + [3]
+    net = DenseNet.create(rng, sizes, activations)
+    x = constant(rng.standard_normal((5, 4)))
+    nodes = graph_nodes(net.forward(x))
+    built = [node for node in nodes if node._parents]
+    assert len(built) == len(net.layers)
+    leaves = {id(node) for node in nodes if not node._parents}
+    assert leaves == {id(x)} | {id(p) for p in net.parameters()}
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,37 @@ def test_unit_ratio_makes_surrogate_the_mean_advantage():
                                      np.zeros(len(actions)), clip_epsilon=0.2,
                                      value_coef=0.0, entropy_coef=0.0)
     assert float(objective.data) == pytest.approx(adv.mean(), abs=1e-12)
+
+
+def test_graphs_are_freed_by_reference_counting_alone():
+    # a backward closure that holds its own output node makes a reference
+    # cycle, and then every minibatch graph waits for the cyclic collector
+    gen = tiny_gen(3, arch="multiplicative")
+    obs, z, actions, logp = batch_for(gen)
+    n = len(actions)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        logits = gen.logits(obs, z)
+        logits.sum().backward()
+        objective, _ = ppo_objective(gen, obs, z, actions, logp, np.ones(n), np.zeros(n),
+                                     clip_epsilon=0.2, value_coef=0.5, entropy_coef=0.01)
+        objective.backward()
+        # Tensor has __slots__ and takes no weakref; its array does
+        alive = [weakref.ref(logits.data)]
+        stack, seen = [objective], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._parents:
+                seen.add(id(node))
+                alive.append(weakref.ref(node.data))
+                stack.extend(node._parents)
+        del logits, objective, node, stack
+        assert len(alive) > 10
+        assert all(ref() is None for ref in alive)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_clipping_caps_the_per_sample_surrogate():
