@@ -2,10 +2,12 @@
 
 The engine supports a fixed vocabulary of array operations (the fused
 dense layer ``affine``, add, elementwise mul, softmax, log, exp, reductions,
-gather/take) which is everything the dense policy and value networks in this
-package need. Graphs are built eagerly as operations run; ``Tensor.backward()``
-walks the graph once in reverse topological order and accumulates exact
-gradients into every reachable ``Tensor`` with ``requires_grad=True``.
+gather/take). ``generator.mix``, ``training.clipped_surrogate`` and
+``diversity.diversity_loss`` are fused nodes built the way ``affine`` is: a
+numpy body computes the value, a closure the closed-form backward. Graphs are
+built eagerly; a node requires a gradient when one of its inputs does, and
+``Tensor.backward()`` walks only those nodes, once, in reverse topological
+order, accumulating exact gradients into every reachable parameter.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ import numpy as np
 from .errors import NumericError
 
 Array = np.ndarray
-
-
-def _as_f64(x) -> Array:
-    return np.asarray(x, dtype=np.float64)
 
 
 def _unbroadcast(grad: Array, shape: tuple) -> Array:
@@ -42,12 +40,23 @@ def softmax_np(x: Array, axis: int = -1) -> Array:
 
 def affine_np(x: Array, weight: Array, bias: Array, activation: str) -> Array:
     """One dense layer, act(x @ weight.T + bias), with weight of shape (out, in)."""
-    y = x @ weight.T + bias
+    y = x @ weight.T
+    y += bias                           # in place, here and below: one buffer
     if activation == "tanh":
-        return np.tanh(y)
-    if activation == "relu":
-        return np.maximum(y, 0.0)
+        np.tanh(y, out=y)
+    elif activation == "relu":
+        np.maximum(y, 0.0, out=y)
     return y
+
+
+def activation_grad(g: Array, y: Array, activation: str) -> Array:
+    """`g` times the derivative of `activation`, written in terms of its output `y`."""
+    if activation == "tanh":
+        d = y * y                       # (1 - y^2) * g in one buffer
+        return np.multiply(np.subtract(1.0, d, out=d), g, out=d)
+    if activation == "relu":
+        return g * (y > 0.0)
+    return g
 
 
 class Tensor:
@@ -56,9 +65,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), op: str = "leaf"):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = None
         self.op = op
@@ -73,17 +82,21 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
     def _accum(self, grad: Array):
+        """Add out of place, as inner nodes may share a buffer; a leaf copies,
+        so it owns the buffer that `clip_grad_norm` scales in place."""
+        if not self.requires_grad:
+            return
         if self.grad is None:
-            # copy: the caller may hand us a view of its own buffers
-            self.grad = np.array(grad, dtype=np.float64)
+            self.grad = grad if self._parents else np.array(grad, dtype=np.float64)
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable parameter.
 
         `self` must hold a finite scalar; gradients of parameters that do
-        not reach it are left untouched (exact zero contribution).
+        not reach it are left untouched (exact zero contribution). Nodes
+        that need no gradient are never visited; their `grad` stays None.
         """
         if self.data.size != 1:
             raise NumericError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -103,7 +116,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
         self._accum(np.ones_like(self.data))
@@ -143,8 +156,10 @@ class Tensor:
         out = Tensor(self.data * other.data, parents=(self, other), op="mul")
 
         def backward(g):
-            self._accum(_unbroadcast(g * other.data, self.data.shape))
-            other._accum(_unbroadcast(g * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accum(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(g * self.data, other.data.shape))
 
         out._backward = backward
         return out
@@ -232,9 +247,9 @@ class Tensor:
 
         def backward(g):
             if axis is None:
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
+                self._accum(np.broadcast_to(g, self.data.shape))
             else:
-                self._accum(np.broadcast_to(np.expand_dims(g, axis), self.data.shape).copy())
+                self._accum(np.broadcast_to(np.expand_dims(g, axis), self.data.shape))
 
         out._backward = backward
         return out
@@ -254,10 +269,10 @@ class Tensor:
         out = Tensor(np.take(self.data, idx, axis=axis), parents=(self,), op="take")
 
         def backward(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
+            full = np.zeros_like(self.data)
             # scatter-add handles repeated indices correctly
-            np.add.at(self.grad, (slice(None),) * axis + (idx,), g)
+            np.add.at(full, (slice(None),) * axis + (idx,), g)
+            self._accum(full)
 
         out._backward = backward
         return out
@@ -269,9 +284,9 @@ class Tensor:
         out = Tensor(self.data[rows, idx], parents=(self,), op="gather")
 
         def backward(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            np.add.at(self.grad, (rows, idx), g)
+            full = np.zeros_like(self.data)
+            np.add.at(full, (rows, idx), g)
+            self._accum(full)
 
         out._backward = backward
         return out
@@ -294,12 +309,10 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor, activation: str) -> Tensor:
     out = Tensor(y, parents=(x, weight, bias), op="affine")
 
     def backward(g):   # holds the array y, never `out`, so no node refers to itself
-        if activation == "tanh":
-            g = g * (1.0 - y * y)
-        elif activation == "relu":
-            g = g * (y > 0.0)
+        g = activation_grad(g, y, activation)
         bias._accum(_unbroadcast(g, bias.data.shape))
-        x._accum(g @ w)
+        if x.requires_grad:
+            x._accum(g @ w)
         weight._accum(np.outer(xd, g).T if xd.ndim == 1 else (xd.T @ g).T)
 
     out._backward = backward

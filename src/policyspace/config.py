@@ -13,7 +13,8 @@ A config file looks like
 
 Every value not set falls back to the environment's default table; every
 resolved value (including simulator numerics) is echoed into the run
-manifest so a run can be reproduced from the manifest alone.
+manifest so a run can be reproduced from the manifest alone: bit-exactly on the
+software stack the manifest also records (Python, numpy, BLAS and its threads).
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ import configparser
 import dataclasses
 import datetime
 import json
+import os
+import platform
 import typing
+
+import numpy as np
 
 from .diversity import DiversityConfig
 from .envs import FarmworldConfig, MultiGoal, SoccerConfig, build_ablation, make_env
@@ -202,6 +207,18 @@ def build_trainer_config(resolved: dict) -> TrainerConfig:
 # -- manifests -----------------------------------------------------------------
 
 
+def software_stack() -> dict:
+    """Python, numpy and BLAS versions, the BLAS thread variables as set, and the platform."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):     # numpy before 1.26 has no dict mode
+        blas = {}
+    threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": threads, "platform": platform.platform()}
+
+
 def write_manifest(path, resolved: dict):
     manifest = {
         "config": resolved,
@@ -209,6 +226,7 @@ def write_manifest(path, resolved: dict):
         "env": resolved["run"]["env"],
         "code_version": CODE_VERSION,
         "start_time": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "software": software_stack(),
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -38,23 +38,16 @@ class DiversityConfig:
             raise ConfigError(f"unknown diversity mode {self.mode!r}")
 
 
-def _smooth_probs(probs: Tensor, b: float) -> Tensor:
+def smooth_np(probs: np.ndarray, b: float) -> np.ndarray:
     """Broaden each row to (p + b) / (1 + b*A), so no action has zero mass."""
     if b == 0.0:
         return probs
-    num_actions = probs.data.shape[-1]
-    return (probs + b) * (1.0 / (1.0 + b * num_actions))
-
-
-def pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with i < j, each unordered pair counted once."""
-    i, j = np.triu_indices(m, k=1)
-    return i, j
+    return (probs + b) * (1.0 / (1.0 + b * probs.shape[-1]))
 
 
 def diversity_loss(action_probs: Tensor, num_latents: int, num_states: int,
                    smoothing: float, mode: str = "exp_neg_kl") -> Tensor:
-    """Estimate the regularizer from a stacked probability tensor.
+    """Estimate the regularizer from a stacked probability tensor, as one node.
 
     `action_probs` has shape (num_latents * num_states, A): row l*num_states + s
     is the action distribution of latent l at state s. Default mode returns the
@@ -62,24 +55,33 @@ def diversity_loss(action_probs: Tensor, num_latents: int, num_states: int,
     between the smoothed distributions, a value in (0, 1]. Both directions of
     each pair enter the average (KL is asymmetric), which makes the estimate
     invariant to permuting the latent list. Mode "raw_kl" returns the plain
-    mean pairwise KL instead (unbounded above).
+    mean pairwise KL instead (unbounded above). Every pair is scored at once
+    on the (m, m, n) grid; the backward is closed-form.
     """
     if num_latents < 2:
         raise ConfigError("diversity needs at least 2 latents per estimate")
-    probs = _smooth_probs(action_probs, smoothing)
-    num_actions = probs.data.shape[-1]
-    grid = probs.reshape((num_latents, num_states, num_actions))
-    left, right = pair_indices(num_latents)
-    p = grid.take(left, axis=0)
-    q = grid.take(right, axis=0)
-    logp, logq = p.log(), q.log()
-    kl_fwd = (p * (logp - logq)).sum(axis=-1)   # (pairs, num_states)
-    kl_bwd = (q * (logq - logp)).sum(axis=-1)
-    if mode == "raw_kl":
-        return (kl_fwd.mean() + kl_bwd.mean()) * 0.5
-    if mode != "exp_neg_kl":
+    if mode not in ("exp_neg_kl", "raw_kl"):
         raise ConfigError(f"unknown diversity mode {mode!r}")
-    return ((-kl_fwd).exp().mean() + (-kl_bwd).exp().mean()) * 0.5
+    m, n = num_latents, num_states
+    q = smooth_np(action_probs.data, smoothing).reshape(m, n, -1)
+    logq = np.log(q)
+    diff = logq[:, None] - logq[None, :]            # (m, m, n, A): log q_i - log q_j
+    kl = np.einsum("isa,ijsa->ijs", q, diff)        # KL(q_i || q_j) at each state
+    pairs = ~np.eye(m, dtype=bool)                  # ordered pairs of distinct latents
+    terms = np.exp(-kl) if mode == "exp_neg_kl" else kl
+    out = Tensor(terms[pairs].mean(), parents=(action_probs,), op="diversity")
+
+    def backward(g):
+        # w[i, j, s] = d out / d KL(q_i || q_j)
+        w = (-terms if mode == "exp_neg_kl" else np.ones_like(kl)) * pairs[:, :, None]
+        w *= g / (m * (m - 1) * n)
+        dq = (np.einsum("ijs,ijsa->isa", w, diff) + w.sum(axis=1)[..., None]
+              - np.einsum("ijs,isa->jsa", w, q) / q)
+        scale = 1.0 / (1.0 + smoothing * q.shape[-1]) if smoothing != 0.0 else 1.0
+        action_probs._accum((dq * scale).reshape(action_probs.data.shape))
+
+    out._backward = backward
+    return out
 
 
 def estimate_for_generator(gen, states: np.ndarray, latents: np.ndarray,
@@ -90,8 +92,6 @@ def estimate_for_generator(gen, states: np.ndarray, latents: np.ndarray,
     """
     m = latents.shape[0]
     n = states.shape[0]
-    if m < 2:
-        raise ConfigError("diversity needs at least 2 latents per estimate")
     obs_rep = np.repeat(states[None, :, :], m, axis=0).reshape(m * n, -1)
     z_rep = np.repeat(latents, n, axis=0)
     probs = gen.action_probs(obs_rep, z_rep)

@@ -14,6 +14,7 @@ one-hot positions for self and opponent plus a possession flag.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,27 @@ class SoccerConfig:
         return cls(**d)
 
 
+class _Observations(Mapping):
+    """Both sides' observations of one tick, each built on first read from a
+    snapshot of the board: a caller that never reads them pays nothing."""
+
+    def __init__(self, env: "MarkovSoccer"):
+        self._env = env
+        self._board = (dict(env.pos), env.possession)
+        self._built = {}
+
+    def __getitem__(self, side: str) -> np.ndarray:
+        if side not in self._built:
+            self._built[side] = self._env.observe(side, self._board)
+        return self._built[side]
+
+    def __iter__(self):
+        return iter(MarkovSoccer.agent_ids)
+
+    def __len__(self) -> int:
+        return 2
+
+
 class MarkovSoccer(Environment):
     name = "soccer"
     num_actions = 5
@@ -98,23 +120,25 @@ class MarkovSoccer(Environment):
             self.possession = self.config.initial_possession
         self.result = None       # None while ongoing, else "left" | "right" | "draw"
         self.last_order = None
-        return {side: self.observe(side) for side in ("left", "right")}
+        return _Observations(self)
 
     # -- observations ----------------------------------------------------------
 
     def _mirror(self, cell: tuple) -> tuple:
         return (cell[0], self.config.cols - 1 - cell[1])
 
-    def observe(self, side: str) -> np.ndarray:
-        """Board as seen by `side`, always attacking to the right."""
-        own, opp = self.pos[side], self.pos["right" if side == "left" else "left"]
+    def observe(self, side: str, board: tuple | None = None) -> np.ndarray:
+        """Board as seen by `side`, always attacking to the right; `board` is a
+        (positions, possession) snapshot, by default the current one."""
+        pos, possession = board or (self.pos, self.possession)
+        own, opp = pos[side], pos["right" if side == "left" else "left"]
         if side == "right":
             own, opp = self._mirror(own), self._mirror(opp)
         n = self.config.rows * self.config.cols
         obs = np.zeros(2 * n + 1)
         obs[own[0] * self.config.cols + own[1]] = 1.0
         obs[n + opp[0] * self.config.cols + opp[1]] = 1.0
-        obs[2 * n] = 1.0 if self.possession == side else 0.0
+        obs[2 * n] = 1.0 if possession == side else 0.0
         return obs
 
     def observation_key(self, side: str) -> tuple:
@@ -165,9 +189,8 @@ class MarkovSoccer(Environment):
             rewards[self.result] = 1.0
             rewards[loser] = -1.0
         over = self.result is not None
-        obs = {side: self.observe(side) for side in ("left", "right")}
         dones = {"left": over, "right": over}
-        return obs, rewards, dones
+        return _Observations(self), rewards, dones
 
     def render(self) -> str:
         rows = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, constant, softmax_np
+from .autodiff import Tensor, activation_grad, affine_np, constant, softmax_np
 from .errors import ConfigError
 from .nets import DenseNet, Layer
 
@@ -40,6 +40,38 @@ def sample_latent(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
 
 def sample_latents(rng: np.random.Generator, count: int, dim: int = 3) -> np.ndarray:
     return np.stack([sample_latent(rng, dim) for _ in range(count)])
+
+
+def mix(h0, branches: list[Layer], z: np.ndarray):
+    """The multiplicative mix h0 + sum_i branch_i(h0) * z_i. For a `Tensor` h0
+    it is one graph node whose value is this same loop over arrays, and whose
+    backward forms all k branches' gradients with stacked matmuls."""
+    x = h0.data if isinstance(h0, Tensor) else h0
+    mixed, outs = x, []
+    for i, branch in enumerate(branches):
+        outs.append(affine_np(x, branch.weight.data, branch.bias.data, branch.activation))
+        mixed = mixed + outs[-1] * z[..., i:i + 1]
+    if not isinstance(h0, Tensor):
+        return mixed
+    stacked = np.concatenate([branch.weight.data for branch in branches])   # (k*d, d_in)
+    out = Tensor(mixed, parents=(h0, *(p for b in branches for p in b.parameters())), op="mix")
+
+    def backward(g):
+        k, d = len(branches), mixed.shape[-1]
+        rows = x.reshape(-1, x.shape[-1])
+        gz = g.reshape(len(rows), 1, d) * np.broadcast_to(z, x.shape[:-1] + (k,)).reshape(-1, k, 1)
+        gp = activation_grad(gz, np.stack(outs, axis=-2).reshape(gz.shape), branches[0].activation)
+        gp = gp.reshape(len(rows), k * d)   # row r: every branch's pre-activation gradient
+        for branch, gw, gb in zip(branches, (gp.T @ rows).reshape(k, d, -1),
+                                  gp.sum(axis=0).reshape(k, d)):
+            branch.weight._accum(gw)
+            branch.bias._accum(gb)
+        grad = gp @ stacked
+        grad += g.reshape(grad.shape)       # the skip connection
+        h0._accum(grad.reshape(x.shape))
+
+    out._backward = backward
+    return out
 
 
 class PolicyGenerator:
@@ -135,11 +167,7 @@ class PolicyGenerator:
         obs, z = self._inputs(obs, z)
         if self.architecture == "concat":
             return self.policy_net(wrap(np.concatenate([obs, z], axis=-1)))
-        h0 = self.shared(wrap(obs))
-        mixed = h0
-        for i, branch in enumerate(self.branches):
-            mixed = mixed + branch(h0) * z[..., i:i + 1]
-        return self.head(mixed)
+        return self.head(mix(self.shared(wrap(obs)), self.branches, z))
 
     def logits(self, obs: np.ndarray, z: np.ndarray) -> Tensor:
         """Graph-building logits for batched (obs, z) rows."""

@@ -29,7 +29,9 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
 
 
 class Adam:
-    """Standard first/second-moment update; moments persist across steps."""
+    """Standard first/second-moment update; moments persist across steps. They
+    live in one flat vector each, so a step is one elementwise update over all
+    coordinates, bit-identical to stepping each tensor alone."""
 
     def __init__(self, params: list[Tensor], lr: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -39,46 +41,54 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        ends = np.cumsum([p.data.size for p in self.params]).tolist()
+        self._slices = [slice(a, b) for a, b in zip([0] + ends, ends)]   # one per parameter
+        self.m = np.zeros(ends[-1] if ends else 0)
+        self.v = np.zeros_like(self.m)
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
+    def _first_nonfinite(self, flat: np.ndarray) -> int:
+        """The first parameter whose coordinates in `flat` are not all finite."""
+        return next(i for i, s in enumerate(self._slices) if not np.isfinite(flat[s]).all())
+
     def step(self):
-        grads = []
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient in parameter {i}; step rejected")
-            grads.append(g)
+        g = np.concatenate([(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
+                            for p in self.params])
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient in parameter {self._first_nonfinite(g)}; "
+                               f"step rejected")
 
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if not np.isfinite(p.data).all():
-                raise NumericError(f"non-finite parameter {i} after update")
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        m_hat = self.m / bc1
+        v_hat = self.v / bc2
+        flat = np.concatenate([p.data.ravel() for p in self.params])
+        flat = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if not np.isfinite(flat).all():
+            raise NumericError(f"non-finite parameter {self._first_nonfinite(flat)} after update")
+        for p, s in zip(self.params, self._slices):
+            p.data = flat[s].reshape(p.data.shape)
 
     # -- checkpoint support ------------------------------------------------
 
     def state_arrays(self) -> list[np.ndarray]:
-        return list(self.m) + list(self.v)
+        """One first-moment array per parameter, then one second-moment array each."""
+        return [moment[s].reshape(p.data.shape)
+                for moment in (self.m, self.v) for p, s in zip(self.params, self._slices)]
 
     def load_state(self, arrays: list[np.ndarray], t: int):
         n = len(self.params)
         if len(arrays) != 2 * n:
             raise NumericError(f"expected {2 * n} moment arrays, got {len(arrays)}")
-        self.m = [a.reshape(p.data.shape).astype(np.float64).copy()
-                  for a, p in zip(arrays[:n], self.params)]
-        self.v = [a.reshape(p.data.shape).astype(np.float64).copy()
-                  for a, p in zip(arrays[n:], self.params)]
+        self.m, self.v = (np.concatenate([a.reshape(p.data.shape).astype(np.float64).ravel()
+                                          for a, p in zip(part, self.params)])
+                          for part in (arrays[:n], arrays[n:]))
         self.t = t
 
 
@@ -96,12 +106,11 @@ class SGD:
 
     def step(self):
         for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else None
-            if g is None:
+            if p.grad is None:
                 continue
-            if not np.isfinite(g).all():
+            if not np.isfinite(p.grad).all():
                 raise NumericError(f"non-finite gradient in parameter {i}; step rejected")
-            p.data = p.data - self.lr * g
+            p.data = p.data - self.lr * p.grad
             if not np.isfinite(p.data).all():
                 raise NumericError(f"non-finite parameter {i} after update")
         self.t += 1

@@ -250,6 +250,40 @@ def collect_rollouts(gen: PolicyGenerator, state: RolloutState, steps: int,
 # -- losses ------------------------------------------------------------------
 
 
+def clipped_surrogate(logits: Tensor, actions, log_probs_old, advantages,
+                      clip_epsilon: float, entropy_coef: float):
+    """One node over the logits: the mean clipped surrogate plus `entropy_coef`
+    times the mean entropy. Returns (node, surrogate, entropy)."""
+    x = logits.data
+    shifted = x - x.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    p = np.exp(logp)
+    rows = np.arange(len(x))
+    ratio = np.exp(logp[rows, actions] - log_probs_old)
+    if not np.isfinite(ratio).all():
+        bad = int(np.flatnonzero(~np.isfinite(ratio))[0])
+        raise NumericError(f"non-finite policy ratio at batch sample {bad}")
+    clipped_ratio = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon)
+    raw, clipped = ratio * advantages, clipped_ratio * advantages
+    surrogate = np.minimum(raw, clipped).mean()
+    neg_entropy = (p * logp).sum(axis=-1)
+    entropy = -neg_entropy.mean()
+    out = Tensor(surrogate + entropy_coef * entropy, parents=(logits,), op="ppo")
+    # d surrogate / d log p(a_i) is ratio_i * A_i / n, and 0 where the minimum is
+    # the clipped term and the ratio lies outside the clip range
+    d_taken = raw * ((raw <= clipped) | (clipped_ratio == ratio)) / len(x)
+
+    def backward(g):
+        grad = -p * d_taken[:, None]
+        grad[rows, actions] += d_taken
+        # d entropy_i / d logits = -p * (log p + entropy_i)
+        grad -= (entropy_coef / len(x)) * p * (logp - neg_entropy[:, None])
+        logits._accum(g * grad)
+
+    out._backward = backward
+    return out, float(surrogate), float(entropy)
+
+
 def ppo_objective(gen: PolicyGenerator, obs, latents, actions, log_probs_old,
                   advantages, value_targets, clip_epsilon: float,
                   value_coef: float, entropy_coef: float):
@@ -257,26 +291,11 @@ def ppo_objective(gen: PolicyGenerator, obs, latents, actions, log_probs_old,
 
     Returns (objective Tensor, metrics dict of floats).
     """
-    logits = gen.logits(obs, latents)
-    log_all = logits.log_softmax(axis=-1)
-    log_taken = log_all.gather(actions)
-    ratio = (log_taken - constant(log_probs_old)).exp()
-    if not np.isfinite(ratio.data).all():
-        bad = int(np.flatnonzero(~np.isfinite(ratio.data))[0])
-        raise NumericError(f"non-finite policy ratio at batch sample {bad}")
-    adv = constant(advantages)
-    surrogate = (ratio * adv).minimum(ratio.clip(1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv).mean()
-    values = gen.value(obs, latents)
-    value_loss = (values - constant(value_targets)).square().mean()
-    probs = log_all.exp()
-    entropy = -(probs * log_all).sum(axis=-1).mean()
-    objective = surrogate - value_coef * value_loss + entropy_coef * entropy
-    metrics = {
-        "surrogate": float(surrogate.data),
-        "value_loss": float(value_loss.data),
-        "entropy": float(entropy.data),
-    }
-    return objective, metrics
+    policy, surrogate, entropy = clipped_surrogate(
+        gen.logits(obs, latents), actions, log_probs_old, advantages, clip_epsilon, entropy_coef)
+    value_loss = (gen.value(obs, latents) - constant(value_targets)).square().mean()
+    metrics = {"surrogate": surrogate, "value_loss": float(value_loss.data), "entropy": entropy}
+    return policy - value_coef * value_loss, metrics
 
 
 # -- latent-regression baseline ------------------------------------------------
@@ -451,9 +470,4 @@ class Trainer:
                 last = parts
                 # free this minibatch's graph before the next one is built
                 objective = loss = div = None
-        return {
-            "l_div": l_div_value,
-            "entropy": last["entropy"],
-            "value_loss": last["value_loss"],
-            "surrogate": last["surrogate"],
-        }
+        return {"l_div": l_div_value, **last}

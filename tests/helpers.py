@@ -1,5 +1,6 @@
 """Shared test helpers: central finite differences and a plain-numpy diversity
-estimate (oracles independent of autodiff), and a random-action episode logger."""
+estimate (oracles independent of autodiff), generic-op compositions of the
+fused loss nodes, and a random-action episode logger."""
 
 import numpy as np
 
@@ -65,6 +66,53 @@ def diversity_oracle(grid, b, mode="exp_neg_kl"):
                 total += kl if mode == "raw_kl" else np.exp(-kl)
                 count += 1
     return total / count
+
+
+# -- generic-op oracles for the fused graph nodes ----------------------------------
+# Each composes generic engine ops, every one checked against finite differences
+# on its own, so its value and gradients check a fused node's closed form.
+
+
+def ppo_surrogate_generic(logits, actions, log_probs_old, advantages, clip_epsilon,
+                          entropy_coef):
+    """Mean clipped surrogate + entropy_coef * mean entropy over a logits Tensor,
+    from log_softmax, gather, clip and minimum; returns (total, surrogate, entropy)."""
+    from policyspace.autodiff import constant
+
+    log_all = logits.log_softmax(axis=-1)
+    ratio = (log_all.gather(actions) - constant(log_probs_old)).exp()
+    adv = constant(advantages)
+    surrogate = (ratio * adv).minimum(
+        ratio.clip(1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv).mean()
+    entropy = -(log_all.exp() * log_all).sum(axis=-1).mean()
+    return surrogate + entropy_coef * entropy, surrogate, entropy
+
+
+def diversity_loss_generic(action_probs, num_latents, num_states, smoothing,
+                           mode="exp_neg_kl"):
+    """The diversity estimate from `take` over unordered latent pairs (i < j),
+    scoring both KL directions of each pair."""
+    probs = action_probs
+    if smoothing != 0.0:
+        probs = (probs + smoothing) * (1.0 / (1.0 + smoothing * probs.data.shape[-1]))
+    grid = probs.reshape((num_latents, num_states, probs.data.shape[-1]))
+    left, right = np.triu_indices(num_latents, k=1)
+    p, q = grid.take(left, axis=0), grid.take(right, axis=0)
+    logp, logq = p.log(), q.log()
+    kl_fwd = (p * (logp - logq)).sum(axis=-1)
+    kl_bwd = (q * (logq - logp)).sum(axis=-1)
+    if mode == "raw_kl":
+        return (kl_fwd.mean() + kl_bwd.mean()) * 0.5
+    return ((-kl_fwd).exp().mean() + (-kl_bwd).exp().mean()) * 0.5
+
+
+def mix_generic(h0, branches, z):
+    """The multiplicative mix as a loop of per-branch layer nodes, each scaled by
+    a constant latent slice."""
+    mixed = h0
+    for i, branch in enumerate(branches):
+        mixed = mixed + branch(h0) * z[..., i:i + 1]
+    return mixed
 
 
 def rewrite_checkpoint_header(path, edit):

@@ -150,3 +150,43 @@ def test_finite_diff_oracle_on_quadratic():
     p = parameter(np.array([3.0]))
     (g,) = finite_diff_grads(lambda: float(p.data[0] ** 2), [p])
     assert g[0] == pytest.approx(6.0, abs=1e-6)
+
+
+def test_requires_grad_propagates_from_parents():
+    p = parameter(np.ones(3))
+    c = constant(np.ones(3))
+    assert (p * c).requires_grad and (c + p).requires_grad
+    assert not (c * 2.0).requires_grad
+    assert not (-c).exp().sum().requires_grad
+
+
+def test_constants_get_no_gradient():
+    rng = np.random.default_rng(29)
+    x = constant(rng.standard_normal((4, 3)))
+    scale = constant(rng.standard_normal((4, 1)))
+    w = parameter(rng.standard_normal((2, 3)))
+    b = parameter(np.zeros(2))
+    hidden = affine(x, w, b, "tanh") * scale
+    loss = (hidden - constant(np.ones((4, 2)))).square().mean()
+    loss.backward()
+    assert x.grad is None and scale.grad is None
+    assert w.grad is not None and b.grad is not None
+    # inner nodes built only from constants are never visited either
+    stack, constants = [loss], []
+    while stack:
+        node = stack.pop()
+        if not node.requires_grad:
+            constants.append(node)
+        stack.extend(node._parents)
+    assert len(constants) >= 4 and all(node.grad is None for node in constants)
+
+
+def test_leaf_gradients_own_their_buffers():
+    # add hands one gradient array to both inputs; clipping scales leaves in
+    # place, so each leaf must hold its own copy
+    a = parameter(np.array([1.0, 2.0]))
+    b = parameter(np.array([3.0, 4.0]))
+    (a + b).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad *= 0.5
+    assert np.array_equal(b.grad, [1.0, 1.0])

@@ -44,6 +44,34 @@ def test_round_trip_is_bit_exact(tmp_path, seed, arch):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_training_resumes_bit_exactly_after_save_and_load(tmp_path):
+    gen = make_gen(7)
+    opt = Adam(gen.parameters(), lr=1e-3)
+    rng = np.random.default_rng(70)
+
+    def step(generator, optimizer, grads):
+        for p, g in zip(generator.parameters(), grads):
+            p.grad = g.copy()
+        optimizer.step()
+
+    for _ in range(3):
+        step(gen, opt, [rng.standard_normal(p.data.shape) for p in gen.parameters()])
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, gen, opt, step=3, env_name="multigoal")
+    loaded = load_checkpoint(path)
+    # the moments keep the per-parameter layout: m then v, one array per weight
+    assert loaded.header["moment_shapes"] == 2 * loaded.header["layer_shapes"]
+    resumed = Adam(loaded.generator.parameters(), lr=1e-3)
+    loaded.restore_optimizer(resumed)
+    for _ in range(2):
+        grads = [rng.standard_normal(p.data.shape) for p in gen.parameters()]
+        step(gen, opt, grads)
+        step(loaded.generator, resumed, grads)
+    assert loaded.generator.get_flat().tobytes() == gen.get_flat().tobytes()
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(resumed.state_arrays(), opt.state_arrays()))
+
+
 def test_checksum_mismatch_refuses_to_load(tmp_path):
     gen = make_gen(1)
     path = tmp_path / "model.ckpt"

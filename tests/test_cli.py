@@ -1,5 +1,6 @@
 import csv
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -112,6 +113,19 @@ def test_manifest_contains_resolved_simulator_numerics(tmp_path):
     assert manifest["config"]["trainer"]["learning_rate"] == 3e-4
     assert manifest["seed"] == 3
     assert manifest["env"] == "multigoal"
+
+
+def test_manifest_records_the_software_stack(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    path = write_config(tmp_path)
+    assert main(["train", str(path), "--run-dir", str(tmp_path / "run")]) == 0
+    software = json.loads((tmp_path / "run" / "manifest.json").read_text())["software"]
+    assert software["python"] == platform.python_version()
+    assert software["numpy"] == np.__version__
+    assert set(software["blas"]) == {"name", "version"}
+    assert software["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+    assert software["platform"] == platform.platform()
 
 
 # -- train ----------------------------------------------------------------------

@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from policyspace.autodiff import constant
-from policyspace.diversity import (DiversityConfig, _smooth_probs, diversity_loss,
-                                   estimate_for_generator, pair_indices)
+from policyspace.autodiff import constant, parameter
+from policyspace.diversity import (DiversityConfig, diversity_loss, estimate_for_generator,
+                                   smooth_np)
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator, sample_latents
 
-from helpers import check_gradients, diversity_oracle
+from helpers import check_gradients, diversity_loss_generic, diversity_oracle
 
 
 def test_smooth_with_zero_is_identity():
-    probs = constant(np.array([0.2, 0.8]))
-    assert np.array_equal(_smooth_probs(probs, 0.0).data, [0.2, 0.8])
+    assert np.array_equal(smooth_np(np.array([0.2, 0.8]), 0.0), [0.2, 0.8])
 
 
 def test_smooth_categorical_direct_formula():
-    out = _smooth_probs(constant(np.array([1.0, 0.0])), 0.05).data
+    out = smooth_np(np.array([1.0, 0.0]), 0.05)
     assert out == pytest.approx([1.05 / 1.1, 0.05 / 1.1], abs=1e-12)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -26,7 +25,7 @@ def test_smooth_keeps_distribution_valid():
     for _ in range(10):
         p = rng.random(5)
         p /= p.sum()
-        out = _smooth_probs(constant(p), rng.random() * 2).data
+        out = smooth_np(p, rng.random() * 2)
         assert np.all(out > 0)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -104,9 +103,9 @@ def test_estimator_range_and_pair_count():
         states = rng.random((4, 4))
         est = float(estimate_for_generator(gen, states, latents, smoothing=0.05).data)
         assert 0.0 < est <= 1.0
-    left, right = pair_indices(5)
-    assert len(left) == 10
-    assert np.all(left < right)
+        # the oracle averages over all m * (m - 1) ordered pairs
+        oracle = diversity_oracle(probs_grid(gen, states, latents), 0.05)
+        assert est == pytest.approx(oracle, abs=1e-12)
 
 
 def test_estimator_symmetric_under_permutations():
@@ -160,3 +159,30 @@ def test_raw_kl_mode_matches_mean_pairwise_kl():
     raw = float(estimate_for_generator(gen, states, latents, 0.05, mode="raw_kl").data)
     oracle = diversity_oracle(probs_grid(gen, states, latents), 0.05, mode="raw_kl")
     assert raw == pytest.approx(oracle, abs=1e-12)
+
+
+def random_probs(seed, m=4, n=3, actions=5):
+    rng = np.random.default_rng(seed)
+    p = rng.random((m * n, actions)) + 0.05
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("mode", ["exp_neg_kl", "raw_kl"])
+@pytest.mark.parametrize("smoothing", [0.0, 0.05])
+def test_diversity_node_matches_finite_differences(mode, smoothing):
+    probs = parameter(random_probs(21))
+    check_gradients(lambda: diversity_loss(probs, 4, 3, smoothing, mode=mode), [probs])
+
+
+@pytest.mark.parametrize("mode", ["exp_neg_kl", "raw_kl"])
+@pytest.mark.parametrize("smoothing", [0.0, 0.05])
+def test_diversity_node_equals_the_take_pair_composition(mode, smoothing):
+    probs = parameter(random_probs(22))
+    fused = diversity_loss(probs, 4, 3, smoothing, mode=mode)
+    generic = diversity_loss_generic(probs, 4, 3, smoothing, mode=mode)
+    assert float(fused.data) == pytest.approx(float(generic.data), abs=1e-12)
+    fused.backward()
+    grad = probs.grad
+    probs.grad = None
+    generic.backward()
+    assert np.allclose(grad, probs.grad, rtol=0.0, atol=1e-12)

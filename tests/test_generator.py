@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from policyspace.autodiff import constant, parameter
 from policyspace.errors import ConfigError
-from policyspace.generator import PolicyGenerator, sample_latent, sample_latents
+from policyspace.generator import PolicyGenerator, mix, sample_latent, sample_latents
+
+from helpers import check_gradients, mix_generic
 
 
 def make_gen(arch, obs_size=5, num_actions=6, hidden_dim=16, seed=0, **kw):
@@ -158,3 +161,39 @@ def test_flat_roundtrip_restores_behavior():
     z = sample_latents(rng, 3)
     assert np.array_equal(gen.probs_np(obs, z), clone.probs_np(obs, z))
     assert np.array_equal(gen.value_np(obs, z), clone.value_np(obs, z))
+
+
+def mix_inputs(activation, rows):
+    gen = make_gen("multiplicative", hidden_dim=4, seed=23, policy_activation=activation)
+    rng = np.random.default_rng(24)
+    shape = (rows, 4) if rows else (4,)
+    h0 = parameter(rng.standard_normal(shape))
+    z = sample_latents(rng, rows) if rows else sample_latent(rng)
+    weights = constant(rng.standard_normal(shape))
+    return gen, h0, z, weights
+
+
+@pytest.mark.parametrize("rows", [0, 6])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_mix_node_matches_finite_differences(activation, rows):
+    gen, h0, z, weights = mix_inputs(activation, rows)
+    params = [h0] + [p for branch in gen.branches for p in branch.parameters()]
+    check_gradients(lambda: (mix(h0, gen.branches, z) * weights).sum(), params)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_mix_node_equals_the_branch_loop(activation):
+    gen, h0, z, weights = mix_inputs(activation, 6)
+    params = [h0] + [p for branch in gen.branches for p in branch.parameters()]
+    fused = mix(h0, gen.branches, z)
+    generic = mix_generic(h0, gen.branches, z)
+    assert np.array_equal(fused.data, generic.data)
+    assert np.array_equal(fused.data, mix(h0.data, gen.branches, z))
+    grads = []
+    for out in (fused, generic):
+        for p in params:
+            p.grad = None
+        (out * weights).sum().backward()
+        grads.append([p.grad for p in params])
+    for a, b in zip(*grads):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)

@@ -153,6 +153,42 @@ def test_adam_rejects_nonfinite_gradient_without_partial_update():
     assert opt.t == 0
 
 
+def test_flat_adam_equals_per_tensor_adam_bit_for_bit():
+    rng = np.random.default_rng(41)
+    shapes = [(3, 4), (4,), (2, 3), (1,)]
+    params = [parameter(rng.standard_normal(s)) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 6):
+        grads = [rng.standard_normal(s) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        opt.step()
+        for i, g in enumerate(grads):   # the textbook update, one tensor at a time
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat, v_hat = m[i] / (1.0 - b1 ** t), v[i] / (1.0 - b2 ** t)
+            ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p, r in zip(params, ref):
+            assert p.data.shape == r.shape and p.data.tobytes() == r.tobytes()
+        moments = opt.state_arrays()
+        for got, want in zip(moments, m + v):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_adam_names_the_parameter_with_a_nonfinite_gradient():
+    params = [parameter(np.zeros(3)), parameter(np.zeros(2)), parameter(np.zeros(4))]
+    opt = Adam(params, lr=0.1)
+    for p in params:
+        p.grad = np.zeros_like(p.data)
+    params[2].grad[1] = np.inf
+    with pytest.raises(NumericError, match="parameter 2"):
+        opt.step()
+
+
 def test_sgd_plain_update():
     p = parameter(np.array([1.0]))
     opt = SGD([p], lr=0.5)

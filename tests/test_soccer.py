@@ -221,3 +221,22 @@ def test_render_marks_the_ball_carrier():
     env.possession = "right"
     board = env.render()
     assert "R*" in board and "L*" not in board
+
+
+def test_step_observations_show_the_tick_that_returned_them():
+    env = fresh(seed=4, initial_possession="left")
+    rng = np.random.default_rng(5)
+    held = []
+    for _ in range(6):
+        obs, _, _ = env.step({"left": int(rng.integers(5)), "right": int(rng.integers(5))})
+        held.append((obs, {side: env.observe(side) for side in ("left", "right")}))
+        if env.finished:
+            break
+    # read only after the board has moved on: each still shows its own tick
+    for obs, expected in held:
+        assert sorted(obs) == ["left", "right"] and len(obs) == 2
+        for side in ("left", "right"):
+            assert np.array_equal(obs[side], expected[side])
+            assert obs[side] is obs[side]
+    with pytest.raises(KeyError):
+        held[0][0]["nobody"]

@@ -4,15 +4,17 @@ import weakref
 import numpy as np
 import pytest
 
+from policyspace.autodiff import Tensor, parameter
 from policyspace.diversity import DiversityConfig
 from policyspace.envs import MultiGoal
 from policyspace.errors import ConfigError, NumericError
 from policyspace.generator import PolicyGenerator, sample_latents
 from policyspace.training import (Discriminator, RolloutState, Trainer,
                                   TrainerConfig, centered_intrinsic_errors,
-                                  collect_rollouts, compute_gae, ppo_objective)
+                                  clipped_surrogate, collect_rollouts, compute_gae,
+                                  ppo_objective)
 
-from helpers import check_gradients
+from helpers import check_gradients, ppo_surrogate_generic
 
 
 def tiny_gen(seed=0, obs=2, acts=5, hidden=8, arch="concat"):
@@ -147,6 +149,65 @@ def test_ppo_composite_gradient_matches_finite_differences(arch):
         return -objective
 
     check_gradients(loss, gen.parameters())
+
+
+def surrogate_inputs(seed=30):
+    """Logits plus old log-probs that put the policy ratios on both sides of
+    the clip range [0.8, 1.2] and inside it, with advantages of both signs."""
+    rng = np.random.default_rng(seed)
+    ratios = np.array([0.5, 0.7, 0.9, 1.0, 1.1, 1.3, 1.6, 2.0] * 2)
+    adv = np.repeat([1.0, -1.0], 8) * rng.uniform(0.5, 2.0, size=16)
+    logits = parameter(rng.standard_normal((16, 4)))
+    actions = rng.integers(4, size=16)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    old = logp[np.arange(16), actions] - np.log(ratios)
+    return logits, actions, old, adv
+
+
+def test_surrogate_node_matches_finite_differences():
+    logits, actions, old, adv = surrogate_inputs()
+    check_gradients(lambda: clipped_surrogate(logits, actions, old, adv, 0.2, 0.05)[0], [logits])
+
+
+def test_surrogate_node_equals_the_generic_op_composition():
+    logits, actions, old, adv = surrogate_inputs(31)
+    node, surrogate, entropy = clipped_surrogate(logits, actions, old, adv, 0.2, 0.05)
+    total, surrogate_ref, entropy_ref = ppo_surrogate_generic(logits, actions, old, adv, 0.2, 0.05)
+    assert float(node.data) == pytest.approx(float(total.data), abs=1e-12)
+    assert surrogate == pytest.approx(float(surrogate_ref.data), abs=1e-12)
+    assert entropy == pytest.approx(float(entropy_ref.data), abs=1e-12)
+    node.backward()
+    fused = logits.grad
+    logits.grad = None
+    total.backward()
+    assert np.allclose(fused, logits.grad, rtol=0.0, atol=1e-12)
+
+
+def test_minibatch_loss_graph_is_small(monkeypatch):
+    # a PPO + diversity minibatch loss: fused surrogate, mix and diversity
+    # nodes, each dense layer one node (105 non-parameter nodes when every op
+    # was its own node)
+    gen = tiny_gen(16, arch="multiplicative")
+    cfg = TrainerConfig(batch_size=40, minibatch_size=40, sgd_iters=1, num_envs=2)
+    trainer = Trainer(gen, lambda: MultiGoal(max_episode_timesteps=10), cfg, seed=9)
+    params = {id(p) for p in gen.parameters()}
+    counts = []
+    backward = Tensor.backward
+
+    def counting_backward(loss):
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        counts.append(len(seen - params))
+        return backward(loss)
+
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    trainer.train_iteration()
+    assert counts and max(counts) <= 35
 
 
 # -- latent-regression baseline -----------------------------------------------------
