@@ -28,6 +28,10 @@ DELTAS = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0)}
 STAND = 4
 
 
+def _is_int(value) -> bool:
+    return type(value) is int or isinstance(value, np.integer)   # bool is not an int here
+
+
 @dataclass
 class SoccerConfig:
     rows: int = 4
@@ -39,12 +43,25 @@ class SoccerConfig:
     initial_possession: str = "random"   # "left" | "right" | "random"
 
     def validate(self):
+        """Check every field's type and range; cheap, since each game runs it."""
+        for name in ("rows", "cols", "max_episode_timesteps"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"soccer {name} must be an integer, got {getattr(self, name)!r}")
         if self.rows < 2 or self.cols < 2:
             raise ConfigError("soccer needs at least a 2x2 pitch")
-        if not 0.0 <= self.draw_prob <= 1.0:
-            raise ConfigError("draw_prob must be a probability")
+        if self.max_episode_timesteps < 1:
+            raise ConfigError("max_episode_timesteps must be >= 1")
+        if type(self.draw_prob) is bool or not isinstance(self.draw_prob, (int, float)) \
+                or not 0.0 <= self.draw_prob <= 1.0:
+            raise ConfigError(f"draw_prob must be a probability, got {self.draw_prob!r}")
         if self.initial_possession not in ("left", "right", "random"):
             raise ConfigError(f"bad initial_possession {self.initial_possession!r}")
+        for name in ("start_left", "start_right"):
+            cell = getattr(self, name)
+            if not (isinstance(cell, (tuple, list)) and len(cell) == 2 and all(map(_is_int, cell))
+                    and 0 <= cell[0] < self.rows and 0 <= cell[1] < self.cols):
+                raise ConfigError(f"soccer {name} {cell!r} is not a cell of the "
+                                  f"{self.rows}x{self.cols} pitch")
         if tuple(self.start_left) == tuple(self.start_right):
             raise ConfigError("players cannot share a starting cell")
 

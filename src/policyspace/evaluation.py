@@ -10,6 +10,7 @@ wins - losses over the configured number of games.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass
 
@@ -51,24 +52,32 @@ class LatentPolicy:
     A soccer observation is a function of `MarkovSoccer.observation_key`,
     which takes at most 1,520 values on the 4x5 pitch, so the policy computes
     each key's action distribution once and keeps it for its own lifetime.
-    Actions and random draws are the same as without the cache. The
-    generator's weights and the latent must not change, and the policy must
-    stay on one pitch size, while it is alive.
+    The latent-free half of that forward, `PolicyGenerator.state_features`,
+    comes from `features`, a dict from key to features that the policies of
+    one search share; the gauntlet and round-robin functions keep one per
+    generator for the length of one call. Actions and random draws are the
+    same as without the caches. The generator's weights and the latent must
+    not change, and the policy must stay on one pitch size, while the policy
+    or its `features` table is alive.
     """
 
-    def __init__(self, gen: PolicyGenerator, latent: np.ndarray):
+    def __init__(self, gen: PolicyGenerator, latent: np.ndarray, features: dict | None = None):
         self.gen = gen
         self.latent = np.asarray(latent, dtype=np.float64)
-        self._cdfs: dict = {}   # observation key -> (cumulative probs, their total)
+        self.features = {} if features is None else features
+        self._cdfs: dict = {}   # observation key -> (cumulative probs as a list, their total)
 
     def act(self, env: MarkovSoccer, side: str, rng: np.random.Generator) -> int:
         key = env.observation_key(side)
         cdf = self._cdfs.get(key)
         if cdf is None:
-            probs = self.gen.probs_np(env.observe(side)[None], self.latent[None])[0]
-            cdf = self._cdfs[key] = (np.cumsum(probs), probs.sum())
-        cumulative, total = cdf
-        return int(np.searchsorted(cumulative, rng.random() * total))
+            features = self.features.get(key)
+            if features is None:
+                features = self.features[key] = self.gen.state_features(env.observe(side)[None])
+            probs = self.gen.probs_from_features(features, self.latent[None])[0]
+            cdf = self._cdfs[key] = (np.cumsum(probs).tolist(), float(probs.sum()))
+        cumulative, total = cdf   # the first index reaching u, as np.searchsorted(side="left")
+        return bisect.bisect_left(cumulative, rng.random() * total)
 
 
 class BotPolicy:
@@ -134,13 +143,16 @@ def play_series(config: SoccerConfig, left, right, games: int,
 
 def select_latent_vs_bot(gen: PolicyGenerator, bot: Bot, search: SearchConfig,
                          rng: np.random.Generator,
-                         base: SoccerConfig | None = None) -> tuple[np.ndarray, float]:
-    """Latent-search the family for its best answer to one scripted bot."""
+                         base: SoccerConfig | None = None,
+                         features: dict | None = None) -> tuple[np.ndarray, float]:
+    """Latent-search the family for its best answer to one scripted bot;
+    `features` is the generator's state-feature table (see `LatentPolicy`)."""
     config = bot_match_config(bot, base)
     bot_policy = BotPolicy(bot)
+    features = {} if features is None else features
 
     def score(z: np.ndarray) -> float:
-        policy = LatentPolicy(gen, z)
+        policy = LatentPolicy(gen, z, features)
         total = 0.0
         for _ in range(search.episodes_per_latent):
             result = play_game(config, bot_policy, policy,
@@ -159,11 +171,11 @@ def bot_gauntlet(gen: PolicyGenerator, bots: list[Bot], games: int = 1000,
     """Per-bot wins-losses of the searched family member over `games` games."""
     rng = rng or np.random.default_rng(0)
     search = search or SearchConfig(generations=10, episodes_per_latent=10)
-    results = {}
+    results, features = {}, {}   # one state-feature table for the whole call
     for bot in bots:
-        latent, _ = select_latent_vs_bot(gen, bot, search, rng, base)
+        latent, _ = select_latent_vs_bot(gen, bot, search, rng, base, features)
         config = bot_match_config(bot, base)
-        series = play_series(config, BotPolicy(bot), LatentPolicy(gen, latent),
+        series = play_series(config, BotPolicy(bot), LatentPolicy(gen, latent, features),
                              games, rng, perspective="right")
         results[bot.kind] = {"score": series, "latent": latent}
     return results
@@ -186,10 +198,11 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
     panel = sample_latents(rng, family_panel, gen_one.latent_dim)
     panel_seeds = rng.integers(2 ** 62, size=search.episodes_per_latent)
     panel_order = rng.integers(len(panel), size=search.episodes_per_latent)
-    panel_policies = [LatentPolicy(gen_one, z) for z in panel]
+    features_one, features_two = {}, {}   # each generator's state-feature table
+    panel_policies = [LatentPolicy(gen_one, z, features_one) for z in panel]
 
     def score_two(z: np.ndarray) -> float:
-        policy = LatentPolicy(gen_two, z)
+        policy = LatentPolicy(gen_two, z, features_two)
         total = 0.0
         for k in range(search.episodes_per_latent):
             game_rng = np.random.default_rng(int(panel_seeds[k]))
@@ -200,12 +213,12 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
 
     pass_one = optimize_latents(score_two, rng, search, latent_dim=gen_two.latent_dim)
     z_two = pass_one.best_latent
-    fixed_opponent = LatentPolicy(gen_two, z_two)
+    fixed_opponent = LatentPolicy(gen_two, z_two, features_two)
 
     reply_seeds = rng.integers(2 ** 62, size=search.episodes_per_latent)
 
     def score_one(z: np.ndarray) -> float:
-        policy = LatentPolicy(gen_one, z)
+        policy = LatentPolicy(gen_one, z, features_one)
         total = 0.0
         for k in range(search.episodes_per_latent):
             game_rng = np.random.default_rng(int(reply_seeds[k]))
@@ -217,7 +230,7 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
     pass_two = optimize_latents(score_one, rng, search, latent_dim=gen_one.latent_dim)
     z_one = pass_two.best_latent
 
-    series = play_series(config, LatentPolicy(gen_one, z_one), fixed_opponent,
+    series = play_series(config, LatentPolicy(gen_one, z_one, features_one), fixed_opponent,
                          games, rng, perspective="left")
     return series, {"latent_one": z_one, "latent_two": z_two}
 

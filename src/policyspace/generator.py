@@ -42,15 +42,21 @@ def sample_latents(rng: np.random.Generator, count: int, dim: int = 3) -> np.nda
     return np.stack([sample_latent(rng, dim) for _ in range(count)])
 
 
-def mix(h0, branches: list[Layer], z: np.ndarray):
-    """The multiplicative mix h0 + sum_i branch_i(h0) * z_i. For a `Tensor` h0
-    it is one graph node whose value is this same loop over arrays, and whose
-    backward forms all k branches' gradients with stacked matmuls."""
+def branch_outputs(x: np.ndarray, branches: list[Layer]) -> list[np.ndarray]:
+    """Each branch's output on an array h0: the latent-free half of `mix`."""
+    return [affine_np(x, b.weight.data, b.bias.data, b.activation) for b in branches]
+
+
+def mix(h0, branches: list[Layer], z: np.ndarray, outs: list | None = None):
+    """The multiplicative mix h0 + sum_i branch_i(h0) * z_i, given the `outs`
+    of an array h0 if known. For a `Tensor` h0 it is one graph node whose value
+    is this same loop over arrays, and whose backward forms all k branches'
+    gradients with stacked matmuls."""
     x = h0.data if isinstance(h0, Tensor) else h0
-    mixed, outs = x, []
-    for i, branch in enumerate(branches):
-        outs.append(affine_np(x, branch.weight.data, branch.bias.data, branch.activation))
-        mixed = mixed + outs[-1] * z[..., i:i + 1]
+    outs = branch_outputs(x, branches) if outs is None else outs
+    mixed = x
+    for i, out in enumerate(outs):
+        mixed = mixed + out * z[..., i:i + 1]
     if not isinstance(h0, Tensor):
         return mixed
     stacked = np.concatenate([branch.weight.data for branch in branches])   # (k*d, d_in)
@@ -153,21 +159,36 @@ class PolicyGenerator:
 
     # -- policy forward ------------------------------------------------------
 
-    def _inputs(self, obs, z) -> tuple[np.ndarray, np.ndarray]:
+    def _obs(self, obs) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
         if obs.shape[-1] != self.obs_size:
             raise ConfigError(f"observation size {obs.shape[-1]} != expected {self.obs_size}")
+        return obs
+
+    def _latent(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=np.float64)
         if z.shape[-1] != self.latent_dim:
             raise ConfigError(f"latent size {z.shape[-1]} != expected {self.latent_dim}")
-        return obs, z
+        return z
+
+    def _features(self, obs, wrap) -> tuple:
+        """The latent-free part of the policy forward: the observation (`concat`), or
+        the shared layer's output and, unless building a graph, the k branch outputs."""
+        if self.architecture == "concat":
+            return obs, None
+        h0 = self.shared(wrap(obs))
+        return h0, (None if isinstance(h0, Tensor) else branch_outputs(h0, self.branches))
+
+    def _head(self, features: tuple, z, wrap):
+        """The latent part of the policy forward: the latent joins, then the logit layers."""
+        x, outs = features
+        if self.architecture == "concat":
+            return self.policy_net(wrap(np.concatenate([x, z], axis=-1)))
+        return self.head(mix(x, self.branches, z, outs))
 
     def _logits(self, obs, z, wrap):
         """The one logits body; `wrap` makes graph inputs (`constant`) or arrays."""
-        obs, z = self._inputs(obs, z)
-        if self.architecture == "concat":
-            return self.policy_net(wrap(np.concatenate([obs, z], axis=-1)))
-        return self.head(mix(self.shared(wrap(obs)), self.branches, z))
+        return self._head(self._features(self._obs(obs), wrap), self._latent(z), wrap)
 
     def logits(self, obs: np.ndarray, z: np.ndarray) -> Tensor:
         """Graph-building logits for batched (obs, z) rows."""
@@ -183,10 +204,19 @@ class PolicyGenerator:
     def probs_np(self, obs: np.ndarray, z: np.ndarray) -> np.ndarray:
         return softmax_np(self.logits_np(obs, z))
 
+    def state_features(self, obs: np.ndarray) -> tuple:
+        """The part of `probs_np` that does not depend on the latent; valid
+        while the weights do not change."""
+        return self._features(self._obs(obs), np.asarray)
+
+    def probs_from_features(self, features: tuple, z: np.ndarray) -> np.ndarray:
+        """``probs_np(obs, z)`` bit for bit, given ``state_features(obs)``."""
+        return softmax_np(self._head(features, self._latent(z), np.asarray))
+
     # -- value forward ---------------------------------------------------------
 
     def _value(self, obs, z, wrap):
-        obs, z = self._inputs(obs, z)
+        obs, z = self._obs(obs), self._latent(z)
         out = self.value_net(wrap(np.concatenate([obs, z], axis=-1)))
         return out.reshape(out.shape[:-1])
 

@@ -41,6 +41,7 @@ max_episode_timesteps = 10
 
 
 TINY_FARMWORLD = TINY_MULTIGOAL.replace("env = multigoal", "env = farmworld")
+TINY_SOCCER = TINY_MULTIGOAL.replace("env = multigoal", "env = soccer")
 
 
 def write_config(tmp_path, text=TINY_MULTIGOAL, name="run.ini"):
@@ -187,6 +188,11 @@ MALFORMED_INI = {
     "negative num_chickens": TINY_FARMWORLD.replace("[env]", "[env]\nnum_chickens = -1"),
     "negative num_towers": TINY_FARMWORLD.replace("[env]", "[env]\nnum_towers = -1"),
     "negative start_jitter": TINY_MULTIGOAL.replace("[env]", "[env]\nstart_jitter = -1"),
+    "soccer text max_episode_timesteps": TINY_SOCCER.replace("max_episode_timesteps = 10",
+                                                             "max_episode_timesteps = x"),
+    "soccer zero max_episode_timesteps": TINY_SOCCER.replace("max_episode_timesteps = 10",
+                                                             "max_episode_timesteps = 0"),
+    "soccer text start cell": TINY_SOCCER.replace("[env]", "[env]\nstart_left = 9,9"),
 }
 
 
@@ -196,6 +202,15 @@ def test_train_rejects_malformed_ini_with_exit_2(tmp_path, capsys, text):
     path.write_bytes(text.encode("latin-1"))
     assert main(["train", str(path), "--run-dir", str(tmp_path / "run")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_train_rejects_an_off_pitch_start_cell_in_a_manifest_with_exit_2(tmp_path, capsys):
+    resolved = resolve_config(load_config_file(write_config(tmp_path, TINY_SOCCER)))
+    resolved["env"]["start_left"] = [9, 9]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": resolved, "seed": 3, "env": "soccer"}))
+    assert main(["train", str(manifest), "--run-dir", str(tmp_path / "run")]) == 2
+    assert "start_left (9, 9) is not a cell" in capsys.readouterr().err
 
 
 MANIFEST_FAULTS = {

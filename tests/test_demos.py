@@ -1,7 +1,7 @@
 """Every demo compiles, and every name it imports from policyspace exists.
 
 A fast check that keeps the demos in step with the package without running
-them (some train for a minute).
+them (some train for a minute); CI runs the quick ones end to end.
 """
 
 import ast

@@ -84,6 +84,57 @@ def test_wrong_agent_set_raises():
         env.step({"someone_else": 0})
 
 
+# -- the step contract, for every simulator ------------------------------------------
+
+
+def started(name):
+    env = make_env(name)
+    env.reset(seed=0)
+    return env
+
+
+def finished(name):
+    env = started(name)
+    while not env.finished:
+        env.step({agent: 0 for agent in env.living_agents()})
+    return env
+
+
+def step_faults(env):
+    """(actions, the exact ConfigError message) for each malformed step."""
+    living = env.living_agents()
+    first, rest = living[0], living[1:]
+    good = {agent: 0 for agent in living}
+    need = f"{env.name}: need exactly one action per living agent ({sorted(living)}), got "
+    return {
+        "missing agent": (dict.fromkeys(rest, 0), need + str(sorted(rest))),
+        "unknown agent": ({**good, "ghost": 0}, need + str(sorted([*living, "ghost"]))),
+        "action -1": ({**good, first: -1}, f"{env.name}: illegal action -1 for {first}"),
+        "action num_actions": ({**good, first: env.num_actions},
+                               f"{env.name}: illegal action {env.num_actions} for {first}"),
+    }
+
+
+@pytest.mark.parametrize("name", ["multigoal", "farmworld", "soccer"])
+@pytest.mark.parametrize("fault", ["missing agent", "unknown agent", "action -1",
+                                   "action num_actions"])
+def test_step_rejects_a_malformed_action_set(name, fault):
+    env = started(name)
+    actions, message = step_faults(env)[fault]
+    with pytest.raises(ConfigError) as caught:
+        env.step(actions)
+    assert str(caught.value) == message
+    assert env.tick == 0 and not env.finished
+
+
+@pytest.mark.parametrize("name", ["multigoal", "farmworld", "soccer"])
+def test_step_after_the_finish_raises(name):
+    env = finished(name)
+    with pytest.raises(ConfigError) as caught:
+        env.step({agent: 0 for agent in env.agent_ids})
+    assert str(caught.value) == f"{env.name}: step() on a finished episode"
+
+
 def test_positions_stay_in_unit_square():
     env = MultiGoal(start_jitter=0.0)
     env.reset(seed=3)

@@ -129,7 +129,7 @@ def test_latent_policy_plays_deterministic_weights():
 class UncachedLatentPolicy:
     """Reference sampler: one forward pass of the observation on every call."""
 
-    def __init__(self, gen, latent):
+    def __init__(self, gen, latent, features=None):
         self.gen = gen
         self.latent = np.asarray(latent, dtype=np.float64)
 
@@ -157,6 +157,11 @@ def test_memoized_policy_matches_the_uncached_sampler_in_every_state():
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
                 assert memoized.act(env, side, rng_a) == reference.act(env, side, rng_b)
                 assert rng_a.random() == rng_b.random()
+            # the sampler's table: the cumulative sum and the total probs.sum()
+            probs = gen.probs_np(env.observe(side)[None], z[None])[0]
+            cdf = memoized._cdfs[env.observation_key(side)]
+            assert cdf == (np.cumsum(probs).tolist(), probs.sum())
+            assert type(cdf[0]) is list
     assert len(memoized._cdfs) == 2 * len(states)
 
 
@@ -205,32 +210,185 @@ def test_round_robin_matches_the_uncached_sampler(monkeypatch):
     assert run() == memoized
 
 
-def test_gauntlet_forwards_each_state_once_per_policy(monkeypatch):
-    policies = []
+class ForwardCounts:
+    """Counts `state_features` passes per (generator, observation) and
+    `probs_from_features` passes, and refuses full `probs_np` forwards."""
 
-    class CountedPolicy(LatentPolicy):
-        def __init__(self, gen, latent):
-            super().__init__(gen, latent)
-            policies.append(self)
+    def __init__(self, monkeypatch):
+        self.policies, self.features, self.heads = [], Counter(), 0
+        counts = self
 
-    forwards = Counter()
-    original = PolicyGenerator.probs_np
+        class CountedPolicy(LatentPolicy):
+            def __init__(self, *args):
+                super().__init__(*args)
+                counts.policies.append(self)
 
-    def counting(self, obs, z):
-        forwards[z.tobytes(), obs.tobytes()] += 1
-        return original(self, obs, z)
+        state_features = PolicyGenerator.state_features
+        probs_from_features = PolicyGenerator.probs_from_features
 
-    monkeypatch.setattr(evaluation, "LatentPolicy", CountedPolicy)
-    monkeypatch.setattr(PolicyGenerator, "probs_np", counting)
+        def counting_features(gen, obs):
+            self.features[id(gen), obs.tobytes()] += 1
+            return state_features(gen, obs)
+
+        def counting_heads(gen, features, z):
+            self.heads += 1
+            return probs_from_features(gen, features, z)
+
+        def refused(*args):
+            raise AssertionError("a full forward in the soccer evaluation loop")
+
+        monkeypatch.setattr(evaluation, "LatentPolicy", CountedPolicy)
+        monkeypatch.setattr(PolicyGenerator, "state_features", counting_features)
+        monkeypatch.setattr(PolicyGenerator, "probs_from_features", counting_heads)
+        monkeypatch.setattr(PolicyGenerator, "probs_np", refused)
+
+    def check(self, generators):
+        # every policy of one generator shares one table, filled once per key
+        for gen in generators:
+            tables = {id(p.features): p.features for p in self.policies if p.gen is gen}
+            assert len(tables) == 1
+            table, = tables.values()
+            assert sum(n for (g, _), n in self.features.items() if g == id(gen)) == len(table)
+        assert max(self.features.values()) == 1
+        # one head pass per (policy, key)
+        assert self.heads == sum(len(p._cdfs) for p in self.policies)
+
+
+def test_gauntlet_computes_state_features_once_per_call(monkeypatch):
+    counts = ForwardCounts(monkeypatch)
     search = SearchConfig(generations=3, episodes_per_latent=4)
     bots = [Bot(kind) for kind in BOT_KINDS]
-    bot_gauntlet(soccer_gen(40), bots, games=30, search=search,
-                 rng=np.random.default_rng(41))
+    gen = soccer_gen(40)
+    bot_gauntlet(gen, bots, games=30, search=search, rng=np.random.default_rng(41))
     # one policy per scored candidate and one for each bot's series
-    assert len(policies) == len(bots) * (search.generations + 1)
-    policies_per_latent = Counter(p.latent.tobytes() for p in policies)
-    assert all(n <= policies_per_latent[z] for (z, _), n in forwards.items())
-    assert sum(forwards.values()) == sum(len(p._cdfs) for p in policies)
+    assert len(counts.policies) == len(bots) * (search.generations + 1)
+    counts.check([gen])
+    assert len(counts.features) < counts.heads
+
+
+def test_round_robin_computes_state_features_once_per_call(monkeypatch):
+    counts = ForwardCounts(monkeypatch)
+    search = SearchConfig(generations=3, episodes_per_latent=4)
+    gen_one, gen_two = soccer_gen(42), soccer_gen(43)
+    round_robin_pair(gen_one, gen_two, search, np.random.default_rng(44), games=30,
+                     family_panel=8)
+    # the panel, one policy per scored candidate in each pass, the fixed
+    # opponent and the series' own policy
+    assert len(counts.policies) == 8 + 2 * search.generations + 2
+    counts.check([gen_one, gen_two])
+
+
+def test_a_new_call_builds_a_new_feature_table(monkeypatch):
+    counts = ForwardCounts(monkeypatch)
+    gen = soccer_gen(45)
+    search = SearchConfig(generations=2, episodes_per_latent=2)
+    for seed in (46, 47):
+        bot_gauntlet(gen, [Bot("random")], games=10, search=search,
+                     rng=np.random.default_rng(seed))
+    assert len({id(p.features) for p in counts.policies}) == 2
+
+
+class FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def sampled(cumulative, total, rng):
+    """The action `LatentPolicy.act` draws from a given cumulative table."""
+    env = MarkovSoccer(SoccerConfig())
+    env.reset(0)
+    policy = LatentPolicy(soccer_gen(), np.ones(3) / np.sqrt(3))
+    policy._cdfs[env.observation_key("right")] = (list(cumulative), total)
+    return policy.act(env, "right", rng)
+
+
+def test_bisect_sampler_matches_searchsorted():
+    # zero-probability actions repeat a cumulative value; the first index
+    # whose cumulative value reaches u wins, as with side="left"
+    probs = np.array([0.0, 0.25, 0.0, 0.25, 0.0, 0.5, 0.0])
+    cumulative = np.cumsum(probs)
+    draws = [0.0, *cumulative, *(np.nextafter(c, np.inf) for c in cumulative),
+             *(np.nextafter(c, -np.inf) for c in cumulative[1:]), 0.1, 0.3, 0.75]
+    for u in draws:
+        expected = int(np.searchsorted(cumulative, u, side="left"))
+        assert sampled(cumulative.tolist(), 1.0, FixedDraw(u)) == expected
+    assert [sampled(cumulative.tolist(), 1.0, FixedDraw(u)) for u in (0.0, 0.25, 0.5)] == [0, 1, 3]
+    rng = np.random.default_rng(48)
+    for _ in range(200):
+        probs = rng.dirichlet(np.ones(5)) * (rng.random(5) < 0.6)
+        cumulative, total = np.cumsum(probs), probs.sum()
+        seed = int(rng.integers(2 ** 32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sampled(cumulative.tolist(), float(total), a) == \
+            int(np.searchsorted(cumulative, b.random() * total))
+        assert a.random() == b.random()
+
+
+GOLDEN_GAUNTLETS = {
+    ("multiplicative", "tanh"): {
+        "straight": (8, 20, 2, "caddaf74606cdcbf78c270f49755ad3f4ad01c74c39cec3f"),
+        "oscillate0": (6, 0, 24, "45cb97bf1e90bfbf1a9947e4b5a8d0bffb863b9cdba4ee3f"),
+        "oscillate1": (7, 0, 23, "35c16f0a6757e7bf42108e110572e23f131ca7493793d73f"),
+        "stand": (6, 0, 24, "201fc027efeac2bffbd7667545b6e33f76de03569fc2e83f"),
+        "rule_based": (0, 22, 8, "8d3b685222ebb3bfcf8174b8a50aefbf3ce6b7472d74cdbf"),
+        "random": (10, 3, 17, "3ba48324704ee3bfd4757fd5b733c3bf380136a17410e93f"),
+    },
+    ("multiplicative", "relu"): {
+        "straight": (6, 19, 5, "c69ba6b6b1e4ebbf97848e57215adfbf7c2a79d1b2448ebf"),
+        "oscillate0": (3, 0, 27, "78ff4c6321ccdebf73db1e4375dde63fce3649c20c40e03f"),
+        "oscillate1": (6, 0, 24, "be4c46c6a5f8d9bf4704c21e2e78ea3fdff8fc3d06e1d83f"),
+        "stand": (5, 0, 25, "8dba318ea9a3ef3f748611de0a9cbebffcf40a1b6811b7bf"),
+        "rule_based": (0, 21, 9, "27043d64b1c8e2bf091b64e20a35cebf1d2042561ec8e8bf"),
+        "random": (6, 5, 19, "4331ca8b99a1e7bf93ad61b4e190e53f43107acbba08963f"),
+    },
+    ("concat", "tanh"): {
+        "straight": (0, 23, 7, "e56b623a332bec3fc43df5a41e27c93fc83ef9419ca3dbbf"),
+        "oscillate0": (3, 0, 27, "bc230816c538e4bf05eac69ff49ee83f6fde72c59edab7bf"),
+        "oscillate1": (3, 0, 27, "af4ee29311ed9bbff9fa76df97caeb3f82d5a5b3a0addf3f"),
+        "stand": (0, 0, 30, "4831ca3af78fecbf37939f5ff61ddcbf8129348bd2fbb93f"),
+        "rule_based": (0, 23, 7, "f53b02f6a474dc3f28b0deb7c9dae63f183346b4634ce1bf"),
+        "random": (1, 7, 22, "5e49c8a69fdbcbbf55782e5a0c12e0bfe8dd9aa7ffc7ea3f"),
+    },
+    ("concat", "relu"): {
+        "straight": (1, 20, 9, "8f52e4dea5e1c63ffebb6809f84cdebfc2d9c9c88799ebbf"),
+        "oscillate0": (6, 0, 24, "80f9f554e8afd2bf76ab75012900ebbf976f517a33d2dc3f"),
+        "oscillate1": (8, 0, 22, "21d1025c4113e6bf089134ec0762e53fae97e074d7d3d13f"),
+        "stand": (5, 0, 25, "5569b61266eed3bfb845f2292005e4bf6fb97c1a77e3e6bf"),
+        "rule_based": (0, 23, 7, "d1052043a3a7ce3f4f417f7360d0df3fa10f009c0fb0ea3f"),
+        "random": (4, 3, 23, "7c56de41073cea3f2f7dac8d5ca6e03fc6845d1a639acebf"),
+    },
+}
+
+
+def golden_gen(seed, architecture="multiplicative", activation="tanh"):
+    return PolicyGenerator(41, 5, np.random.default_rng(seed), architecture=architecture,
+                           hidden_dim=8, policy_activation=activation)
+
+
+@pytest.mark.parametrize("architecture, activation", GOLDEN_GAUNTLETS,
+                         ids=["-".join(k) for k in GOLDEN_GAUNTLETS])
+def test_gauntlet_results_are_pinned(architecture, activation):
+    # W/L/D and the selected latent's bytes, recorded before state features
+    # were shared: the whole RNG stream and every action must stay the same
+    results = bot_gauntlet(golden_gen(50, architecture, activation),
+                           [Bot(kind) for kind in BOT_KINDS], games=30,
+                           search=SearchConfig(generations=3, episodes_per_latent=3),
+                           rng=np.random.default_rng(51))
+    got = {kind: (r["score"].wins, r["score"].losses, r["score"].draws, r["latent"].tobytes().hex())
+           for kind, r in results.items()}
+    assert got == GOLDEN_GAUNTLETS[architecture, activation]
+
+
+def test_round_robin_result_is_pinned():
+    series, info = round_robin_pair(golden_gen(52), golden_gen(53, "concat", "relu"),
+                                    SearchConfig(generations=3, episodes_per_latent=3),
+                                    np.random.default_rng(54), games=40)
+    assert (series.wins, series.losses, series.draws) == (5, 10, 25)
+    assert info["latent_one"].tobytes().hex() == "bcf5f972ec7ecdbf215b9570cacbee3f5a25c812ee6dc23f"
+    assert info["latent_two"].tobytes().hex() == "e619b0289457c73f69e90a0854d4883f0c578dc30576ef3f"
 
 
 # -- gauntlet and round robin ----------------------------------------------------

@@ -240,3 +240,35 @@ def test_step_observations_show_the_tick_that_returned_them():
             assert obs[side] is obs[side]
     with pytest.raises(KeyError):
         held[0][0]["nobody"]
+
+
+# one row per field: values of the wrong type or out of range
+BAD_FIELDS = {
+    "rows": ["4", 4.0, True, 1, 0],
+    "cols": ["5", 5.5, False, 1, -3],
+    "draw_prob": ["x", True, None, -0.1, 1.5, float("nan")],
+    "max_episode_timesteps": ["x", 2.5, True, 0, -1],
+    "start_left": [(9, 9), (-1, 1), (1, 5), (4, 0), (1,), (1, 1, 1), ("1", "1"), (1.0, 1), 3, None],
+    "start_right": [(9, 9), (1, -1), (0, 5), (1,), (True, 3), "13"],
+    "initial_possession": ["up", 3, None, ""],
+}
+
+
+@pytest.mark.parametrize("field, value", [(f, v) for f, values in BAD_FIELDS.items()
+                                          for v in values])
+def test_config_rejects_a_bad_field(field, value):
+    config = SoccerConfig(**{field: value})
+    with pytest.raises(ConfigError):
+        config.validate()
+    with pytest.raises(ConfigError):
+        MarkovSoccer(config)
+
+
+def test_config_accepts_every_legal_start_cell_and_numpy_integers():
+    config = SoccerConfig()
+    cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
+    for cell in cells:
+        other = (0, 0) if cell != (0, 0) else (3, 4)
+        SoccerConfig(start_left=cell, start_right=list(other)).validate()
+    SoccerConfig(rows=np.int64(3), max_episode_timesteps=np.int32(1), draw_prob=1,
+                 start_left=(np.int64(0), 0)).validate()
