@@ -39,14 +39,15 @@ def softmax_np(x: Array, axis: int = -1) -> Array:
 
 
 def affine_np(x: Array, weight: Array, bias: Array, activation: str) -> Array:
-    """One dense layer, act(x @ weight.T + bias), with weight of shape (out, in)."""
-    y = x @ weight.T
+    """One dense layer, act(x @ weight.T + bias), with weight of shape (out, in);
+    the leading axes of x broadcast, as rows of one matmul."""
+    y = (x.reshape(-1, x.shape[-1]) if x.ndim > 2 else x) @ weight.T
     y += bias                           # in place, here and below: one buffer
     if activation == "tanh":
         np.tanh(y, out=y)
     elif activation == "relu":
         np.maximum(y, 0.0, out=y)
-    return y
+    return y.reshape(x.shape[:-1] + y.shape[-1:]) if x.ndim > 2 else y
 
 
 def activation_grad(g: Array, y: Array, activation: str) -> Array:
@@ -310,10 +311,12 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor, activation: str) -> Tensor:
 
     def backward(g):   # holds the array y, never `out`, so no node refers to itself
         g = activation_grad(g, y, activation)
+        if g.ndim > 2:                  # the leading axes as rows, as in the forward
+            g = g.reshape(-1, g.shape[-1])
         bias._accum(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
-            x._accum(g @ w)
-        weight._accum(np.outer(xd, g).T if xd.ndim == 1 else (xd.T @ g).T)
+            x._accum((g @ w).reshape(xd.shape))
+        weight._accum(np.outer(xd, g).T if xd.ndim == 1 else (xd.reshape(len(g), -1).T @ g).T)
 
     out._backward = backward
     return out

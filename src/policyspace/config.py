@@ -101,7 +101,10 @@ BASE_DEFAULTS = {
 
 def _coerce(section: str, key: str, raw: str):
     if section == "env":
-        # env keys are typed by the env config class; parse leniently
+        # env keys are typed by the env config class; parse leniently, and a
+        # comma-separated value (a cell, a region) as the tuple of its parts
+        if "," in raw:
+            return tuple(_coerce(section, key, part.strip()) for part in raw.split(","))
         for caster in (int, float):
             try:
                 return caster(raw)

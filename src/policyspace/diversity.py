@@ -49,8 +49,9 @@ def diversity_loss(action_probs: Tensor, num_latents: int, num_states: int,
                    smoothing: float, mode: str = "exp_neg_kl") -> Tensor:
     """Estimate the regularizer from a stacked probability tensor, as one node.
 
-    `action_probs` has shape (num_latents * num_states, A): row l*num_states + s
-    is the action distribution of latent l at state s. Default mode returns the
+    `action_probs` has shape (num_latents, num_states, A), or that flattened to
+    (num_latents * num_states, A): row l*num_states + s is the action
+    distribution of latent l at state s. Default mode returns the
     mean over all ordered pairs of distinct latents and all states of exp(-KL)
     between the smoothed distributions, a value in (0, 1]. Both directions of
     each pair enter the average (KL is asymmetric), which makes the estimate
@@ -86,13 +87,11 @@ def diversity_loss(action_probs: Tensor, num_latents: int, num_states: int,
 
 def estimate_for_generator(gen, states: np.ndarray, latents: np.ndarray,
                            smoothing: float, mode: str = "exp_neg_kl") -> Tensor:
-    """Run the generator on every (latent, state) pair and estimate the loss.
+    """Run the generator on the (latent, state) grid and estimate the loss.
 
-    Differentiable w.r.t. the generator's policy parameters.
+    The forward broadcasts the (m, 1, k) latents against the n states, so each
+    state's latent-free features are computed once. Differentiable w.r.t. the
+    generator's policy parameters.
     """
-    m = latents.shape[0]
-    n = states.shape[0]
-    obs_rep = np.repeat(states[None, :, :], m, axis=0).reshape(m * n, -1)
-    z_rep = np.repeat(latents, n, axis=0)
-    probs = gen.action_probs(obs_rep, z_rep)
-    return diversity_loss(probs, m, n, smoothing, mode=mode)
+    probs = gen.action_probs(states, latents[:, None])      # (m, n, A)
+    return diversity_loss(probs, len(latents), len(states), smoothing, mode=mode)

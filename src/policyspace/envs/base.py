@@ -14,6 +14,15 @@ import numpy as np
 from ..errors import ConfigError
 
 
+def is_int(value) -> bool:
+    return type(value) is int or isinstance(value, np.integer)   # bool is not an int here
+
+
+def is_int_tuple(value, count: int) -> bool:
+    """Whether `value` is a tuple or list of `count` integers: a cell or a region."""
+    return isinstance(value, (tuple, list)) and len(value) == count and all(map(is_int, value))
+
+
 class Environment:
     """Base class holding the roster/bookkeeping common to all simulators."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Environment
+from .base import Environment, is_int_tuple
 
 GROUND, AGENT, CHICKEN, TOWER, FENCE = 0, 1, 2, 3, 4
 KIND_SCALE = 1.0 / 5.0
@@ -89,6 +89,17 @@ class FarmworldConfig:
             raise ConfigError("num_chickens and num_towers must be >= 0")
         if self.ablation not in ABLATION_NAMES:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
+        for name in ("agent_region", "food_region", "chicken_region", "tower_region"):
+            r = getattr(self, name)
+            if r is not None and not (is_int_tuple(r, 4) and 0 <= r[0] < r[2] <= self.height
+                                      and 0 <= r[1] < r[3] <= self.width):
+                raise ConfigError(f"farmworld {name} {r!r} is not an (r0, c0, r1, c1) "
+                                  f"region of the {self.height}x{self.width} grid")
+        for cell in self.fence_cells:
+            if not (is_int_tuple(cell, 2) and 0 <= cell[0] < self.height
+                    and 0 <= cell[1] < self.width):
+                raise ConfigError(f"farmworld fence cell {cell!r} is not a cell of the "
+                                  f"{self.height}x{self.width} grid")
 
     def to_dict(self) -> dict:
         return {

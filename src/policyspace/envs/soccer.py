@@ -20,16 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Environment
+from .base import Environment, is_int, is_int_tuple
 
 # actions: up, down, left, right, stand
 ACTION_NAMES = ("up", "down", "left", "right", "stand")
 DELTAS = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0)}
 STAND = 4
-
-
-def _is_int(value) -> bool:
-    return type(value) is int or isinstance(value, np.integer)   # bool is not an int here
 
 
 @dataclass
@@ -45,7 +41,7 @@ class SoccerConfig:
     def validate(self):
         """Check every field's type and range; cheap, since each game runs it."""
         for name in ("rows", "cols", "max_episode_timesteps"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ConfigError(f"soccer {name} must be an integer, got {getattr(self, name)!r}")
         if self.rows < 2 or self.cols < 2:
             raise ConfigError("soccer needs at least a 2x2 pitch")
@@ -58,7 +54,7 @@ class SoccerConfig:
             raise ConfigError(f"bad initial_possession {self.initial_possession!r}")
         for name in ("start_left", "start_right"):
             cell = getattr(self, name)
-            if not (isinstance(cell, (tuple, list)) and len(cell) == 2 and all(map(_is_int, cell))
+            if not (is_int_tuple(cell, 2)
                     and 0 <= cell[0] < self.rows and 0 <= cell[1] < self.cols):
                 raise ConfigError(f"soccer {name} {cell!r} is not a cell of the "
                                   f"{self.rows}x{self.cols} pitch")

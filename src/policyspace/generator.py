@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, activation_grad, affine_np, constant, softmax_np
+from .autodiff import Tensor, _unbroadcast, activation_grad, affine_np, constant, softmax_np
 from .errors import ConfigError
 from .nets import DenseNet, Layer
 
@@ -49,9 +49,10 @@ def branch_outputs(x: np.ndarray, branches: list[Layer]) -> list[np.ndarray]:
 
 def mix(h0, branches: list[Layer], z: np.ndarray, outs: list | None = None):
     """The multiplicative mix h0 + sum_i branch_i(h0) * z_i, given the `outs`
-    of an array h0 if known. For a `Tensor` h0 it is one graph node whose value
-    is this same loop over arrays, and whose backward forms all k branches'
-    gradients with stacked matmuls."""
+    of an array h0 if known; the leading axes of h0 and z broadcast, so an
+    (m, 1, k) z mixes m latents into one (n, d) h0. For a `Tensor` h0 it is one
+    graph node whose value is this same loop over arrays, and whose backward
+    forms all k branches' gradients with stacked matmuls."""
     x = h0.data if isinstance(h0, Tensor) else h0
     outs = branch_outputs(x, branches) if outs is None else outs
     mixed = x
@@ -65,19 +66,35 @@ def mix(h0, branches: list[Layer], z: np.ndarray, outs: list | None = None):
     def backward(g):
         k, d = len(branches), mixed.shape[-1]
         rows = x.reshape(-1, x.shape[-1])
-        gz = g.reshape(len(rows), 1, d) * np.broadcast_to(z, x.shape[:-1] + (k,)).reshape(-1, k, 1)
-        gp = activation_grad(gz, np.stack(outs, axis=-2).reshape(gz.shape), branches[0].activation)
+        extra = g.ndim - x.ndim             # leading axes of z that h0 lacks
+        if extra and z.shape[extra:-1] == (1,) * (x.ndim - 1):
+            # a latent grid, as in the diversity estimate: one matmul sums each
+            # branch's output gradient g * z_i over the latents
+            zr = z.reshape(-1, k)
+            gz = np.moveaxis((zr.T @ g.reshape(len(zr), -1)).reshape((k,) + x.shape[:-1] + (d,)),
+                             0, -2)
+        else:   # each row's g * z_i, summed over any axis h0 was broadcast along
+            gz = _unbroadcast(g[..., None, :] * z[..., :, None], x.shape[:-1] + (k, d))
+        gp = activation_grad(gz, np.stack(outs, axis=-2), branches[0].activation)
         gp = gp.reshape(len(rows), k * d)   # row r: every branch's pre-activation gradient
         for branch, gw, gb in zip(branches, (gp.T @ rows).reshape(k, d, -1),
                                   gp.sum(axis=0).reshape(k, d)):
             branch.weight._accum(gw)
             branch.bias._accum(gb)
         grad = gp @ stacked
-        grad += g.reshape(grad.shape)       # the skip connection
+        grad += _unbroadcast(g, x.shape).reshape(grad.shape)    # the skip connection
         h0._accum(grad.reshape(x.shape))
 
     out._backward = backward
     return out
+
+
+def _join(obs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The (observation, latent) input rows, over the broadcast leading axes of both."""
+    if obs.shape[:-1] != z.shape[:-1]:
+        lead = np.broadcast_shapes(obs.shape[:-1], z.shape[:-1])
+        obs, z = (np.broadcast_to(a, lead + a.shape[-1:]) for a in (obs, z))
+    return np.concatenate([obs, z], axis=-1)
 
 
 class PolicyGenerator:
@@ -183,7 +200,7 @@ class PolicyGenerator:
         """The latent part of the policy forward: the latent joins, then the logit layers."""
         x, outs = features
         if self.architecture == "concat":
-            return self.policy_net(wrap(np.concatenate([x, z], axis=-1)))
+            return self.policy_net(wrap(_join(x, z)))
         return self.head(mix(x, self.branches, z, outs))
 
     def _logits(self, obs, z, wrap):
@@ -217,7 +234,7 @@ class PolicyGenerator:
 
     def _value(self, obs, z, wrap):
         obs, z = self._obs(obs), self._latent(z)
-        out = self.value_net(wrap(np.concatenate([obs, z], axis=-1)))
+        out = self.value_net(wrap(_join(obs, z)))
         return out.reshape(out.shape[:-1])
 
     def value(self, obs: np.ndarray, z: np.ndarray) -> Tensor:

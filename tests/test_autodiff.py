@@ -121,6 +121,19 @@ def test_matmul_vector_cases_match_fd():
         check_gradients(lambda: (affine(v, m, b, activation) * u).sum(), [m, v, b, u])
 
 
+def test_affine_on_leading_axes_matches_fd():
+    # a (2, 5, 4) input: the leading axes are rows, and the weight gradient sums over both
+    rng = np.random.default_rng(29)
+    x = parameter(rng.standard_normal((2, 5, 4)))
+    w = parameter(rng.standard_normal((3, 4)))
+    b = parameter(rng.standard_normal(3))
+    u = constant(rng.standard_normal((2, 5, 3)))
+    for activation in ("tanh", "relu", "identity"):
+        rows = affine(constant(x.data.reshape(10, 4)), w, b, activation).data
+        assert np.array_equal(affine(x, w, b, activation).data, rows.reshape(2, 5, 3))
+        check_gradients(lambda: (affine(x, w, b, activation) * u).sum(), [x, w, b])
+
+
 def test_mean_and_reshape_match_fd():
     rng = np.random.default_rng(23)
     p = parameter(rng.standard_normal((2, 3, 4)))

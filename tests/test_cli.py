@@ -9,7 +9,7 @@ from helpers import random_episode, rewrite_checkpoint_header
 from policyspace.checkpoint import save_checkpoint
 from policyspace.cli import build_parser, main
 from policyspace.config import load_config_file, resolve_config, write_manifest
-from policyspace.envs import MultiGoal
+from policyspace.envs import MultiGoal, make_env
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator
 from policyspace.latent_search import load_trace
@@ -193,6 +193,16 @@ MALFORMED_INI = {
     "soccer zero max_episode_timesteps": TINY_SOCCER.replace("max_episode_timesteps = 10",
                                                              "max_episode_timesteps = 0"),
     "soccer text start cell": TINY_SOCCER.replace("[env]", "[env]\nstart_left = 9,9"),
+    "soccer start cell with a text part": TINY_SOCCER.replace("[env]", "[env]\nstart_left = 1,x"),
+    "farmworld region with three corners": TINY_FARMWORLD.replace("[env]",
+                                                                  "[env]\nagent_region = 0,0,6"),
+    "farmworld region off the grid": TINY_FARMWORLD.replace("[env]",
+                                                            "[env]\nfood_region = 0,0,99,99"),
+    "farmworld empty region": TINY_FARMWORLD.replace("[env]", "[env]\ntower_region = 5,5,2,2"),
+    "farmworld region with a text part": TINY_FARMWORLD.replace("[env]",
+                                                                "[env]\nchicken_region = 0,x,3,3"),
+    "farmworld fence as one pair": TINY_FARMWORLD.replace("[env]", "[env]\nfence_cells = 1,2"),
+    "farmworld text fence": TINY_FARMWORLD.replace("[env]", "[env]\nfence_cells = abc"),
 }
 
 
@@ -202,6 +212,22 @@ def test_train_rejects_malformed_ini_with_exit_2(tmp_path, capsys, text):
     path.write_bytes(text.encode("latin-1"))
     assert main(["train", str(path), "--run-dir", str(tmp_path / "run")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_ini_start_cell_trains_from_that_cell(tmp_path):
+    path = write_config(tmp_path, TINY_SOCCER.replace("[env]", "[env]\nstart_left = 1,2"))
+    assert main(["train", str(path), "--run-dir", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["config"]["env"]["start_left"] == [1, 2]
+    env = make_env("soccer", manifest["config"]["env"])
+    env.reset(seed=0)
+    assert env.pos["left"] == (1, 2)
+
+
+def test_ini_farmworld_region_parses_as_a_tuple(tmp_path):
+    path = write_config(tmp_path, TINY_FARMWORLD.replace("[env]", "[env]\nagent_region = 0,0,3,3"))
+    assert load_config_file(path)["env"]["agent_region"] == (0, 0, 3, 3)
+    assert resolve_config(load_config_file(path))["env"]["agent_region"] == [0, 0, 3, 3]
 
 
 def test_train_rejects_an_off_pitch_start_cell_in_a_manifest_with_exit_2(tmp_path, capsys):

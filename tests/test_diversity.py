@@ -62,13 +62,18 @@ def probs_grid(gen, states, latents):
              for s in range(states.shape[0])] for i in range(latents.shape[0])]
 
 
-def small_generator(seed=0):
-    return PolicyGenerator(4, 3, np.random.default_rng(seed),
-                           architecture="concat", hidden_dim=6)
+def small_generator(seed=0, architecture="concat", activation="tanh"):
+    return PolicyGenerator(4, 3, np.random.default_rng(seed), architecture=architecture,
+                           hidden_dim=6, policy_activation=activation)
 
 
-def test_estimator_matches_brute_force_enumeration():
-    gen = small_generator(7)
+GENERATORS = [(arch, activation) for arch in ("concat", "multiplicative")
+              for activation in ("tanh", "relu")]
+
+
+@pytest.mark.parametrize("arch, activation", GENERATORS)
+def test_estimator_matches_brute_force_enumeration(arch, activation):
+    gen = small_generator(7, arch, activation)
     rng = np.random.default_rng(8)
     states = rng.random((2, 4))
     latents = sample_latents(rng, 3)
@@ -95,12 +100,13 @@ def test_estimate_approaches_zero_for_distant_distributions():
     assert 0.0 < val < 1e-6
 
 
-def test_estimator_range_and_pair_count():
-    gen = small_generator(11)
+@pytest.mark.parametrize("arch, activation", GENERATORS)
+def test_estimator_range_and_pair_count(arch, activation):
+    gen = small_generator(11, arch, activation)
     rng = np.random.default_rng(12)
-    for m in (2, 3, 5):
+    for m, n in ((2, 4), (2, 1), (3, 4), (5, 1)):
         latents = sample_latents(rng, m)
-        states = rng.random((4, 4))
+        states = rng.random((n, 4))
         est = float(estimate_for_generator(gen, states, latents, smoothing=0.05).data)
         assert 0.0 < est <= 1.0
         # the oracle averages over all m * (m - 1) ordered pairs
@@ -151,14 +157,45 @@ def test_estimator_gradient_matches_finite_differences(arch):
     check_gradients(loss, gen.policy_parameters())
 
 
-def test_raw_kl_mode_matches_mean_pairwise_kl():
-    gen = small_generator(19)
+@pytest.mark.parametrize("arch, activation", GENERATORS)
+def test_raw_kl_mode_matches_mean_pairwise_kl(arch, activation):
+    gen = small_generator(19, arch, activation)
     rng = np.random.default_rng(20)
     states = rng.random((2, 4))
     latents = sample_latents(rng, 3)
     raw = float(estimate_for_generator(gen, states, latents, 0.05, mode="raw_kl").data)
     oracle = diversity_oracle(probs_grid(gen, states, latents), 0.05, mode="raw_kl")
     assert raw == pytest.approx(oracle, abs=1e-12)
+
+
+def estimate_by_tiling(gen, states, latents, smoothing, mode="exp_neg_kl"):
+    """The estimate with each (latent, state) pair tiled into its own input row,
+    row l*n + s for latent l at state s: the grid written out by np.repeat."""
+    m, n = len(latents), len(states)
+    obs = np.repeat(states[None, :, :], m, axis=0).reshape(m * n, -1)
+    z = np.repeat(latents, n, axis=0)
+    return diversity_loss(gen.action_probs(obs, z), m, n, smoothing, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["exp_neg_kl", "raw_kl"])
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 5), (4, 1), (4, 5)])
+@pytest.mark.parametrize("arch, activation", GENERATORS)
+def test_grid_estimate_equals_the_tiled_rows(arch, activation, m, n, mode):
+    gen = small_generator(23, arch, activation)
+    rng = np.random.default_rng(24)
+    states, latents = rng.random((n, 4)), sample_latents(rng, m)
+    results = []
+    for estimate in (estimate_for_generator, estimate_by_tiling):
+        for p in gen.policy_parameters():
+            p.grad = None
+        out = estimate(gen, states, latents, 0.05, mode=mode)
+        out.backward()
+        results.append([out.data] + [p.grad for p in gen.policy_parameters()])
+    for grid, tiled in zip(*results):
+        if arch == "concat":        # the same input rows reach the same matmuls
+            assert np.array_equal(grid, tiled)
+        else:                       # latent-free gradients sum over latents first
+            assert np.allclose(grid, tiled, rtol=0.0, atol=1e-12)
 
 
 def random_probs(seed, m=4, n=3, actions=5):

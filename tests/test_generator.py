@@ -181,6 +181,22 @@ def test_mix_node_matches_finite_differences(activation, rows):
     check_gradients(lambda: (mix(h0, gen.branches, z) * weights).sum(), params)
 
 
+@pytest.mark.parametrize("latent_rows", [1, 5])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_broadcast_mix_node_matches_finite_differences(activation, latent_rows):
+    # (m, 1, k) latents mix into (n, d) features once per latent: a latent grid;
+    # (m, n, k) latents give every (latent, row) pair its own latent
+    gen, _, _, _ = mix_inputs(activation, 0)
+    rng = np.random.default_rng(25)
+    h0 = parameter(rng.standard_normal((5, 4)))
+    z = sample_latents(rng, 3 * latent_rows).reshape(3, latent_rows, -1)
+    weights = constant(rng.standard_normal((3, 5, 4)))
+    tiled = mix(np.broadcast_to(h0.data, (3, 5, 4)), gen.branches, z)
+    assert np.array_equal(mix(h0, gen.branches, z).data, tiled)
+    params = [h0] + [p for branch in gen.branches for p in branch.parameters()]
+    check_gradients(lambda: (mix(h0, gen.branches, z) * weights).sum(), params)
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_mix_node_equals_the_branch_loop(activation):
     gen, h0, z, weights = mix_inputs(activation, 6)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -70,6 +71,38 @@ def test_unit_ratio_makes_surrogate_the_mean_advantage():
                                      np.zeros(len(actions)), clip_epsilon=0.2,
                                      value_coef=0.0, entropy_coef=0.0)
     assert float(objective.data) == pytest.approx(adv.mean(), abs=1e-12)
+
+
+# SHA-256 of the gradient bytes of one seeded PPO objective, recorded before the
+# generator's forward broadcast over leading axes: the PPO path must not move by
+# one ulp. They are float bytes of numpy 2.4 with its bundled OpenBLAS on x86-64;
+# another numpy, BLAS or CPU may round differently and need them re-recorded.
+PPO_GRADIENT_SHA256 = {
+    ("concat", "tanh"): "4cb76e0b7c36f05f79186566f83ecce2f04a140494a588162e9f8a272a6570ea",
+    ("concat", "relu"): "f2aad02fa0a9b46271b31ad30276d0535ef4dbdef8000f4617d346fa48a8ff7a",
+    ("multiplicative", "tanh"): "45067ac0649127dc87034dd4ab08d5b380ebe5d68d28283d0b5449600fdfef8d",
+    ("multiplicative", "relu"): "f1a89ffc229bc6665292f274cfceae56ef91bf861ef438c902262916faaf01a7",
+}
+
+
+@pytest.mark.parametrize("arch, activation", PPO_GRADIENT_SHA256)
+def test_ppo_gradients_are_pinned_byte_for_byte(arch, activation):
+    rng = np.random.default_rng(31)
+    gen = PolicyGenerator(5, 4, np.random.default_rng(30), architecture=arch, hidden_dim=8,
+                          policy_activation=activation, value_activation=activation)
+    n = 16
+    obs = rng.standard_normal((n, 5))
+    z = sample_latents(rng, n)
+    actions = rng.integers(0, 4, size=n)
+    logp = np.log(gen.probs_np(obs, z)[np.arange(n), actions]) + 0.1 * rng.standard_normal(n)
+    objective, _ = ppo_objective(gen, obs, z, actions, logp, rng.standard_normal(n),
+                                 rng.standard_normal(n), clip_epsilon=0.2,
+                                 value_coef=0.5, entropy_coef=0.01)
+    objective.backward()
+    digest = hashlib.sha256()
+    for p in gen.parameters():
+        digest.update(np.ascontiguousarray(p.grad).tobytes())
+    assert digest.hexdigest() == PPO_GRADIENT_SHA256[arch, activation]
 
 
 def test_graphs_are_freed_by_reference_counting_alone():
