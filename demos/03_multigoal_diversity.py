@@ -20,7 +20,7 @@ def goal_coverage(gen, n_latents=32, seed=0):
         obs = env.reset(int(rng.integers(2 ** 62)))
         run_episode(gen, env, obs, {"agent_0": z}, rng)
         idx, dist = env.nearest_goal()
-        if dist <= env.capture_radius:
+        if dist <= env.config.capture_radius:
             hits.setdefault(idx, 0)
             hits[idx] += 1
     return hits

@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 
 from policyspace.cli import main
-from policyspace.envs import MultiGoal
+from policyspace.envs import MultiGoal, MultiGoalConfig
 from policyspace.replay import ReplayWriter
 
 CONFIG = """\
@@ -53,7 +53,7 @@ main(["adapt", ckpt, "--generations", "20", "--seed", "5", "--trace-out", trace]
 print(f"search trace rows: {len(open(trace).readlines()) - 1}")
 
 print("\n== record and replay an episode ==")
-env = MultiGoal(max_episode_timesteps=3)
+env = MultiGoal(MultiGoalConfig(max_episode_timesteps=3))
 env.reset(seed=9)
 writer = ReplayWriter(env)
 rng = np.random.default_rng(0)

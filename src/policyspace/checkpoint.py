@@ -15,6 +15,8 @@ import json
 
 import numpy as np
 
+from .envs import ENVIRONMENTS, make_config
+from .envs.base import type_rule
 from .errors import ConfigError, IntegrityError
 from .generator import PolicyGenerator
 
@@ -31,13 +33,7 @@ def _is_shapes(value) -> bool:
         isinstance(shape, list) and all(map(_is_count, shape)) for shape in value)
 
 
-def _is_text(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_object(value) -> bool:
-    return isinstance(value, dict)
-
+_is_text, _is_object = type_rule(str), type_rule(dict)
 
 # `PolicyGenerator.describe()`, field by field
 GENERATOR_FIELDS = {
@@ -144,7 +140,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 
 
 def _read_header(path, header_bytes: bytes) -> dict:
-    """Parse a header and check the fields in HEADER_FIELDS."""
+    """Parse a header; check HEADER_FIELDS and the named simulator's `env_config`."""
     try:
         header = json.loads(header_bytes)
     except ValueError as exc:
@@ -160,4 +156,9 @@ def _read_header(path, header_bytes: bytes) -> dict:
         if not valid(header[field]):
             raise IntegrityError(f"{path}: header field {field!r} is malformed: "
                                  f"{header[field]!r}")
+    if header["env"] in ENVIRONMENTS:
+        try:
+            make_config(header["env"], header["env_config"])
+        except ConfigError as exc:
+            raise IntegrityError(f"{path}: header field 'env_config': {exc}") from exc
     return header

@@ -12,15 +12,13 @@ import argparse
 import csv
 import os
 import sys
-import time
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (build_environment_factory, build_generator,
                      build_trainer_config, load_run_spec, write_manifest)
-from .envs import ABLATION_NAMES, BOT_KINDS, Bot, make_env
-from .envs.farmworld import Farmworld
+from .envs import BOT_KINDS, Bot, make_env
 from .errors import ConfigError, IntegrityError, NumericError
 from .evaluation import (ablation_sweep, bot_gauntlet, round_robin_matrix,
                          specialization_eval, write_results_csv)
@@ -97,12 +95,9 @@ def cmd_adapt(args) -> int:
         raise ConfigError("adapt scores a latent by its mean return over all agents, "
                           "which is always 0 in soccer (one side's +1 is the other's "
                           "-1); use `policyspace eval bots` to search soccer latents")
-    if env_name in ABLATION_NAMES and env_name != "none":
-        factory = lambda: make_env(env_name)
-    elif env_name == loaded.env_name and loaded.env_config:
-        factory = build_environment_factory(env_name, loaded.env_config)
-    else:
-        factory = lambda: make_env(env_name)
+    # the checkpoint's simulator config serves its own env; another name gets defaults
+    config = loaded.env_config if env_name == loaded.env_name else {}
+    factory = build_environment_factory(env_name, config)
     rng = np.random.default_rng(args.seed)
     score = episode_score_fn(gen, factory, args.episodes_per_latent, rng)
     search = SearchConfig(generations=args.generations,
@@ -143,9 +138,8 @@ def cmd_eval(args) -> int:
     if args.protocol == "specialization":
         for path, loaded in checkpoints:
             method = loaded.header.get("extra", {}).get("method", path)
-            cfg = dict(loaded.env_config)
-            cfg["enforced_specialization"] = True
-            factory = build_environment_factory("farmworld", cfg)
+            factory = build_environment_factory(
+                "farmworld", {**loaded.env_config, "enforced_specialization": True})
             for seed in range(args.seeds):
                 out = specialization_eval(loaded.generator, factory,
                                           episodes=args.episodes,

@@ -22,15 +22,18 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import platform
+import types
 import typing
 
 import numpy as np
 
 from .diversity import DiversityConfig
-from .envs import FarmworldConfig, MultiGoal, SoccerConfig, build_ablation, make_env
+from .envs import ENVIRONMENTS, make_env
+from .envs.base import field_types, type_name, type_rule
 from .errors import ConfigError
 from .generator import PolicyGenerator
 from .training import TrainerConfig
@@ -40,9 +43,8 @@ CODE_VERSION = "policyspace-0.1.0"
 
 def _dataclass_section(cls, skip=()) -> tuple[dict, dict]:
     """A config section read off a dataclass: (field -> type, field -> default)."""
-    hints = typing.get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
-    return {f.name: hints[f.name] for f in fields}, {f.name: f.default for f in fields}
+    typed = {name: typ for name, typ in field_types(cls).items() if name not in skip}
+    return typed, {f.name: f.default for f in dataclasses.fields(cls) if f.name in typed}
 
 
 TRAINER_TYPES, TRAINER_DEFAULTS = _dataclass_section(TrainerConfig, skip=("method", "diversity"))
@@ -60,8 +62,11 @@ SCHEMA = {
         "hidden_dim": int, "latent_dim": int, "hidden_layers": int,
         "policy_activation": str, "value_activation": str,
     },
-    "env": {},   # free-form, validated by the environment config class
 }
+# [env] holds the fields of the simulator named in [run], and its name
+ENV_SCHEMA = {name: {"name": str, **_dataclass_section(env.config_class)[0]}
+              for name, env in ENVIRONMENTS.items()}
+SECTIONS = (*SCHEMA, "env")     # [run] first: it names the simulator
 
 # per-environment defaults follow the reference hyperparameter tables
 ENV_DEFAULTS = {
@@ -99,32 +104,48 @@ BASE_DEFAULTS = {
 }
 
 
-def _coerce(section: str, key: str, raw: str):
+def _env_name(run: dict) -> str:
+    env_name = run.get("env", "")
+    if not env_name:
+        raise ConfigError("missing required field [run] env")
+    if env_name not in ENV_DEFAULTS:
+        raise ConfigError(f"field [run] env: unknown environment {env_name!r}")
+    return env_name
+
+
+def _schema(section: str, run: dict) -> dict:
+    """Key -> type of one section; [env]'s are those of the simulator `run` names."""
     if section == "env":
-        # env keys are typed by the env config class; parse leniently, and a
-        # comma-separated value (a cell, a region) as the tuple of its parts
-        if "," in raw:
-            return tuple(_coerce(section, key, part.strip()) for part in raw.split(","))
-        for caster in (int, float):
-            try:
-                return caster(raw)
-            except ValueError:
-                pass
-        if raw.lower() in ("true", "false"):
-            return raw.lower() == "true"
-        return raw
-    if key not in SCHEMA[section]:
-        raise ConfigError(f"unknown config field [{section}] {key}")
-    typ = SCHEMA[section][key]
-    try:
-        if typ is bool:
-            if raw.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                raise ValueError(raw)
-            return raw.lower() in ("true", "1", "yes")
+        return ENV_SCHEMA[_env_name(run)]
+    if section not in SCHEMA:
+        raise ConfigError(f"unknown config section [{section}]")
+    return SCHEMA[section]
+
+
+def _parse(raw: str, typ):
+    """An INI value as a `typ`; a comma-separated value is the tuple of its parts."""
+    if typ in (int, float, str):
         return typ(raw)
+    if typ is bool:
+        if raw.lower() not in ("true", "false", "1", "0", "yes", "no"):
+            raise ValueError(raw)
+        return raw.lower() in ("true", "1", "yes")
+    origin, args = typing.get_origin(typ), typing.get_args(typ)
+    if origin is tuple:     # the parts share one type; the type check counts them
+        return tuple(_parse(part.strip(), args[0]) for part in raw.split(","))
+    if origin in (typing.Union, types.UnionType):
+        return _parse(raw, args[0])     # every union is `X | None`; INI cannot write None
+    raise ValueError(raw)               # a dict, such as a farmworld layout
+
+
+def _coerce(section: str, key: str, raw: str, fields: dict):
+    if key not in fields:
+        raise ConfigError(f"unknown config field [{section}] {key}")
+    try:
+        return _parse(raw, fields[key])
     except ValueError as exc:
         raise ConfigError(f"field [{section}] {key}: cannot parse {raw!r} as "
-                          f"{typ.__name__}") from exc
+                          f"{type_name(fields[key])}") from exc
 
 
 def load_config_file(path) -> dict:
@@ -137,22 +158,17 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    run = dict(sections.get("run", ()))
     out: dict = {}
     for section, items in sections.items():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        out[section] = {key: _coerce(section, key, raw) for key, raw in items}
+        fields = _schema(section, run)
+        out[section] = {key: _coerce(section, key, raw, fields) for key, raw in items}
     return out
 
 
 def resolve_config(overrides: dict) -> dict:
     """Layer file overrides onto base and per-environment defaults."""
-    run = overrides.get("run", {})
-    env_name = run.get("env", "")
-    if not env_name:
-        raise ConfigError("missing required field [run] env")
-    if env_name not in ENV_DEFAULTS:
-        raise ConfigError(f"field [run] env: unknown environment {env_name!r}")
+    env_name = _env_name(overrides.get("run", {}))
 
     resolved = {section: dict(values) for section, values in BASE_DEFAULTS.items()}
     for section, values in ENV_DEFAULTS[env_name].items():
@@ -175,17 +191,13 @@ def resolve_config(overrides: dict) -> dict:
         resolved["diversity"]["coef"] = 0.0
 
     # resolve the simulator config (including every default numeric)
-    env_overrides = dict(overrides.get("env", {}))
-    probe = make_env(env_name, env_overrides)
-    resolved["env"] = probe.config_dict()
+    resolved["env"] = make_env(env_name, overrides.get("env", {})).config_dict()
     resolved["run"]["env"] = env_name
     return resolved
 
 
 def build_environment_factory(env_name: str, env_config: dict):
-    def factory():
-        return make_env(env_name, env_config)
-    return factory
+    return functools.partial(make_env, env_name, env_config)
 
 
 def build_generator(resolved: dict, rng) -> PolicyGenerator:
@@ -250,35 +262,28 @@ def read_manifest(path) -> dict:
     return manifest
 
 
-def _has_type(value, typ) -> bool:
-    if typ is float:
-        return type(value) in (int, float)
-    return type(value) is typ
-
-
 def check_resolved(config) -> dict:
     """Check that a manifest's resolved config sets every schema field, and
     only those, with values of the schema's types; returns the config."""
     if not isinstance(config, dict):
         raise ConfigError("manifest field 'config' must be an object")
     for section in config:
-        if section not in SCHEMA:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-    for section, fields in SCHEMA.items():
+    for section in SECTIONS:
         values = config.get(section)
         if not isinstance(values, dict):
             raise ConfigError(f"missing config section [{section}]")
-        if section == "env":
-            continue
+        fields = _schema(section, config["run"])
         for key in values:
             if key not in fields:
                 raise ConfigError(f"unknown config field [{section}] {key}")
         for key, typ in fields.items():
             if key not in values:
                 raise ConfigError(f"missing config field [{section}] {key}")
-            if not _has_type(values[key], typ):
+            if not type_rule(typ)(values[key]):
                 raise ConfigError(f"field [{section}] {key}: {values[key]!r} is not "
-                                  f"a {typ.__name__}")
+                                  f"a {type_name(typ)}")
     return config
 
 

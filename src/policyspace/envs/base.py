@@ -9,6 +9,11 @@ step; illegal action ids raise instead of being clamped.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import types
+import typing
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -18,21 +23,96 @@ def is_int(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)   # bool is not an int here
 
 
-def is_int_tuple(value, count: int) -> bool:
-    """Whether `value` is a tuple or list of `count` integers: a cell or a region."""
-    return isinstance(value, (tuple, list)) and len(value) == count and all(map(is_int, value))
+# -- one typed schema for every config section ------------------------------------
+
+
+@functools.cache
+def type_rule(typ):
+    """The predicate accepting values of `typ`: the one type rule of every
+    config section. Bool is not an int, an int is acceptable as a float, and a
+    list is acceptable as a tuple (JSON has no tuples)."""
+    origin, args = typing.get_origin(typ), typing.get_args(typ)
+    if typ is int:
+        return is_int
+    if typ is float:
+        return lambda value: isinstance(value, float) or is_int(value)
+    if origin in (typing.Union, types.UnionType):     # every union is `X | None`
+        rule = type_rule(args[0])
+        return lambda value: value is None or rule(value)
+    if origin is tuple:     # `tuple[X, ...]` or `tuple[X, X, ...]`: the parts share one type
+        item, count = type_rule(args[0]), None if args[-1] is Ellipsis else len(args)
+        return lambda value: (isinstance(value, (tuple, list)) and count in (None, len(value))
+                              and all(map(item, value)))
+    return lambda value: type(value) is typ       # bool, str, dict
+
+
+def type_name(typ) -> str:
+    return str(typ) if typing.get_origin(typ) else typ.__name__
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """Field -> type of a config dataclass, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+@functools.cache
+def _field_rules(cls) -> tuple:
+    return tuple((name, typ, type_rule(typ)) for name, typ in field_types(cls).items())
+
+
+def check_types(config):
+    """Raise ConfigError unless every field of a config dataclass has its type;
+    each `validate()` runs this before checking ranges."""
+    for name, typ, rule in _field_rules(type(config)):
+        if not rule(getattr(config, name)):
+            raise ConfigError(f"{type(config).__name__} field {name}: "
+                              f"{getattr(config, name)!r} is not a {type_name(typ)}")
+
+
+def to_dict(config) -> dict:
+    """A config dataclass as JSON values, in field order: tuples become lists."""
+    return {name: _to_json(getattr(config, name)) for name in field_types(type(config))}
+
+
+def from_dict(cls, values: dict):
+    """A validated config dataclass from JSON values, which may leave fields at
+    their defaults. Unknown keys are rejected by name; lists become tuples, and
+    an int for a float field becomes a float, so the dict round-trips exactly."""
+    fields = field_types(cls)
+    unknown = sorted(set(values) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
+    config = cls(**{key: _from_json(value, fields[key]) for key, value in values.items()})
+    config.validate()
+    return config
+
+
+def _to_json(value):
+    return [_to_json(part) for part in value] if isinstance(value, tuple) else value
+
+
+def _from_json(value, typ):
+    if isinstance(value, list):
+        return tuple(_from_json(part, None) for part in value)
+    return float(value) if typ is float and is_int(value) else value
 
 
 class Environment:
-    """Base class holding the roster/bookkeeping common to all simulators."""
+    """Base class holding the roster/bookkeeping common to all simulators; each
+    simulator reads its fields off a config dataclass, `config_class`."""
 
     name = "environment"
+    config_class: type
     observation_size: int
     num_actions: int
     agent_ids: tuple[str, ...]
-    max_episode_timesteps: int
 
-    def __init__(self):
+    def __init__(self, config=None):
+        self.config = config or self.config_class()
+        self.config.validate()
+        self.max_episode_timesteps = self.config.max_episode_timesteps
         self.tick = 0
         self.seed = None
         self.rng = None
@@ -51,7 +131,7 @@ class Environment:
 
     def config_dict(self) -> dict:
         """Resolved configuration for manifests and replay headers."""
-        raise NotImplementedError
+        return {"name": self.name, **to_dict(self.config)}
 
     def render(self) -> str:
         raise NotImplementedError

@@ -20,12 +20,13 @@ health is appended.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Environment, is_int_tuple
+from .base import Environment, check_types, type_rule
 
 GROUND, AGENT, CHICKEN, TOWER, FENCE = 0, 1, 2, 3, 4
 KIND_SCALE = 1.0 / 5.0
@@ -45,6 +46,13 @@ assert len(VIEW_OFFSETS) == 13
 
 ABLATION_NAMES = ("none", "far_corner", "wall_barrier", "speed", "patience",
                   "poison_chickens")
+IS_CELL = type_rule(tuple[int, int])    # a (row, col) pair
+
+# FarmworldConfig field -> its least legal value
+LOWER_BOUNDS = {"width": 1, "height": 1, "num_agents": 1, "num_chickens": 0, "num_towers": 0,
+                "chicken_max_health": 1, "tower_attacks": 1, "haystack_mines": 1,
+                "respawn_time": 0, "max_episode_timesteps": 1,
+                "health_decay": 0.0, "agent_attack_damage": 0.0}
 
 
 @dataclass
@@ -69,80 +77,63 @@ class FarmworldConfig:
     max_episode_timesteps: int = 200
     enforced_specialization: bool = False
     ablation: str = "none"
-    agent_region: tuple | None = None   # (r0, c0, r1, c1), half-open
-    food_region: tuple | None = None
-    chicken_region: tuple | None = None  # overrides food_region for chickens
-    tower_region: tuple | None = None    # overrides food_region for towers
-    fence_cells: tuple = field(default_factory=tuple)
+    agent_region: tuple[int, int, int, int] | None = None   # (r0, c0, r1, c1), half-open
+    food_region: tuple[int, int, int, int] | None = None
+    chicken_region: tuple[int, int, int, int] | None = None  # overrides food_region for chickens
+    tower_region: tuple[int, int, int, int] | None = None    # overrides food_region for towers
+    fence_cells: tuple[tuple[int, int], ...] = field(default_factory=tuple)
     layout: dict | None = None          # parsed hand-crafted map
 
     def validate(self):
+        """Check every field's type, then its range; yields keep their sign,
+        since `poison_chickens` negates `chicken_yield`."""
+        check_types(self)
+        for name, low in LOWER_BOUNDS.items():
+            if not low <= getattr(self, name) < math.inf:
+                raise ConfigError(f"farmworld {name} must be finite and >= {low}, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("agent_food_yield", "chicken_yield", "tower_yield"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"farmworld {name} must be finite, got {getattr(self, name)!r}")
+        if not 0.0 < self.agent_start_health <= self.agent_max_health < math.inf:
+            raise ConfigError(f"farmworld needs 0 < agent_start_health <= agent_max_health, "
+                              f"got {self.agent_start_health!r} and {self.agent_max_health!r}")
+        if not 0.0 <= self.chicken_move_probability <= 1.0:
+            raise ConfigError(f"farmworld chicken_move_probability must be a probability, "
+                              f"got {self.chicken_move_probability!r}")
         cells = self.width * self.height
         units = self.num_agents + self.num_chickens + self.num_towers + len(self.fence_cells)
         if units > cells:
             raise ConfigError(f"{units} units cannot fit a {self.width}x{self.height} grid")
-        if self.respawn_time < 0:
-            raise ConfigError("respawn_time must be >= 0")
-        if self.num_agents < 1:
-            raise ConfigError("need at least one agent")
-        if self.num_chickens < 0 or self.num_towers < 0:
-            raise ConfigError("num_chickens and num_towers must be >= 0")
         if self.ablation not in ABLATION_NAMES:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         for name in ("agent_region", "food_region", "chicken_region", "tower_region"):
             r = getattr(self, name)
-            if r is not None and not (is_int_tuple(r, 4) and 0 <= r[0] < r[2] <= self.height
+            if r is not None and not (0 <= r[0] < r[2] <= self.height
                                       and 0 <= r[1] < r[3] <= self.width):
                 raise ConfigError(f"farmworld {name} {r!r} is not an (r0, c0, r1, c1) "
                                   f"region of the {self.height}x{self.width} grid")
         for cell in self.fence_cells:
-            if not (is_int_tuple(cell, 2) and 0 <= cell[0] < self.height
-                    and 0 <= cell[1] < self.width):
-                raise ConfigError(f"farmworld fence cell {cell!r} is not a cell of the "
+            if not self._on_grid(cell):
+                raise ConfigError(f"farmworld fence_cells: {cell!r} is not a cell of the "
                                   f"{self.height}x{self.width} grid")
+        if self.layout is not None and not self._is_map(self.layout):
+            raise ConfigError(f"farmworld layout is not a map of the {self.height}x{self.width} "
+                              f"grid with {self.num_agents} agents, {self.num_chickens} "
+                              f"chickens and {self.num_towers} towers")
 
-    def to_dict(self) -> dict:
-        return {
-            "name": "farmworld",
-            "width": self.width, "height": self.height,
-            "num_agents": self.num_agents, "num_chickens": self.num_chickens,
-            "num_towers": self.num_towers,
-            "agent_max_health": self.agent_max_health,
-            "agent_start_health": self.agent_start_health,
-            "health_decay": self.health_decay,
-            "agent_attack_damage": self.agent_attack_damage,
-            "agent_food_yield": self.agent_food_yield,
-            "chicken_yield": self.chicken_yield,
-            "chicken_max_health": self.chicken_max_health,
-            "chicken_move_probability": self.chicken_move_probability,
-            "tower_yield": self.tower_yield,
-            "tower_attacks": self.tower_attacks,
-            "haystack_mines": self.haystack_mines,
-            "respawn_time": self.respawn_time,
-            "max_episode_timesteps": self.max_episode_timesteps,
-            "enforced_specialization": self.enforced_specialization,
-            "ablation": self.ablation,
-            "agent_region": list(self.agent_region) if self.agent_region else None,
-            "food_region": list(self.food_region) if self.food_region else None,
-            "chicken_region": list(self.chicken_region) if self.chicken_region else None,
-            "tower_region": list(self.tower_region) if self.tower_region else None,
-            "fence_cells": [list(c) for c in self.fence_cells],
-            "layout": self.layout,
-        }
+    def _on_grid(self, cell) -> bool:
+        return IS_CELL(cell) and 0 <= cell[0] < self.height and 0 <= cell[1] < self.width
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FarmworldConfig":
-        d = {k: v for k, v in d.items() if k != "name"}
-        if d.get("agent_region"):
-            d["agent_region"] = tuple(d["agent_region"])
-        if d.get("food_region"):
-            d["food_region"] = tuple(d["food_region"])
-        if d.get("chicken_region"):
-            d["chicken_region"] = tuple(d["chicken_region"])
-        if d.get("tower_region"):
-            d["tower_region"] = tuple(d["tower_region"])
-        d["fence_cells"] = tuple(tuple(c) for c in d.get("fence_cells", ()))
-        return cls(**d)
+    def _is_map(self, layout: dict) -> bool:
+        """Whether `layout` is what `parse_map` makes of a map of this grid."""
+        kinds = ("agents", "chickens", "towers", "fences")
+        return (set(layout) == {"width", "height", *kinds}
+                and (layout["width"], layout["height"]) == (self.width, self.height)
+                and all(isinstance(layout[kind], list) and all(map(self._on_grid, layout[kind]))
+                        for kind in kinds)
+                and [len(layout[kind]) for kind in kinds[:3]]
+                == [self.num_agents, self.num_chickens, self.num_towers])
 
 
 def parse_map(text: str) -> dict:
@@ -211,18 +202,13 @@ def build_ablation(name: str) -> FarmworldConfig:
 
 class Farmworld(Environment):
     name = "farmworld"
+    config_class = FarmworldConfig
     num_actions = 6
     observation_size = 13 * 4 + 1
 
     def __init__(self, config: FarmworldConfig | None = None):
-        super().__init__()
-        self.config = config or FarmworldConfig()
-        self.config.validate()
+        super().__init__(config)
         self.agent_ids = tuple(f"agent_{i}" for i in range(self.config.num_agents))
-        self.max_episode_timesteps = self.config.max_episode_timesteps
-
-    def config_dict(self) -> dict:
-        return self.config.to_dict()
 
     # -- grid bookkeeping ---------------------------------------------------
 
@@ -265,7 +251,7 @@ class Farmworld(Environment):
 
         n = cfg.num_agents
         self.agent_pos = np.zeros((n, 2), dtype=np.int64)
-        self.agent_health = np.full(n, cfg.agent_start_health)
+        self.agent_health = np.full(n, cfg.agent_start_health, dtype=np.float64)
         self.agent_orient = np.zeros(n, dtype=np.int64)
         self.agent_alive = np.ones(n, dtype=bool)
         self.agent_locked = np.zeros(n, dtype=np.int64)  # 0 none, CHICKEN, TOWER
@@ -293,17 +279,10 @@ class Farmworld(Environment):
 
         layout = cfg.layout
         if layout is not None:
-            placements = {
-                "agents": layout["agents"], "chickens": layout["chickens"],
-                "towers": layout["towers"]}
-            for key, cells in placements.items():
-                for idx, (r, c) in enumerate(cells):
-                    if key == "agents":
-                        self._place_agent(idx, r, c)
-                    elif key == "chickens":
-                        self._place_chicken(idx, r, c)
-                    else:
-                        self._place_tower(idx, r, c)
+            for kind, place in (("agents", self._place_agent), ("chickens", self._place_chicken),
+                                ("towers", self._place_tower)):
+                for idx, (r, c) in enumerate(layout[kind]):
+                    place(idx, r, c)
             for r, c in layout["fences"]:
                 if self.kind_grid[r, c] != FENCE:
                     self._set_cell(r, c, FENCE, 1.0, 0, False)

@@ -8,42 +8,48 @@ behaviors are visible as distinct corners reached.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Environment
+from .base import Environment, check_types
 
 CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 MOVES = np.array([[0.0, 0.05], [0.0, -0.05], [0.05, 0.0], [-0.05, 0.0], [0.0, 0.0]])
 ACTION_NAMES = ("up", "down", "right", "left", "stay")
 
 
+@dataclass
+class MultiGoalConfig:
+    max_episode_timesteps: int = 100
+    capture_radius: float = 0.05
+    step_size: float = 0.05
+    start_jitter: float = 0.05
+
+    def validate(self):
+        check_types(self)
+        if self.max_episode_timesteps < 1:
+            raise ConfigError("max_episode_timesteps must be >= 1")
+        if not 0.0 <= self.capture_radius <= 0.5:     # the goal discs stay apart
+            raise ConfigError(f"capture_radius must be in [0, 0.5], got {self.capture_radius!r}")
+        if not 0.0 < self.step_size <= 1.0:
+            raise ConfigError(f"step_size must be in (0, 1], got {self.step_size!r}")
+        if not 0.0 <= self.start_jitter <= 0.5:       # every start is inside the square
+            raise ConfigError(f"start_jitter must be in [0, 0.5], got {self.start_jitter!r}")
+
+
 class MultiGoal(Environment):
     name = "multigoal"
+    config_class = MultiGoalConfig
     observation_size = 2
     num_actions = 5
     agent_ids = ("agent_0",)
 
-    def __init__(self, max_episode_timesteps: int = 100, capture_radius: float = 0.05,
-                 step_size: float = 0.05, start_jitter: float = 0.05):
-        super().__init__()
-        self.max_episode_timesteps = int(max_episode_timesteps)
-        self.capture_radius = float(capture_radius)
-        self.step_size = float(step_size)
-        self.start_jitter = float(start_jitter)
-        if self.start_jitter < 0:
-            raise ConfigError("start_jitter must be >= 0")
+    def __init__(self, config: MultiGoalConfig | None = None):
+        super().__init__(config)
         self.position = np.zeros(2)
         self.captured = False
-
-    def config_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_episode_timesteps": self.max_episode_timesteps,
-            "capture_radius": self.capture_radius,
-            "step_size": self.step_size,
-            "start_jitter": self.start_jitter,
-        }
 
     @property
     def goals(self) -> np.ndarray:
@@ -53,7 +59,8 @@ class MultiGoal(Environment):
         return [] if self.captured else ["agent_0"]
 
     def _do_reset(self) -> dict:
-        self.position = 0.5 + self.rng.uniform(-self.start_jitter, self.start_jitter, size=2)
+        jitter = self.config.start_jitter
+        self.position = 0.5 + self.rng.uniform(-jitter, jitter, size=2)
         self.captured = False
         return {"agent_0": self.position.copy()}
 
@@ -63,11 +70,11 @@ class MultiGoal(Environment):
         return idx, float(dists[idx])
 
     def _do_step(self, actions: dict) -> tuple[dict, dict, dict]:
-        move = MOVES[actions["agent_0"]] * (self.step_size / 0.05)
+        move = MOVES[actions["agent_0"]] * (self.config.step_size / 0.05)
         self.position = np.clip(self.position + move, 0.0, 1.0)
         _, dist = self.nearest_goal()
         reward = -dist
-        self.captured = dist <= self.capture_radius
+        self.captured = dist <= self.config.capture_radius
         return ({"agent_0": self.position.copy()},
                 {"agent_0": reward},
                 {"agent_0": self.captured})

@@ -15,12 +15,12 @@ one-hot positions for self and opponent plus a possession flag.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Environment, is_int, is_int_tuple
+from .base import Environment, check_types
 
 # actions: up, down, left, right, stand
 ACTION_NAMES = ("up", "down", "left", "right", "stand")
@@ -34,50 +34,28 @@ class SoccerConfig:
     cols: int = 5
     draw_prob: float = 0.02
     max_episode_timesteps: int = 500
-    start_left: tuple = (1, 1)
-    start_right: tuple = (1, 3)
+    start_left: tuple[int, int] = (1, 1)
+    start_right: tuple[int, int] = (1, 3)
     initial_possession: str = "random"   # "left" | "right" | "random"
 
     def validate(self):
         """Check every field's type and range; cheap, since each game runs it."""
-        for name in ("rows", "cols", "max_episode_timesteps"):
-            if not is_int(getattr(self, name)):
-                raise ConfigError(f"soccer {name} must be an integer, got {getattr(self, name)!r}")
+        check_types(self)
         if self.rows < 2 or self.cols < 2:
-            raise ConfigError("soccer needs at least a 2x2 pitch")
+            raise ConfigError(f"soccer rows and cols must be >= 2, got {self.rows}x{self.cols}")
         if self.max_episode_timesteps < 1:
             raise ConfigError("max_episode_timesteps must be >= 1")
-        if type(self.draw_prob) is bool or not isinstance(self.draw_prob, (int, float)) \
-                or not 0.0 <= self.draw_prob <= 1.0:
+        if not 0.0 <= self.draw_prob <= 1.0:
             raise ConfigError(f"draw_prob must be a probability, got {self.draw_prob!r}")
         if self.initial_possession not in ("left", "right", "random"):
             raise ConfigError(f"bad initial_possession {self.initial_possession!r}")
         for name in ("start_left", "start_right"):
             cell = getattr(self, name)
-            if not (is_int_tuple(cell, 2)
-                    and 0 <= cell[0] < self.rows and 0 <= cell[1] < self.cols):
+            if not (0 <= cell[0] < self.rows and 0 <= cell[1] < self.cols):
                 raise ConfigError(f"soccer {name} {cell!r} is not a cell of the "
                                   f"{self.rows}x{self.cols} pitch")
         if tuple(self.start_left) == tuple(self.start_right):
             raise ConfigError("players cannot share a starting cell")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": "soccer",
-            "rows": self.rows, "cols": self.cols,
-            "draw_prob": self.draw_prob,
-            "max_episode_timesteps": self.max_episode_timesteps,
-            "start_left": list(self.start_left),
-            "start_right": list(self.start_right),
-            "initial_possession": self.initial_possession,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SoccerConfig":
-        d = {k: v for k, v in d.items() if k != "name"}
-        d["start_left"] = tuple(d.get("start_left", (1, 1)))
-        d["start_right"] = tuple(d.get("start_right", (1, 3)))
-        return cls(**d)
 
 
 class _Observations(Mapping):
@@ -103,18 +81,13 @@ class _Observations(Mapping):
 
 class MarkovSoccer(Environment):
     name = "soccer"
+    config_class = SoccerConfig
     num_actions = 5
     agent_ids = ("left", "right")
 
     def __init__(self, config: SoccerConfig | None = None):
-        super().__init__()
-        self.config = config or SoccerConfig()
-        self.config.validate()
-        self.max_episode_timesteps = self.config.max_episode_timesteps
+        super().__init__(config)
         self.observation_size = 2 * self.config.rows * self.config.cols + 1
-
-    def config_dict(self) -> dict:
-        return self.config.to_dict()
 
     @property
     def goal_rows(self) -> tuple:
@@ -322,9 +295,7 @@ def bot_match_config(bot: Bot, base: SoccerConfig | None = None) -> SoccerConfig
     start_right = cfg.start_right
     if tuple(bot.start) == tuple(start_right):
         start_right = (2, 3)
-    out = SoccerConfig(rows=cfg.rows, cols=cfg.cols, draw_prob=cfg.draw_prob,
-                       max_episode_timesteps=cfg.max_episode_timesteps,
-                       start_left=bot.start, start_right=start_right,
-                       initial_possession=possession)
+    out = replace(cfg, start_left=bot.start, start_right=start_right,
+                  initial_possession=possession)
     out.validate()
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config, build_ablation, make_env
+from .envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config, build_ablation
 from .envs.farmworld import Farmworld
 from .errors import ConfigError
 from .generator import PolicyGenerator, sample_latent, sample_latents

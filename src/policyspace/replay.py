@@ -3,8 +3,9 @@
 Header: {"env": name, "seed": seed, "config_hash": hex, "config": {...}}
 Step:   {"tick": t, "agent_id": a, "action": n, "reward": r, "done": bool}
 
-Replaying a log rebuilds the environment from (config, seed), feeds the
-logged actions back in, and must reproduce the logged rewards bit-exactly.
+Replaying a log rebuilds the environment from (config, seed), checks the
+config against its hash, feeds the logged actions back in, and must
+reproduce the logged rewards bit-exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+from .envs import ENVIRONMENTS, make_config
+from .envs.base import type_name, type_rule
 from .errors import ConfigError, IntegrityError
 
 
@@ -52,10 +55,9 @@ class ReplayWriter:
                 fh.write(json.dumps(rec) + "\n")
 
 
-# field -> accepted types; bool is not an int here
-HEADER_TYPES = {"env": (str,), "seed": (int,), "config": (dict,)}
-RECORD_TYPES = {"tick": (int,), "agent_id": (str,), "action": (int,),
-                "reward": (float, int), "done": (bool,)}
+# field -> type, checked by the config type rule (bool is not an int)
+HEADER_TYPES = {"env": str, "seed": int, "config": dict}
+RECORD_TYPES = {"tick": int, "agent_id": str, "action": int, "reward": float, "done": bool}
 
 
 def _checked(obj, types: dict, required, lineno: int) -> dict:
@@ -65,10 +67,9 @@ def _checked(obj, types: dict, required, lineno: int) -> dict:
     missing = sorted(set(required) - set(obj))
     if missing:
         raise IntegrityError(f"{where}: missing {missing}")
-    for key, allowed in types.items():
-        if key in obj and type(obj[key]) not in allowed:
-            raise IntegrityError(f"{where}: field {key!r} is {obj[key]!r}, "
-                                 f"not {' or '.join(t.__name__ for t in allowed)}")
+    for key, typ in types.items():
+        if key in obj and not type_rule(typ)(obj[key]):
+            raise IntegrityError(f"{where}: field {key!r} is {obj[key]!r}, not {type_name(typ)}")
     return obj
 
 
@@ -89,6 +90,12 @@ def read_replay(path) -> tuple[dict, list[dict]]:
                 header = _checked(obj, HEADER_TYPES, ("env", "seed"), lineno)
                 if header["seed"] < 0:
                     raise IntegrityError(f"corrupt replay line {lineno}: negative seed")
+                if header["env"] in ENVIRONMENTS:
+                    try:
+                        make_config(header["env"], header.get("config", {}))
+                    except ConfigError as exc:
+                        raise IntegrityError(f"corrupt replay line {lineno}: "
+                                             f"config: {exc}") from exc
             else:
                 records.append(_checked(obj, RECORD_TYPES, RECORD_TYPES, lineno))
     return header or {}, records
@@ -109,6 +116,9 @@ def replay_episode(env, header: dict, records: list[dict], on_tick=None) -> int:
     """
     if header.get("env") != env.name:
         raise ConfigError(f"log is for env {header.get('env')!r}, not {env.name!r}")
+    if "config_hash" in header and header["config_hash"] != config_hash(env.config_dict()):
+        raise IntegrityError(f"replay config_hash {header['config_hash']!r} does not match "
+                             f"the environment's config {config_hash(env.config_dict())!r}")
     env.reset(header["seed"])
     count = 0
     for tick, agent_records in group_by_tick(records):

@@ -19,7 +19,7 @@ import pytest
 from policyspace.autodiff import constant
 from policyspace.checkpoint import load_checkpoint, save_checkpoint
 from policyspace.diversity import DiversityConfig, estimate_for_generator
-from policyspace.envs import Bot, MarkovSoccer, MultiGoal, SoccerConfig
+from policyspace.envs import Bot, MarkovSoccer, MultiGoal, MultiGoalConfig, SoccerConfig
 from policyspace.envs.farmworld import Farmworld, FarmworldConfig, build_ablation
 from policyspace.evaluation import (BotPolicy, LatentPolicy, ablation_sweep,
                                     bot_gauntlet, play_series, round_robin_matrix,
@@ -212,7 +212,7 @@ def _goals_reached(gen, n_latents=64, seed=0, episodes=5):
             obs = env.reset(int(rng.integers(2 ** 62)))
             run_episode(gen, env, obs, {"agent_0": z}, rng)
             idx, dist = env.nearest_goal()
-            if dist <= env.capture_radius:
+            if dist <= env.config.capture_radius:
                 ends.append(idx)
         for idx in set(ends):
             if 2 * ends.count(idx) > episodes:
@@ -383,7 +383,7 @@ def test_criterion_8_engine_invariants(tmp_path):
         tc = TrainerConfig(batch_size=80, minibatch_size=40, sgd_iters=2,
                            num_envs=2, method=method,
                            diversity=DiversityConfig(coef=0.0))
-        tr = Trainer(g, lambda: MultiGoal(max_episode_timesteps=20), tc, seed=4)
+        tr = Trainer(g, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=20)), tc, seed=4)
         for _ in range(3):
             tr.train_iteration()
         return g.get_flat()

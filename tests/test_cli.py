@@ -9,7 +9,8 @@ from helpers import random_episode, rewrite_checkpoint_header
 from policyspace.checkpoint import save_checkpoint
 from policyspace.cli import build_parser, main
 from policyspace.config import load_config_file, resolve_config, write_manifest
-from policyspace.envs import MultiGoal, make_env
+from policyspace.envs import ENVIRONMENTS, MarkovSoccer, MultiGoal, MultiGoalConfig, make_env
+from policyspace.envs.base import field_types
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator
 from policyspace.latent_search import load_trace
@@ -168,6 +169,49 @@ def test_train_missing_file_exit_2(tmp_path):
     assert main(["train", str(tmp_path / "nope.ini")]) == 2
 
 
+TINY_RUNS = {"multigoal": TINY_MULTIGOAL, "farmworld": TINY_FARMWORLD, "soccer": TINY_SOCCER}
+INF = float("inf")
+REGION, LAYOUT_2X2 = [0, 0, 99, 99], {"width": 2, "height": 2, "agents": [[0, 0]],
+                                      "chickens": [], "towers": [], "fences": []}
+# env -> field -> a value of the wrong type, then out-of-range values
+ENV_FIELD_FAULTS = {
+    "multigoal": {
+        "max_episode_timesteps": [2.7, 0, -3], "capture_radius": ["x", 0.6],
+        "step_size": ["x", 0.0], "start_jitter": ["x", 0.6],
+    },
+    "farmworld": {
+        "width": ["x", 0], "height": [2.5, 0], "num_agents": ["x", 0],
+        "num_chickens": ["x", -1], "num_towers": ["x", -1],
+        "agent_max_health": ["x", 0.0], "agent_start_health": ["abc", 11.0, 0],
+        "health_decay": ["x", -0.1], "agent_attack_damage": ["x", -1.0],
+        "agent_food_yield": ["x", INF], "chicken_yield": ["x", -INF], "tower_yield": ["x", INF],
+        "chicken_max_health": ["x", 0], "chicken_move_probability": ["x", 7],
+        "tower_attacks": ["x", 0], "haystack_mines": ["x", 0], "respawn_time": ["x", -1],
+        "max_episode_timesteps": ["x", 0], "enforced_specialization": [3],
+        "ablation": [3, "gravity"], "agent_region": ["abc", REGION],
+        "food_region": ["1,x", REGION], "chicken_region": [[0, 0, 3], REGION],
+        "tower_region": ["abc", [5, 5, 2, 2]], "fence_cells": ["abc", [[99, 99]]],
+        "layout": ["abc", LAYOUT_2X2],
+    },
+    "soccer": {
+        "rows": ["x", 1], "cols": ["x", 1], "draw_prob": ["x", 1.5],
+        "max_episode_timesteps": ["x", 0], "start_left": ["x", [9, 9]],
+        "start_right": [[1, 3, 1], [1, 5]], "initial_possession": [3, "up"],
+    },
+}
+ENV_FIELD_ROWS = [(env, field, value) for env, fields in ENV_FIELD_FAULTS.items()
+                  for field, values in fields.items() for value in values]
+
+
+def test_every_env_field_has_a_fault_row():
+    for env, fields in ENV_FIELD_FAULTS.items():
+        assert set(fields) == set(field_types(ENVIRONMENTS[env].config_class))
+
+
+def ini_value(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
 MALFORMED_INI = {
     "no section header": "env = multigoal\n",
     "duplicate section": "[run]\nenv = multigoal\n[run]\nseed = 1\n",
@@ -204,6 +248,11 @@ MALFORMED_INI = {
     "farmworld fence as one pair": TINY_FARMWORLD.replace("[env]", "[env]\nfence_cells = 1,2"),
     "farmworld text fence": TINY_FARMWORLD.replace("[env]", "[env]\nfence_cells = abc"),
 }
+MALFORMED_INI.update({   # INI values are flat: no dict and no list of lists
+    f"{env} {field} = {ini_value(value)}": TINY_RUNS[env].replace(
+        "max_episode_timesteps = 10", f"{field} = {ini_value(value)}")
+    for env, field, value in ENV_FIELD_ROWS
+    if not isinstance(value, dict) and not (isinstance(value, list) and isinstance(value[0], list))})
 
 
 @pytest.mark.parametrize("text", MALFORMED_INI.values(), ids=MALFORMED_INI.keys())
@@ -249,6 +298,17 @@ MANIFEST_FAULTS = {
 }
 
 
+def env_edit(env, field, value):
+    def edit(config):
+        config["run"]["env"] = env
+        config["env"] = {**make_env(env).config_dict(), field: value}
+    return edit
+
+
+MANIFEST_FAULTS.update({f"{env} {field} {value!r}": (env_edit(env, field, value), field)
+                        for env, field, value in ENV_FIELD_ROWS})
+
+
 @pytest.mark.parametrize("edit, field", MANIFEST_FAULTS.values(), ids=MANIFEST_FAULTS.keys())
 def test_train_rejects_malformed_manifest_with_exit_2(tmp_path, capsys, edit, field):
     resolved = resolve_config(load_config_file(write_config(tmp_path)))
@@ -264,6 +324,20 @@ def test_train_rejects_unparseable_manifest_with_exit_2(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text('{"config": ')
     assert main(["train", str(manifest)]) == 2
+
+
+def test_an_integer_for_a_float_env_field_runs_the_float_game(tmp_path):
+    # an int start health once made an int health array that truncated the decay
+    runs = {}
+    for value in ("5", "5.0"):
+        text = TINY_FARMWORLD.replace("[env]", f"[env]\nagent_start_health = {value}")
+        run_dir = tmp_path / value
+        assert main(["train", str(write_config(tmp_path, text)), "--run-dir", str(run_dir)]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        runs[value] = (json.dumps(manifest["config"]["env"], sort_keys=True),
+                       [row[:-1] for row in read_metrics(run_dir)])
+    assert runs["5"] == runs["5.0"]
+    assert json.loads(runs["5"][0])["agent_start_health"] == 5.0
 
 
 # -- adapt -----------------------------------------------------------------------
@@ -368,6 +442,11 @@ HEADER_FAULTS = {
     "generator missing": lambda h: h.pop("generator"),
     "weight_count malformed": lambda h: h.update(weight_count="many"),
     "moment_shapes malformed": lambda h: h.update(moment_shapes=[["x"]]),
+    "env_config text max_episode_timesteps":
+        lambda h: h["env_config"].update(max_episode_timesteps="x"),
+    "env_config zero max_episode_timesteps":
+        lambda h: h["env_config"].update(max_episode_timesteps=0),
+    "env_config unknown key": lambda h: h["env_config"].update(warp_speed=9),
 }
 
 
@@ -459,7 +538,7 @@ def test_eval_specialization_writes_metrics(tmp_path):
 
 
 def logged_episode(tmp_path):
-    writer = random_episode(MultiGoal(max_episode_timesteps=5), 3, np.random.default_rng(0))
+    writer = random_episode(MultiGoal(MultiGoalConfig(max_episode_timesteps=5)), 3, np.random.default_rng(0))
     path = tmp_path / "episode.jsonl"
     writer.save(path)
     return path
@@ -496,6 +575,13 @@ MALFORMED_REPLAYS = {
     "string seed": ({**REPLAY_HEADER, "seed": "x"}, REPLAY_RECORD, 1),
     "negative seed": ({**REPLAY_HEADER, "seed": -1}, REPLAY_RECORD, 1),
     "list config": ({**REPLAY_HEADER, "config": [1]}, REPLAY_RECORD, 1),
+    "text max_episode_timesteps": ({**REPLAY_HEADER, "config": {"max_episode_timesteps": "x"}},
+                                   REPLAY_RECORD, 1),
+    "unknown config key": ({**REPLAY_HEADER, "config": {"warp_speed": 9}}, REPLAY_RECORD, 1),
+    "farmworld text layout": ({**REPLAY_HEADER, "env": "farmworld", "config": {"layout": "abc"}},
+                              REPLAY_RECORD, 1),
+    "farmworld text start health": ({**REPLAY_HEADER, "env": "farmworld",
+                                     "config": {"agent_start_health": "abc"}}, REPLAY_RECORD, 1),
     "string action": (REPLAY_HEADER, {**REPLAY_RECORD, "action": "a"}, 2),
     "list tick": (REPLAY_HEADER, {**REPLAY_RECORD, "tick": [0]}, 2),
     "string reward": (REPLAY_HEADER, {**REPLAY_RECORD, "reward": "x"}, 2),
@@ -521,6 +607,15 @@ def test_replay_tampered_reward_exit_4(tmp_path):
     lines[2] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(path), "--quiet"]) == 4
+
+
+def test_replay_config_edited_under_its_hash_exit_4(tmp_path, capsys):
+    writer = random_episode(MarkovSoccer(), 4, np.random.default_rng(2))
+    writer.header["config"]["draw_prob"] = 0.5
+    log = tmp_path / "soccer.jsonl"
+    writer.save(log)
+    assert main(["replay", str(log), "--quiet"]) == 4
+    assert "config_hash" in capsys.readouterr().err
 
 
 def test_replay_farmworld_episode_via_cli(tmp_path, capsys):

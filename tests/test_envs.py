@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from policyspace.envs import MultiGoal, make_env
+from policyspace.envs import (ABLATION_NAMES, Farmworld, FarmworldConfig, MultiGoal,
+                              MultiGoalConfig, make_config, make_env)
 from policyspace.envs.multigoal import CORNERS
 from policyspace.errors import ConfigError, IntegrityError
 from policyspace.replay import read_replay, replay_episode
@@ -34,7 +35,7 @@ def test_roster_matches_config():
 
 
 def test_reward_is_negative_distance_to_nearest_goal():
-    env = MultiGoal(start_jitter=0.0)
+    env = MultiGoal(MultiGoalConfig(start_jitter=0.0))
     env.reset(seed=0)
     _, rewards, _ = env.step({"agent_0": 4})  # stay at the center
     expected = -float(np.linalg.norm(CORNERS - env.position, axis=1).min())
@@ -42,7 +43,7 @@ def test_reward_is_negative_distance_to_nearest_goal():
 
 
 def test_reaching_a_goal_ends_the_episode():
-    env = MultiGoal(start_jitter=0.0)
+    env = MultiGoal(MultiGoalConfig(start_jitter=0.0))
     env.reset(seed=0)
     env.position = np.array([0.08, 0.0])  # one step left of the (0,0) goal zone
     _, _, dones = env.step({"agent_0": 3})
@@ -51,7 +52,7 @@ def test_reaching_a_goal_ends_the_episode():
 
 
 def test_done_after_max_episode_timesteps():
-    env = MultiGoal(max_episode_timesteps=5, start_jitter=0.0)
+    env = MultiGoal(MultiGoalConfig(max_episode_timesteps=5, start_jitter=0.0))
     env.reset(seed=0)
     for _ in range(4):
         _, _, dones = env.step({"agent_0": 4})
@@ -70,7 +71,7 @@ def test_illegal_action_is_rejected_not_clamped():
 
 
 def test_stepping_a_finished_environment_raises():
-    env = MultiGoal(max_episode_timesteps=1)
+    env = MultiGoal(MultiGoalConfig(max_episode_timesteps=1))
     env.reset(seed=0)
     env.step({"agent_0": 4})
     with pytest.raises(ConfigError):
@@ -136,7 +137,7 @@ def test_step_after_the_finish_raises(name):
 
 
 def test_positions_stay_in_unit_square():
-    env = MultiGoal(start_jitter=0.0)
+    env = MultiGoal(MultiGoalConfig(start_jitter=0.0))
     env.reset(seed=3)
     for _ in range(40):
         if env.finished:
@@ -152,6 +153,32 @@ def test_make_env_registry():
     assert make_env("far_corner").config.width == 18
     with pytest.raises(ConfigError):
         make_env("cartpole")
+
+
+@pytest.mark.parametrize("name", ["multigoal", "farmworld", "soccer", *ABLATION_NAMES[1:]])
+def test_config_dict_round_trips_through_make_env(name):
+    env = make_env(name)
+    again = make_env(env.name, json.loads(json.dumps(env.config_dict())))
+    assert again.config == env.config
+    assert again.config_dict() == env.config_dict()
+
+
+def test_make_config_makes_json_values_exact():
+    cfg = make_config("farmworld", {"name": "farmworld", "agent_start_health": 5,
+                                    "agent_region": [0, 0, 3, 3], "fence_cells": [[4, 4]]})
+    assert type(cfg.agent_start_health) is float
+    assert cfg.agent_region == (0, 0, 3, 3) and cfg.fence_cells == ((4, 4),)
+    with pytest.raises(ConfigError, match="warp_speed"):
+        make_config("soccer", {"warp_speed": 1})
+    with pytest.raises(ConfigError, match="named 'farmworld'"):
+        make_config("soccer", {"name": "farmworld"})
+
+
+def test_an_integer_start_health_still_makes_float_health():
+    env = Farmworld(FarmworldConfig(agent_start_health=5, width=4, height=4, num_agents=2,
+                                    num_chickens=0, num_towers=0))
+    env.reset(seed=0)
+    assert env.agent_health.dtype == np.float64
 
 
 # -- replay logs ------------------------------------------------------------

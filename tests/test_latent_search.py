@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from policyspace.envs import MultiGoal
+from policyspace.envs import MultiGoal, MultiGoalConfig
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator, sample_latent
 from policyspace.latent_search import (SearchConfig, episode_score_fn,
@@ -73,7 +73,7 @@ def test_episode_budget_bounded_by_generations_times_episodes():
             return super().reset(seed)
 
     cfg = SearchConfig(generations=6, episodes_per_latent=3)
-    score = episode_score_fn(gen, lambda: CountingEnv(max_episode_timesteps=5),
+    score = episode_score_fn(gen, lambda: CountingEnv(MultiGoalConfig(max_episode_timesteps=5)),
                              cfg.episodes_per_latent, np.random.default_rng(5))
     optimize_latents(score, np.random.default_rng(6), cfg)
     assert episodes["n"] == 6 * 3
@@ -113,7 +113,7 @@ def test_search_improves_with_budget_on_synthetic_objective():
 def test_generator_weights_frozen_during_env_search():
     gen = PolicyGenerator(2, 5, np.random.default_rng(13), hidden_dim=8)
     before = gen.get_flat()
-    score = episode_score_fn(gen, lambda: MultiGoal(max_episode_timesteps=10), 1,
+    score = episode_score_fn(gen, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=10)), 1,
                              np.random.default_rng(14))
     optimize_latents(score, np.random.default_rng(15), SearchConfig(generations=12))
     assert np.array_equal(gen.get_flat(), before)

@@ -7,7 +7,7 @@ import pytest
 
 from policyspace.autodiff import Tensor, parameter
 from policyspace.diversity import DiversityConfig
-from policyspace.envs import MultiGoal
+from policyspace.envs import MultiGoal, MultiGoalConfig
 from policyspace.errors import ConfigError, NumericError
 from policyspace.generator import PolicyGenerator, sample_latents
 from policyspace.training import (Discriminator, RolloutState, Trainer,
@@ -223,7 +223,7 @@ def test_minibatch_loss_graph_is_small(monkeypatch):
     # was its own node)
     gen = tiny_gen(16, arch="multiplicative")
     cfg = TrainerConfig(batch_size=40, minibatch_size=40, sgd_iters=1, num_envs=2)
-    trainer = Trainer(gen, lambda: MultiGoal(max_episode_timesteps=10), cfg, seed=9)
+    trainer = Trainer(gen, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=10)), cfg, seed=9)
     params = {id(p) for p in gen.parameters()}
     counts = []
     backward = Tensor.backward
@@ -289,7 +289,7 @@ def test_discriminator_learns_a_constant_latent():
 
 def test_rollouts_hold_one_latent_per_episode():
     gen = tiny_gen(9)
-    state = RolloutState([MultiGoal(max_episode_timesteps=20) for _ in range(3)])
+    state = RolloutState([MultiGoal(MultiGoalConfig(max_episode_timesteps=20)) for _ in range(3)])
     trajectories, finished = collect_rollouts(gen, state, steps=200,
                                               rng=np.random.default_rng(2))
     assert sum(len(t) for t in trajectories) >= 200
@@ -304,7 +304,7 @@ def test_rollouts_hold_one_latent_per_episode():
 
 def test_rollout_log_probs_match_the_collecting_weights():
     gen = tiny_gen(10)
-    state = RolloutState([MultiGoal(max_episode_timesteps=10)])
+    state = RolloutState([MultiGoal(MultiGoalConfig(max_episode_timesteps=10))])
     trajectories, _ = collect_rollouts(gen, state, steps=30, rng=np.random.default_rng(3))
     for traj in trajectories:
         # batched recompute agrees to BLAS shape-noise; per-row is bit-exact
@@ -319,7 +319,7 @@ def test_rollout_log_probs_match_the_collecting_weights():
 
 def test_batch_is_counted_in_agent_steps():
     gen = tiny_gen(11)
-    state = RolloutState([MultiGoal(max_episode_timesteps=50) for _ in range(4)])
+    state = RolloutState([MultiGoal(MultiGoalConfig(max_episode_timesteps=50)) for _ in range(4)])
     trajectories, _ = collect_rollouts(gen, state, steps=100, rng=np.random.default_rng(4))
     total = sum(len(t) for t in trajectories)
     assert 100 <= total < 100 + len(state.envs)  # one extra lockstep tick at most
@@ -331,7 +331,7 @@ def test_vanilla_equals_zero_alpha_bitwise():
         cfg = TrainerConfig(batch_size=60, minibatch_size=30, sgd_iters=2,
                             num_envs=2, method=method,
                             diversity=DiversityConfig(coef=0.0))
-        trainer = Trainer(gen, lambda: MultiGoal(max_episode_timesteps=15), cfg, seed=5)
+        trainer = Trainer(gen, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=15)), cfg, seed=5)
         for _ in range(3):
             trainer.train_iteration()
         return gen.get_flat()
@@ -344,7 +344,7 @@ def test_nonzero_alpha_changes_updates():
         gen = tiny_gen(13, hidden=8)
         cfg = TrainerConfig(batch_size=60, minibatch_size=30, sgd_iters=2,
                             num_envs=2, diversity=DiversityConfig(coef=alpha, num_states=10))
-        trainer = Trainer(gen, lambda: MultiGoal(max_episode_timesteps=15), cfg, seed=6)
+        trainer = Trainer(gen, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=15)), cfg, seed=6)
         trainer.train_iteration()
         return gen.get_flat()
 
@@ -356,7 +356,7 @@ def test_same_seed_training_is_reproducible():
         gen = tiny_gen(14, hidden=8)
         cfg = TrainerConfig(batch_size=60, minibatch_size=60, sgd_iters=2, num_envs=2,
                             diversity=DiversityConfig(coef=0.2, num_states=10))
-        trainer = Trainer(gen, lambda: MultiGoal(max_episode_timesteps=15), cfg, seed=7)
+        trainer = Trainer(gen, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=15)), cfg, seed=7)
         metrics = [trainer.train_iteration() for _ in range(2)]
         return gen.get_flat(), [m["mean_episode_reward"] for m in metrics]
 
@@ -369,7 +369,7 @@ def test_numeric_fault_rolls_back_the_iteration(monkeypatch):
     gen = tiny_gen(15, hidden=8)
     cfg = TrainerConfig(batch_size=40, minibatch_size=20, sgd_iters=2, num_envs=2,
                         method="vanilla")
-    trainer = Trainer(gen, lambda: MultiGoal(max_episode_timesteps=10), cfg, seed=8)
+    trainer = Trainer(gen, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=10)), cfg, seed=8)
     before = gen.get_flat()
     moments_before = [m.copy() for m in trainer.opt.state_arrays()]
 
@@ -405,7 +405,7 @@ def test_trainer_config_validation():
 def test_metrics_row_has_the_expected_fields():
     gen = tiny_gen(16, hidden=8)
     cfg = TrainerConfig(batch_size=40, minibatch_size=40, sgd_iters=1, num_envs=2)
-    trainer = Trainer(gen, lambda: MultiGoal(max_episode_timesteps=10), cfg, seed=9)
+    trainer = Trainer(gen, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=10)), cfg, seed=9)
     m = trainer.train_iteration()
     for key in ("iteration", "agent_steps", "mean_episode_reward", "l_div",
                 "entropy", "value_loss", "wall_seconds"):
@@ -418,7 +418,7 @@ def test_diayn_star_method_shapes_rewards_and_trains_discriminator():
     gen = tiny_gen(17, hidden=8)
     cfg = TrainerConfig(batch_size=60, minibatch_size=30, sgd_iters=1, num_envs=2,
                         method="diayn_star", diversity=DiversityConfig(coef=0.0))
-    trainer = Trainer(gen, lambda: MultiGoal(max_episode_timesteps=15), cfg, seed=10)
+    trainer = Trainer(gen, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=15)), cfg, seed=10)
     assert trainer.discriminator is not None
     m = trainer.train_iteration()
     assert m["discriminator_loss"] > 0.0
@@ -426,7 +426,7 @@ def test_diayn_star_method_shapes_rewards_and_trains_discriminator():
 
 def test_episodes_persist_across_batch_boundaries():
     gen = tiny_gen(20)
-    state = RolloutState([MultiGoal(max_episode_timesteps=40, start_jitter=0.0)])
+    state = RolloutState([MultiGoal(MultiGoalConfig(max_episode_timesteps=40, start_jitter=0.0))])
     rng = np.random.default_rng(6)
     # 10-step batches cut 40-tick episodes into segments; the env must carry on
     first, finished_a = collect_rollouts(gen, state, steps=10, rng=rng)
@@ -440,7 +440,7 @@ def test_episodes_persist_across_batch_boundaries():
 
 def test_finished_episode_returns_span_segments():
     gen = tiny_gen(21)
-    state = RolloutState([MultiGoal(max_episode_timesteps=12, start_jitter=0.0)])
+    state = RolloutState([MultiGoal(MultiGoalConfig(max_episode_timesteps=12, start_jitter=0.0))])
     rng = np.random.default_rng(7)
     segments, finished = [], []
     for _ in range(6):
