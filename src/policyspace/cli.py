@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (build_environment_factory, build_generator,
                      build_trainer_config, load_run_spec, write_manifest)
-from .envs import BOT_KINDS, Bot, make_env
+from .envs import ABLATION_NAMES, BOT_KINDS, Bot, make_env
 from .errors import ConfigError, IntegrityError, NumericError
 from .evaluation import (ablation_sweep, bot_gauntlet, round_robin_matrix,
                          specialization_eval, write_results_csv)
@@ -149,8 +149,7 @@ def cmd_eval(args) -> int:
                                  "value": float(out[metric])})
 
     elif args.protocol == "ablations":
-        names = ["training", "far_corner", "wall_barrier", "speed", "patience",
-                 "poison_chickens"]
+        names = ["training", *ABLATION_NAMES[1:]]     # "none" is the training config
         for path, loaded in checkpoints:
             method = loaded.header.get("extra", {}).get("method", path)
             for seed in range(args.seeds):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .diversity import DiversityConfig
 from .envs import ENVIRONMENTS, make_env
-from .envs.base import field_types, type_name, type_rule
+from .envs.base import field_types, from_json, type_name, type_rule
 from .errors import ConfigError
 from .generator import PolicyGenerator
 from .training import TrainerConfig
@@ -179,7 +179,7 @@ def resolve_config(overrides: dict) -> dict:
         for key, value in values.items():
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config field [{section}] {key}")
-            resolved[section][key] = value
+            resolved[section][key] = from_json(value, SCHEMA[section][key])
 
     for key in ("seed", "epochs", "checkpoint_every"):
         if resolved["run"][key] < 0:

@@ -84,7 +84,7 @@ def from_dict(cls, values: dict):
     unknown = sorted(set(values) - set(fields))
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
-    config = cls(**{key: _from_json(value, fields[key]) for key, value in values.items()})
+    config = cls(**{key: from_json(value, fields[key]) for key, value in values.items()})
     config.validate()
     return config
 
@@ -93,9 +93,11 @@ def _to_json(value):
     return [_to_json(part) for part in value] if isinstance(value, tuple) else value
 
 
-def _from_json(value, typ):
+def from_json(value, typ):
+    """A JSON value as a field of type `typ`: a list becomes a tuple and an int
+    for a float field a float. Every config section read from JSON runs this."""
     if isinstance(value, list):
-        return tuple(_from_json(part, None) for part in value)
+        return tuple(from_json(part, None) for part in value)
     return float(value) if typ is float and is_int(value) else value
 
 

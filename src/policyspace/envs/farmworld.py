@@ -21,7 +21,7 @@ health is appended.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .base import Environment, check_types, type_rule
 
 GROUND, AGENT, CHICKEN, TOWER, FENCE = 0, 1, 2, 3, 4
 KIND_SCALE = 1.0 / 5.0
+# the channels of a cell's features: what an observation reads of each cell
+KIND, HEALTH, ORIENT, HAY = range(4)
 BORDER_FEATURES = np.array([1.0, 0.0, 0.0, 0.0])
 
 # actions: up, down, right, left, attack, mine
@@ -44,8 +46,6 @@ VIEW_OFFSETS = np.array([(dr, dc)
                          for dc in range(-2 + abs(dr), 3 - abs(dr))])
 assert len(VIEW_OFFSETS) == 13
 
-ABLATION_NAMES = ("none", "far_corner", "wall_barrier", "speed", "patience",
-                  "poison_chickens")
 IS_CELL = type_rule(tuple[int, int])    # a (row, col) pair
 
 # FarmworldConfig field -> its least legal value
@@ -170,32 +170,29 @@ def config_from_map(text: str, **overrides) -> FarmworldConfig:
     return cfg
 
 
+# ablation -> its FarmworldConfig overrides; "none" is the reference training config
+ABLATIONS = {
+    "none": {},
+    "far_corner": {"width": 18, "height": 18,
+                   "agent_region": (0, 0, 6, 6), "food_region": (12, 12, 18, 18)},
+    "wall_barrier": {"fence_cells": tuple((r, 5) for r in range(1, 10)),  # gap at the top row
+                     "agent_region": (0, 0, 10, 5), "food_region": (0, 6, 10, 10)},
+    "speed": {"width": 2, "height": 2, "num_agents": 1, "num_chickens": 0, "num_towers": 1,
+              "tower_yield": 1.5, "respawn_time": 2},
+    "patience": {"width": 2, "height": 2, "num_agents": 1, "num_chickens": 0, "num_towers": 1,
+                 "tower_yield": 9.0, "respawn_time": 60},
+    "poison_chickens": {"chicken_yield": -FarmworldConfig.chicken_yield},
+}
+ABLATION_NAMES = tuple(ABLATIONS)
+
+
 def build_ablation(name: str) -> FarmworldConfig:
-    """The held-out environment variants, plus the reference training config."""
-    if name in ("none", "training"):
-        cfg = FarmworldConfig()
-    elif name == "far_corner":
-        cfg = FarmworldConfig(width=18, height=18, ablation="far_corner",
-                              agent_region=(0, 0, 6, 6),
-                              food_region=(12, 12, 18, 18))
-    elif name == "wall_barrier":
-        wall = tuple((r, 5) for r in range(1, 10))  # gap at the top row
-        cfg = FarmworldConfig(ablation="wall_barrier", fence_cells=wall,
-                              agent_region=(0, 0, 10, 5),
-                              food_region=(0, 6, 10, 10))
-    elif name == "speed":
-        cfg = FarmworldConfig(width=2, height=2, ablation="speed",
-                              num_agents=1, num_chickens=0, num_towers=1,
-                              tower_yield=1.5, respawn_time=2)
-    elif name == "patience":
-        cfg = FarmworldConfig(width=2, height=2, ablation="patience",
-                              num_agents=1, num_chickens=0, num_towers=1,
-                              tower_yield=9.0, respawn_time=60)
-    elif name == "poison_chickens":
-        base = FarmworldConfig()
-        cfg = replace(base, ablation="poison_chickens", chicken_yield=-base.chicken_yield)
-    else:
+    """The held-out environment variants, plus the reference training config
+    (named "none", or "training")."""
+    name = "none" if name == "training" else name
+    if name not in ABLATIONS:
         raise ConfigError(f"unknown ablation {name!r}")
+    cfg = FarmworldConfig(**ABLATIONS[name], ablation=name)
     cfg.validate()
     return cfg
 
@@ -214,17 +211,11 @@ class Farmworld(Environment):
 
     def _clear_cell(self, r: int, c: int):
         self.kind_grid[r, c] = GROUND
-        self.feat_kind[r, c] = 0.0
-        self.feat_health[r, c] = 0.0
-        self.feat_orient[r, c] = 0.0
-        self.feat_hay[r, c] = 0.0
+        self.features[r, c] = 0.0
 
     def _set_cell(self, r: int, c: int, kind: int, health: float, orient: int, hay: bool):
         self.kind_grid[r, c] = kind
-        self.feat_kind[r, c] = kind * KIND_SCALE
-        self.feat_health[r, c] = health
-        self.feat_orient[r, c] = orient / 3.0
-        self.feat_hay[r, c] = 1.0 if hay else 0.0
+        self.features[r, c] = (kind * KIND_SCALE, health, orient / 3.0, 1.0 if hay else 0.0)
 
     def _free(self, r: int, c: int) -> bool:
         return self.kind_grid[r, c] == GROUND
@@ -244,10 +235,7 @@ class Farmworld(Environment):
         cfg = self.config
         h, w = cfg.height, cfg.width
         self.kind_grid = np.zeros((h, w), dtype=np.int8)
-        self.feat_kind = np.zeros((h, w))
-        self.feat_health = np.zeros((h, w))
-        self.feat_orient = np.zeros((h, w))
-        self.feat_hay = np.zeros((h, w))
+        self.features = np.zeros((h, w, 4))     # each cell's (KIND, HEALTH, ORIENT, HAY)
 
         n = cfg.num_agents
         self.agent_pos = np.zeros((n, 2), dtype=np.int64)
@@ -277,37 +265,30 @@ class Farmworld(Environment):
                 raise ConfigError(f"fence placement collides at ({r}, {c})")
             self._set_cell(r, c, FENCE, 1.0, 0, False)
 
+        # a map places each unit on its own cell; otherwise cells are drawn in its region
         layout = cfg.layout
-        if layout is not None:
-            for kind, place in (("agents", self._place_agent), ("chickens", self._place_chicken),
-                                ("towers", self._place_tower)):
-                for idx, (r, c) in enumerate(layout[kind]):
-                    place(idx, r, c)
-            for r, c in layout["fences"]:
-                if self.kind_grid[r, c] != FENCE:
-                    self._set_cell(r, c, FENCE, 1.0, 0, False)
-        else:
-            for i in range(cfg.num_agents):
-                cell = self._sample_cell(cfg.agent_region)
+        for kind, count, region, place in (
+                ("agents", n, cfg.agent_region, self._place_agent),
+                ("chickens", cfg.num_chickens, cfg.chicken_region or cfg.food_region,
+                 self._place_chicken),
+                ("towers", cfg.num_towers, cfg.tower_region or cfg.food_region, self._place_tower)):
+            for i in range(count):
+                cell = self._sample_cell(region) if layout is None else layout[kind][i]
                 if cell is None:
-                    raise ConfigError("could not place agents; grid too crowded")
-                self._place_agent(i, *cell)
-            for i in range(cfg.num_chickens):
-                cell = self._sample_cell(cfg.chicken_region or cfg.food_region)
-                if cell is None:
-                    raise ConfigError("could not place chickens; grid too crowded")
-                self._place_chicken(i, *cell)
-            for i in range(cfg.num_towers):
-                cell = self._sample_cell(cfg.tower_region or cfg.food_region)
-                if cell is None:
-                    raise ConfigError("could not place towers; grid too crowded")
-                self._place_tower(i, *cell)
+                    raise ConfigError(f"could not place {kind}; grid too crowded")
+                place(i, *cell)
+        for r, c in layout["fences"] if layout is not None else ():
+            if self.kind_grid[r, c] != FENCE:
+                self._set_cell(r, c, FENCE, 1.0, 0, False)
 
         return self._observations()
 
     def _place_agent(self, i: int, r: int, c: int):
+        """Put agent `i` on (r, c), facing its orientation. Its health feature is
+        computed, unfloored, from `agent_health`, never copied from its old cell."""
         self.agent_pos[i] = (r, c)
-        self._set_cell(r, c, AGENT, self.agent_health[i] / self.config.agent_max_health, 0, False)
+        self._set_cell(r, c, AGENT, self.agent_health[i] / self.config.agent_max_health,
+                       self.agent_orient[i], False)
 
     def _place_chicken(self, i: int, r: int, c: int):
         self.chicken_pos[i] = (r, c)
@@ -327,7 +308,7 @@ class Farmworld(Environment):
     # -- observations ----------------------------------------------------------
 
     def living_agents(self) -> list[str]:
-        return [f"agent_{i}" for i in np.flatnonzero(self.agent_alive)]
+        return [self.agent_ids[i] for i in np.flatnonzero(self.agent_alive)]
 
     def _observations(self, include: np.ndarray | None = None) -> dict:
         idx = np.flatnonzero(self.agent_alive) if include is None else include
@@ -338,30 +319,29 @@ class Farmworld(Environment):
         rr, cc = cells[..., 0], cells[..., 1]
         inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
         rs, cs = rr.clip(0, h - 1), cc.clip(0, w - 1)
-        feats = np.stack([self.feat_kind[rs, cs], self.feat_health[rs, cs],
-                          self.feat_orient[rs, cs], self.feat_hay[rs, cs]], axis=-1)
+        feats = self.features[rs, cs]
         feats[~inside] = BORDER_FEATURES
         flat = feats.reshape(idx.size, -1)
         own = (self.agent_health[idx] / self.config.agent_max_health)[:, None]
         obs = np.concatenate([flat, own], axis=1)
-        return {f"agent_{i}": obs[row] for row, i in enumerate(idx)}
+        return {self.agent_ids[i]: obs[row] for row, i in enumerate(idx)}
 
-    # -- unit lookup --------------------------------------------------------------
+    # -- unit state --------------------------------------------------------------
 
-    def _chicken_at(self, r: int, c: int) -> int:
-        hits = np.flatnonzero(self.chicken_alive
-                              & (self.chicken_pos[:, 0] == r) & (self.chicken_pos[:, 1] == c))
-        return int(hits[0])
+    @staticmethod
+    def _unit_at(pos: np.ndarray, alive: np.ndarray, r: int, c: int) -> int:
+        """Index of the living unit, of the kind `pos` and `alive` hold, on (r, c)."""
+        return int(np.flatnonzero(alive & (pos[:, 0] == r) & (pos[:, 1] == c))[0])
 
-    def _tower_at(self, r: int, c: int) -> int:
-        hits = np.flatnonzero(self.tower_alive
-                              & (self.tower_pos[:, 0] == r) & (self.tower_pos[:, 1] == c))
-        return int(hits[0])
+    def _tower_health(self, ti: int) -> float:
+        """Tower `ti`'s health feature: the attacks and mines it has left."""
+        cfg = self.config
+        return (self.tower_left[ti] + self.mine_left[ti]) / (cfg.tower_attacks + cfg.haystack_mines)
 
-    def _agent_at(self, r: int, c: int) -> int:
-        hits = np.flatnonzero(self.agent_alive
-                              & (self.agent_pos[:, 0] == r) & (self.agent_pos[:, 1] == c))
-        return int(hits[0])
+    def _show_agent_health(self, i: int):
+        """Write agent `i`'s health, floored at 0, into its cell's features."""
+        r, c = self.agent_pos[i]
+        self.features[r, c, HEALTH] = max(0.0, self.agent_health[i]) / self.config.agent_max_health
 
     # -- harvesting ------------------------------------------------------------------
 
@@ -384,17 +364,16 @@ class Farmworld(Environment):
         acted = np.flatnonzero(self.agent_alive)
 
         for i in acted:
-            action = actions[f"agent_{i}"]
+            action = actions[self.agent_ids[i]]
             r, c = self.agent_pos[i]
             if action < 4:
                 self.agent_orient[i] = ACTION_TO_ORIENT[action]
-                self.feat_orient[r, c] = self.agent_orient[i] / 3.0
+                self.features[r, c, ORIENT] = self.agent_orient[i] / 3.0
                 dr, dc = ORIENT_DELTAS[self.agent_orient[i]]
                 nr, nc = r + dr, c + dc
                 if 0 <= nr < h and 0 <= nc < w and self._free(nr, nc):
                     self._clear_cell(r, c)
                     self._place_agent(i, nr, nc)
-                    self.feat_orient[nr, nc] = self.agent_orient[i] / 3.0
                 continue
 
             dr, dc = ORIENT_DELTAS[self.agent_orient[i]]
@@ -404,7 +383,7 @@ class Farmworld(Environment):
             target = self.kind_grid[tr, tc]
             if action == ATTACK:
                 if target == CHICKEN:
-                    ci = self._chicken_at(tr, tc)
+                    ci = self._unit_at(self.chicken_pos, self.chicken_alive, tr, tc)
                     self.chicken_hits[ci] -= 1
                     self.chicken_attacks[i] += 1
                     if self.chicken_hits[ci] <= 0:
@@ -413,28 +392,28 @@ class Farmworld(Environment):
                         self._clear_cell(tr, tc)
                         self._harvest(i, CHICKEN, cfg.chicken_yield)
                     else:
-                        self.feat_health[tr, tc] = self.chicken_hits[ci] / cfg.chicken_max_health
+                        self.features[tr, tc, HEALTH] = (self.chicken_hits[ci]
+                                                         / cfg.chicken_max_health)
                 elif target == TOWER:
-                    ti = self._tower_at(tr, tc)
+                    ti = self._unit_at(self.tower_pos, self.tower_alive, tr, tc)
                     if not self.tower_hay[ti]:
                         self.tower_left[ti] -= 1
                         self.tower_attacks[i] += 1
                         if self.tower_left[ti] <= 0:
                             self.tower_hay[ti] = True
-                            self.feat_hay[tr, tc] = 1.0
-                        self.feat_health[tr, tc] = ((self.tower_left[ti] + self.mine_left[ti])
-                                                    / (cfg.tower_attacks + cfg.haystack_mines))
+                            self.features[tr, tc, HAY] = 1.0
+                        self.features[tr, tc, HEALTH] = self._tower_health(ti)
                 elif target == AGENT:
-                    vi = self._agent_at(tr, tc)
+                    vi = self._unit_at(self.agent_pos, self.agent_alive, tr, tc)
                     self.agent_health[vi] -= cfg.agent_attack_damage
-                    self.feat_health[tr, tc] = max(0.0, self.agent_health[vi]) / cfg.agent_max_health
+                    self._show_agent_health(vi)
                     if cfg.agent_food_yield:
                         self.agent_health[i] = min(cfg.agent_max_health,
                                                    self.agent_health[i] + cfg.agent_food_yield)
                 # fences and ground shrug off attacks
             elif action == MINE:
                 if target == TOWER:
-                    ti = self._tower_at(tr, tc)
+                    ti = self._unit_at(self.tower_pos, self.tower_alive, tr, tc)
                     if self.tower_hay[ti]:
                         self.mine_left[ti] -= 1
                         self.tower_attacks[i] += 1
@@ -444,8 +423,7 @@ class Farmworld(Environment):
                             self._clear_cell(tr, tc)
                             self._harvest(i, TOWER, cfg.tower_yield)
                         else:
-                            self.feat_health[tr, tc] = ((self.tower_left[ti] + self.mine_left[ti])
-                                                        / (cfg.tower_attacks + cfg.haystack_mines))
+                            self.features[tr, tc, HEALTH] = self._tower_health(ti)
 
         # chickens wander
         for ci in range(cfg.num_chickens):
@@ -456,7 +434,7 @@ class Farmworld(Environment):
             direction = int(self.rng.integers(4))
             self.chicken_orient[ci] = direction
             r, c = self.chicken_pos[ci]
-            self.feat_orient[r, c] = direction / 3.0
+            self.features[r, c, ORIENT] = direction / 3.0
             dr, dc = ORIENT_DELTAS[direction]
             nr, nc = r + dr, c + dc
             if 0 <= nr < h and 0 <= nc < w and self._free(nr, nc):
@@ -469,36 +447,31 @@ class Farmworld(Environment):
         # decay, respawns, deaths
         for i in acted:
             self.agent_health[i] -= cfg.health_decay
-            r, c = self.agent_pos[i]
-            self.feat_health[r, c] = max(0.0, self.agent_health[i]) / cfg.agent_max_health
+            self._show_agent_health(i)
 
-        for ci in range(cfg.num_chickens):
-            if not self.chicken_alive[ci]:
-                self.chicken_timer[ci] -= 1
-                if self.chicken_timer[ci] <= 0:
-                    cell = self._sample_cell(cfg.chicken_region or cfg.food_region, tries=50)
+        # chickens first, then towers, each in ascending index
+        for alive, timer, region, place in (
+                (self.chicken_alive, self.chicken_timer, cfg.chicken_region or cfg.food_region,
+                 self._place_chicken),
+                (self.tower_alive, self.tower_timer, cfg.tower_region or cfg.food_region,
+                 self._place_tower)):
+            for i in np.flatnonzero(~alive):
+                timer[i] -= 1
+                if timer[i] <= 0:
+                    cell = self._sample_cell(region, tries=50)
                     if cell is not None:
-                        self._place_chicken(ci, *cell)
-        for ti in range(cfg.num_towers):
-            if not self.tower_alive[ti]:
-                self.tower_timer[ti] -= 1
-                if self.tower_timer[ti] <= 0:
-                    cell = self._sample_cell(cfg.tower_region or cfg.food_region, tries=50)
-                    if cell is not None:
-                        self._place_tower(ti, *cell)
+                        place(i, *cell)
 
         dones = {}
         rewards = {}
         for i in acted:
+            agent = self.agent_ids[i]
             if self.agent_health[i] <= 0.0:
                 self.agent_alive[i] = False
-                r, c = self.agent_pos[i]
-                self._clear_cell(r, c)
-                rewards[f"agent_{i}"] = 0.0
-                dones[f"agent_{i}"] = True
+                self._clear_cell(*self.agent_pos[i])
+                rewards[agent], dones[agent] = 0.0, True
             else:
-                rewards[f"agent_{i}"] = 0.1
-                dones[f"agent_{i}"] = False
+                rewards[agent], dones[agent] = 0.1, False
 
         obs = self._observations(include=acted)
         return obs, rewards, dones
@@ -507,12 +480,12 @@ class Farmworld(Environment):
 
     def specialization_counts(self) -> dict:
         return {
-            f"agent_{i}": {
+            agent: {
                 "chicken_attacks": int(self.chicken_attacks[i]),
                 "tower_attacks": int(self.tower_attacks[i]),
                 "blunders": int(self.blunders[i]),
             }
-            for i in range(self.config.num_agents)
+            for i, agent in enumerate(self.agent_ids)
         }
 
     def mean_final_health(self) -> float:
@@ -527,7 +500,7 @@ class Farmworld(Environment):
             for c in range(self.config.width):
                 kind = self.kind_grid[r, c]
                 if kind == TOWER:
-                    row.append("h" if self.feat_hay[r, c] > 0 else "t")
+                    row.append("h" if self.features[r, c, HAY] > 0 else "t")
                 else:
                     row.append(chars[int(kind)])
             rows.append("".join(row))

@@ -90,12 +90,14 @@ def read_replay(path) -> tuple[dict, list[dict]]:
                 header = _checked(obj, HEADER_TYPES, ("env", "seed"), lineno)
                 if header["seed"] < 0:
                     raise IntegrityError(f"corrupt replay line {lineno}: negative seed")
-                if header["env"] in ENVIRONMENTS:
-                    try:
-                        make_config(header["env"], header.get("config", {}))
-                    except ConfigError as exc:
-                        raise IntegrityError(f"corrupt replay line {lineno}: "
-                                             f"config: {exc}") from exc
+                if header["env"] not in ENVIRONMENTS:
+                    raise IntegrityError(f"corrupt replay line {lineno}: env {header['env']!r} "
+                                         f"is not one of {sorted(ENVIRONMENTS)}")
+                try:
+                    make_config(header["env"], header.get("config", {}))
+                except ConfigError as exc:
+                    raise IntegrityError(f"corrupt replay line {lineno}: "
+                                         f"config: {exc}") from exc
             else:
                 records.append(_checked(obj, RECORD_TYPES, RECORD_TYPES, lineno))
     return header or {}, records

@@ -340,6 +340,24 @@ def test_an_integer_for_a_float_env_field_runs_the_float_game(tmp_path):
     assert json.loads(runs["5"][0])["agent_start_health"] == 5.0
 
 
+@pytest.mark.parametrize("section, key, value", [("trainer", "learning_rate", 1),
+                                                 ("diversity", "smoothing", 0)])
+def test_an_integer_for_a_float_field_in_a_manifest_runs_as_a_float(tmp_path, section, key,
+                                                                    value):
+    resolved = resolve_config(load_config_file(write_config(tmp_path)))
+    runs = []
+    for spelling in (value, float(value)):
+        resolved[section][key] = spelling
+        manifest = tmp_path / f"{spelling!r}.json"
+        write_manifest(manifest, resolved)
+        run_dir = tmp_path / f"run-{spelling!r}"
+        assert main(["train", str(manifest), "--run-dir", str(run_dir)]) == 0
+        recorded = json.loads((run_dir / "manifest.json").read_text())["config"][section][key]
+        runs.append((repr(recorded), [row[:-1] for row in read_metrics(run_dir)]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == repr(float(value))
+
+
 # -- adapt -----------------------------------------------------------------------
 
 
@@ -582,6 +600,8 @@ MALFORMED_REPLAYS = {
                               REPLAY_RECORD, 1),
     "farmworld text start health": ({**REPLAY_HEADER, "env": "farmworld",
                                      "config": {"agent_start_health": "abc"}}, REPLAY_RECORD, 1),
+    "unknown env": ({"env": "cartpole", "seed": 1, "config": {}}, REPLAY_RECORD, 1),
+    "ablation env": ({**REPLAY_HEADER, "env": "far_corner", "config": {}}, REPLAY_RECORD, 1),
     "string action": (REPLAY_HEADER, {**REPLAY_RECORD, "action": "a"}, 2),
     "list tick": (REPLAY_HEADER, {**REPLAY_RECORD, "tick": [0]}, 2),
     "string reward": (REPLAY_HEADER, {**REPLAY_RECORD, "reward": "x"}, 2),

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from policyspace.envs.farmworld import (CHICKEN, TOWER, VIEW_OFFSETS, Farmworld,
-                                        FarmworldConfig, build_ablation,
+from policyspace.envs.farmworld import (ABLATION_NAMES, CHICKEN, TOWER, VIEW_OFFSETS,
+                                        Farmworld, FarmworldConfig, build_ablation,
                                         config_from_map, parse_map)
 from policyspace.errors import ConfigError
 
@@ -251,6 +253,59 @@ def test_replay_determinism_for_farmworld():
     for acts, rewards in zip(actions_log, rewards_log):
         _, replayed, _ = env2.step(acts)
         assert replayed == rewards
+
+
+PINNED_MAP = """
+A..f..c
+.t.f.A.
+...f..t
+c......
+.A.ff.c
+"""
+PINNED_CONFIGS = {
+    **{name: build_ablation(name) for name in ABLATION_NAMES},
+    "specialization": FarmworldConfig(width=6, height=6, num_agents=4, num_chickens=4,
+                                      num_towers=3, enforced_specialization=True,
+                                      agent_food_yield=0.5, tower_attacks=1, haystack_mines=1,
+                                      chicken_max_health=1, respawn_time=3),
+    "map": config_from_map(PINNED_MAP, respawn_time=4, chicken_move_probability=0.5,
+                           max_episode_timesteps=40),
+    # one-hit food on a crowded grid: chickens and towers respawn on the same ticks
+    "crowded": FarmworldConfig(width=5, height=5, num_agents=6, num_chickens=4, num_towers=4,
+                               chicken_max_health=1, tower_attacks=1, haystack_mines=1,
+                               respawn_time=3, agent_start_health=10.0,
+                               max_episode_timesteps=60),
+}
+
+
+def seeded_episodes_digest(configs, seeds=(0, 1)) -> str:
+    """sha256 over random-action episodes: every tick's observations, rewards
+    and dones, then each episode's specialization counts, health and render."""
+    digest = hashlib.sha256()
+    for name, cfg in configs.items():
+        for seed in seeds:
+            env = Farmworld(cfg)
+            obs = env.reset(seed=seed)
+            rng = np.random.default_rng(seed + 100)
+            while True:
+                for agent in sorted(obs):
+                    digest.update(agent.encode() + obs[agent].tobytes())
+                if env.finished:
+                    break
+                obs, rewards, dones = env.step(
+                    {a: int(rng.integers(6)) for a in env.living_agents()})
+                digest.update(repr(sorted(rewards.items())).encode())
+                digest.update(repr(sorted(dones.items())).encode())
+            digest.update(f"{name} {env.specialization_counts()} "
+                          f"{env.mean_final_health()!r}\n{env.render()}".encode())
+    return digest.hexdigest()
+
+
+def test_seeded_episodes_are_pinned():
+    # recorded before the cell features became one array: every random draw
+    # and every observed byte of these streams must stay the same
+    assert seeded_episodes_digest(PINNED_CONFIGS) == (
+        "7a7979d636faac8d760b9d43ac4cb7db68cfee91842554471a42cd0480f231c7")
 
 
 # -- maps and ablations ---------------------------------------------------------
