@@ -37,7 +37,7 @@ rng = np.random.default_rng(1)
 for kind in BOT_KINDS:
     bot = Bot(kind)
     config = bot_match_config(bot)
-    series = play_series(config, BotPolicy(bot), RandomPolicy(), 300, rng,
+    series = play_series(MarkovSoccer(config), BotPolicy(bot), RandomPolicy(), 300, rng,
                          perspective="left")
     print(f"{kind:>12s} ({bot.role:>7s}) vs a random mover over 300 games: "
           f"{series.wins}W {series.losses}L {series.draws}D")

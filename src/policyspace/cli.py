@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (build_environment_factory, build_generator,
                      build_trainer_config, load_run_spec, write_manifest)
-from .envs import ABLATION_NAMES, BOT_KINDS, Bot, make_env
+from .envs import ABLATION_NAMES, BOT_KINDS, Bot, make_config, make_env
 from .errors import ConfigError, IntegrityError, NumericError
 from .evaluation import (ablation_sweep, bot_gauntlet, round_robin_matrix,
                          specialization_eval, write_results_csv)
@@ -118,11 +118,59 @@ PROTOCOL_ENVS = {"specialization": "farmworld", "ablations": "farmworld",
                  "bots": "soccer", "round_robin": "soccer"}
 
 
-def _check_protocol_env(protocol: str, loaded, path):
-    needed = PROTOCOL_ENVS[protocol]
-    if loaded.env_name != needed:
-        raise ConfigError(f"protocol {protocol!r} needs a {needed} checkpoint, "
-                          f"but {path} was trained on {loaded.env_name!r}")
+def _method(loaded, default: str) -> str:
+    return loaded.header.get("extra", {}).get("method", default)
+
+
+def _specialization(loaded, search, args, rng) -> dict:
+    factory = build_environment_factory(
+        "farmworld", {**loaded.env_config, "enforced_specialization": True})
+    out = specialization_eval(loaded.generator, factory, episodes=args.episodes, rng=rng)
+    return {metric: float(value) for metric, value in out.items()}
+
+
+def _ablations(loaded, search, args, rng) -> dict:
+    names = ["training", *ABLATION_NAMES[1:]]     # "none" is the training config
+    out = {}
+    for row in ablation_sweep(loaded.generator, names, search, rng):
+        out[f"health_{row['ablation']}"] = row["post_search_health"]
+        out[f"initial_{row['ablation']}"] = row["initial_health"]
+    return out
+
+
+def _bots(loaded, search, args, rng) -> dict:
+    results = bot_gauntlet(loaded.generator, [Bot(kind) for kind in BOT_KINDS],
+                           games=args.games, search=search, rng=rng,
+                           base=make_config("soccer", loaded.env_config))
+    return {f"wins_minus_losses_{kind}": float(row["score"].score)
+            for kind, row in results.items()}
+
+
+# protocol -> {metric: value} of one checkpoint and seed
+CHECKPOINT_PROTOCOLS = {"specialization": _specialization, "ablations": _ablations,
+                        "bots": _bots}
+
+
+def _round_robin(checkpoints, search, args) -> list[dict]:
+    if len(checkpoints) < 2:
+        raise ConfigError("round_robin needs at least two checkpoints")
+    (first, loaded), *others = checkpoints
+    config = make_config("soccer", loaded.env_config)
+    for path, other in others:
+        if make_config("soccer", other.env_config) != config:
+            raise ConfigError(f"round_robin needs one soccer config, but {first} and "
+                              f"{path} were trained on different ones")
+    generators = {f"{i}:{_method(loaded, os.path.basename(path))}": loaded.generator
+                  for i, (path, loaded) in enumerate(checkpoints)}
+    names, matrix = round_robin_matrix(generators, search, np.random.default_rng(args.seed),
+                                       games=args.games, config=config)
+    print("round robin (wins - losses, row vs column):")
+    print("  " + " ".join(f"{n:>16s}" for n in names))
+    for i, a in enumerate(names):
+        print(f"{a:>16s} " + " ".join(f"{matrix[i, j]:+16.0f}" for j in range(len(names))))
+    return [{"method": a, "seed": 0, "metric": f"wins_minus_losses_vs_{b}",
+             "value": float(matrix[i, j])}
+            for i, a in enumerate(names) for j, b in enumerate(names)]
 
 
 def cmd_eval(args) -> int:
@@ -130,75 +178,21 @@ def cmd_eval(args) -> int:
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag} must be positive, got {getattr(args, flag)}")
     checkpoints = [(path, load_checkpoint(path)) for path in args.checkpoints]
+    needed = PROTOCOL_ENVS[args.protocol]
     for path, loaded in checkpoints:
-        _check_protocol_env(args.protocol, loaded, path)
-    rows = []
-    rng = np.random.default_rng(args.seed)
-
-    if args.protocol == "specialization":
-        for path, loaded in checkpoints:
-            method = loaded.header.get("extra", {}).get("method", path)
-            factory = build_environment_factory(
-                "farmworld", {**loaded.env_config, "enforced_specialization": True})
-            for seed in range(args.seeds):
-                out = specialization_eval(loaded.generator, factory,
-                                          episodes=args.episodes,
-                                          rng=np.random.default_rng(args.seed + seed))
-                for metric in ("mean_specialization", "mean_episode_reward", "blunders"):
-                    rows.append({"method": method, "seed": seed, "metric": metric,
-                                 "value": float(out[metric])})
-
-    elif args.protocol == "ablations":
-        names = ["training", *ABLATION_NAMES[1:]]     # "none" is the training config
-        for path, loaded in checkpoints:
-            method = loaded.header.get("extra", {}).get("method", path)
-            for seed in range(args.seeds):
-                sweep = ablation_sweep(loaded.generator, names,
-                                       SearchConfig(generations=args.generations,
-                                                    episodes_per_latent=args.episodes_per_latent),
-                                       np.random.default_rng(args.seed + seed))
-                for row in sweep:
-                    rows.append({"method": method, "seed": seed,
-                                 "metric": f"health_{row['ablation']}",
-                                 "value": row["post_search_health"]})
-                    rows.append({"method": method, "seed": seed,
-                                 "metric": f"initial_{row['ablation']}",
-                                 "value": row["initial_health"]})
-
-    elif args.protocol == "bots":
-        bots = [Bot(kind) for kind in BOT_KINDS]
-        for path, loaded in checkpoints:
-            method = loaded.header.get("extra", {}).get("method", path)
-            for seed in range(args.seeds):
-                results = bot_gauntlet(loaded.generator, bots, games=args.games,
-                                       search=SearchConfig(generations=args.generations,
-                                                           episodes_per_latent=args.episodes_per_latent),
-                                       rng=np.random.default_rng(args.seed + seed))
-                for kind, row in results.items():
-                    rows.append({"method": method, "seed": seed,
-                                 "metric": f"wins_minus_losses_{kind}",
-                                 "value": float(row["score"].score)})
-
-    elif args.protocol == "round_robin":
-        if len(checkpoints) < 2:
-            raise ConfigError("round_robin needs at least two checkpoints")
-        generators = {}
-        for i, (path, loaded) in enumerate(checkpoints):
-            method = loaded.header.get("extra", {}).get("method", os.path.basename(path))
-            generators[f"{i}:{method}"] = loaded.generator
-        names, matrix = round_robin_matrix(
-            generators, SearchConfig(generations=args.generations,
-                                     episodes_per_latent=args.episodes_per_latent),
-            rng, games=args.games)
-        for i, a in enumerate(names):
-            for j, b in enumerate(names):
-                rows.append({"method": a, "seed": 0,
-                             "metric": f"wins_minus_losses_vs_{b}",
-                             "value": float(matrix[i, j])})
-        print("round robin (wins - losses, row vs column):")
-        print("  " + " ".join(f"{n:>16s}" for n in names))
-        for i, a in enumerate(names):
-            print(f"{a:>16s} " + " ".join(f"{matrix[i, j]:+16.0f}" for j in range(len(names))))
+        if loaded.env_name != needed:
+            raise ConfigError(f"protocol {args.protocol!r} needs a {needed} checkpoint, "
+                              f"but {path} was trained on {loaded.env_name!r}")
+    search = SearchConfig(generations=args.generations,
+                          episodes_per_latent=args.episodes_per_latent)
+    if args.protocol == "round_robin":
+        rows = _round_robin(checkpoints, search, args)
+    else:
+        protocol = CHECKPOINT_PROTOCOLS[args.protocol]
+        rows = [{"method": _method(loaded, path), "seed": seed, "metric": metric, "value": value}
+                for path, loaded in checkpoints for seed in range(args.seeds)
+                for metric, value in protocol(loaded, search, args,
+                                              np.random.default_rng(args.seed + seed)).items()]
 
     out_path = args.out or f"results_{args.protocol}.csv"
     write_results_csv(out_path, rows)

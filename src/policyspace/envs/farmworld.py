@@ -120,7 +120,7 @@ class FarmworldConfig:
         if self.layout is not None and not self._is_map(self.layout):
             raise ConfigError(f"farmworld layout is not a map of the {self.height}x{self.width} "
                               f"grid with {self.num_agents} agents, {self.num_chickens} "
-                              f"chickens and {self.num_towers} towers")
+                              f"chickens and {self.num_towers} towers, one unit per cell")
 
     def _on_grid(self, cell) -> bool:
         return IS_CELL(cell) and 0 <= cell[0] < self.height and 0 <= cell[1] < self.width
@@ -133,7 +133,9 @@ class FarmworldConfig:
                 and all(isinstance(layout[kind], list) and all(map(self._on_grid, layout[kind]))
                         for kind in kinds)
                 and [len(layout[kind]) for kind in kinds[:3]]
-                == [self.num_agents, self.num_chickens, self.num_towers])
+                == [self.num_agents, self.num_chickens, self.num_towers]
+                and len({tuple(cell) for kind in kinds for cell in layout[kind]})
+                == sum(len(layout[kind]) for kind in kinds))
 
 
 def parse_map(text: str) -> dict:

@@ -6,6 +6,10 @@ opponent-side latent that does best against the *whole* family of the other
 generator, then pick the reply latent that best exploits that fixed choice,
 and only then play the scored series. Soccer series are reported as
 wins - losses over the configured number of games.
+
+Games and episodes reuse their environment: `play_game` resets the one
+`MarkovSoccer` built for a bot's search and series or for a round-robin
+pair, and `play_episodes` resets the one environment of its call.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import numpy as np
 from .envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config, build_ablation
 from .envs.farmworld import Farmworld
 from .errors import ConfigError
-from .generator import PolicyGenerator, sample_latent, sample_latents
-from .latent_search import SearchConfig, episode_score_fn, optimize_latents, run_episode
+from .generator import PolicyGenerator, sample_latents
+from .latent_search import SearchConfig, episode_score_fn, optimize_latents, play_episodes
 
 
 def specialization(record: dict) -> float:
@@ -57,8 +61,9 @@ class LatentPolicy:
     one search share; the gauntlet and round-robin functions keep one per
     generator for the length of one call. Actions and random draws are the
     same as without the caches. The generator's weights and the latent must
-    not change, and the policy must stay on one pitch size, while the policy
-    or its `features` table is alive.
+    not change while the policy or its `features` table is alive, and the
+    environments it plays on must share one pitch size, as those of one
+    gauntlet or round robin do: they come from one soccer config.
     """
 
     def __init__(self, gen: PolicyGenerator, latent: np.ndarray, features: dict | None = None):
@@ -101,6 +106,15 @@ class MatchScore:
     losses: int = 0
     draws: int = 0
 
+    def add(self, result: str, side: str):
+        """Count one game's `result` ("left", "right" or "draw") for `side`."""
+        if result == side:
+            self.wins += 1
+        elif result == "draw":
+            self.draws += 1
+        else:
+            self.losses += 1
+
     @property
     def games(self) -> int:
         return self.wins + self.losses + self.draws
@@ -109,11 +123,15 @@ class MatchScore:
     def score(self) -> int:
         return self.wins - self.losses
 
+    @property
+    def mean(self) -> float:
+        """Wins - losses per game: a latent's search score."""
+        return self.score / self.games
 
-def play_game(config: SoccerConfig, left, right, seed: int,
+
+def play_game(env: MarkovSoccer, left, right, seed: int,
               rng: np.random.Generator) -> str:
-    """One game; returns "left", "right", or "draw"."""
-    env = MarkovSoccer(config)
+    """One game on `env`, reset with `seed`; returns "left", "right", or "draw"."""
     env.reset(seed)
     while not env.finished:
         actions = {"left": left.act(env, "left", rng),
@@ -122,43 +140,36 @@ def play_game(config: SoccerConfig, left, right, seed: int,
     return env.result if env.result is not None else "draw"
 
 
-def play_series(config: SoccerConfig, left, right, games: int,
-                rng: np.random.Generator, perspective: str = "right") -> MatchScore:
-    """A series of games scored from `perspective`'s side."""
-    other = "left" if perspective == "right" else "right"
+def play_games(env: MarkovSoccer, games, side: str) -> MatchScore:
+    """Play each `(left, right, seed, rng)` of `games` on `env`; scored for `side`."""
     score = MatchScore()
-    for _ in range(games):
-        result = play_game(config, left, right, int(rng.integers(2 ** 62)), rng)
-        if result == perspective:
-            score.wins += 1
-        elif result == other:
-            score.losses += 1
-        else:
-            score.draws += 1
+    for left, right, seed, rng in games:
+        score.add(play_game(env, left, right, seed, rng), side)
     return score
+
+
+def play_series(env: MarkovSoccer, left, right, games: int,
+                rng: np.random.Generator, perspective: str = "right") -> MatchScore:
+    """A series of games scored from `perspective`'s side, each seeded by a
+    draw from `rng`, which the policies also draw from."""
+    return play_games(env, ((left, right, int(rng.integers(2 ** 62)), rng)
+                            for _ in range(games)), perspective)
 
 
 # -- bot gauntlet ---------------------------------------------------------------
 
 
-def select_latent_vs_bot(gen: PolicyGenerator, bot: Bot, search: SearchConfig,
-                         rng: np.random.Generator,
-                         base: SoccerConfig | None = None,
-                         features: dict | None = None) -> tuple[np.ndarray, float]:
-    """Latent-search the family for its best answer to one scripted bot;
-    `features` is the generator's state-feature table (see `LatentPolicy`)."""
-    config = bot_match_config(bot, base)
+def select_latent_vs_bot(gen: PolicyGenerator, bot: Bot, env: MarkovSoccer,
+                         search: SearchConfig, rng: np.random.Generator,
+                         features: dict) -> tuple[np.ndarray, float]:
+    """Latent-search the family for its best answer to one scripted bot on
+    `env`, built from `bot_match_config`; `features` is the generator's
+    state-feature table (see `LatentPolicy`)."""
     bot_policy = BotPolicy(bot)
-    features = {} if features is None else features
 
     def score(z: np.ndarray) -> float:
-        policy = LatentPolicy(gen, z, features)
-        total = 0.0
-        for _ in range(search.episodes_per_latent):
-            result = play_game(config, bot_policy, policy,
-                               int(rng.integers(2 ** 62)), rng)
-            total += 1.0 if result == "right" else (-1.0 if result == "left" else 0.0)
-        return total / search.episodes_per_latent
+        return play_series(env, bot_policy, LatentPolicy(gen, z, features),
+                           search.episodes_per_latent, rng).mean
 
     result = optimize_latents(score, rng, search, latent_dim=gen.latent_dim)
     return result.best_latent, result.best_score
@@ -168,15 +179,16 @@ def bot_gauntlet(gen: PolicyGenerator, bots: list[Bot], games: int = 1000,
                  search: SearchConfig | None = None,
                  rng: np.random.Generator | None = None,
                  base: SoccerConfig | None = None) -> dict:
-    """Per-bot wins-losses of the searched family member over `games` games."""
+    """Per-bot wins-losses of the searched family member over `games` games,
+    each bot's search and series on one environment built from `base`."""
     rng = rng or np.random.default_rng(0)
     search = search or SearchConfig(generations=10, episodes_per_latent=10)
     results, features = {}, {}   # one state-feature table for the whole call
     for bot in bots:
-        latent, _ = select_latent_vs_bot(gen, bot, search, rng, base, features)
-        config = bot_match_config(bot, base)
-        series = play_series(config, BotPolicy(bot), LatentPolicy(gen, latent, features),
-                             games, rng, perspective="right")
+        env = MarkovSoccer(bot_match_config(bot, base))
+        latent, _ = select_latent_vs_bot(gen, bot, env, search, rng, features)
+        series = play_series(env, BotPolicy(bot), LatentPolicy(gen, latent, features),
+                             games, rng)
         results[bot.kind] = {"score": series, "latent": latent}
     return results
 
@@ -191,46 +203,38 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
     """Score gen_one against gen_two (wins - losses for gen_one).
 
     gen_one plays left. Pass 1 selects gen_two's latent against a fixed
-    panel of gen_one's family with common game seeds across candidates;
-    pass 2 selects gen_one's best response to that fixed opponent.
+    panel of gen_one's family; pass 2 selects gen_one's best response to
+    that fixed opponent. Within a pass every candidate plays the same games:
+    each has its own seed s and draws from its own `default_rng(s)`. Every
+    game is played on one environment built from `config`.
     """
-    config = config or SoccerConfig()
+    env = MarkovSoccer(config)
     panel = sample_latents(rng, family_panel, gen_one.latent_dim)
-    panel_seeds = rng.integers(2 ** 62, size=search.episodes_per_latent)
+    panel_seeds = rng.integers(2 ** 62, size=search.episodes_per_latent).tolist()
     panel_order = rng.integers(len(panel), size=search.episodes_per_latent)
     features_one, features_two = {}, {}   # each generator's state-feature table
     panel_policies = [LatentPolicy(gen_one, z, features_one) for z in panel]
 
     def score_two(z: np.ndarray) -> float:
         policy = LatentPolicy(gen_two, z, features_two)
-        total = 0.0
-        for k in range(search.episodes_per_latent):
-            game_rng = np.random.default_rng(int(panel_seeds[k]))
-            result = play_game(config, panel_policies[panel_order[k]], policy,
-                               int(panel_seeds[k]), game_rng)
-            total += 1.0 if result == "right" else (-1.0 if result == "left" else 0.0)
-        return total / search.episodes_per_latent
+        return play_games(env, ((panel_policies[k], policy, s, np.random.default_rng(s))
+                                for k, s in zip(panel_order, panel_seeds)), "right").mean
 
     pass_one = optimize_latents(score_two, rng, search, latent_dim=gen_two.latent_dim)
     z_two = pass_one.best_latent
     fixed_opponent = LatentPolicy(gen_two, z_two, features_two)
 
-    reply_seeds = rng.integers(2 ** 62, size=search.episodes_per_latent)
+    reply_seeds = rng.integers(2 ** 62, size=search.episodes_per_latent).tolist()
 
     def score_one(z: np.ndarray) -> float:
         policy = LatentPolicy(gen_one, z, features_one)
-        total = 0.0
-        for k in range(search.episodes_per_latent):
-            game_rng = np.random.default_rng(int(reply_seeds[k]))
-            result = play_game(config, policy, fixed_opponent,
-                               int(reply_seeds[k]), game_rng)
-            total += 1.0 if result == "left" else (-1.0 if result == "right" else 0.0)
-        return total / search.episodes_per_latent
+        return play_games(env, ((policy, fixed_opponent, s, np.random.default_rng(s))
+                                for s in reply_seeds), "left").mean
 
     pass_two = optimize_latents(score_one, rng, search, latent_dim=gen_one.latent_dim)
     z_one = pass_two.best_latent
 
-    series = play_series(config, LatentPolicy(gen_one, z_one, features_one), fixed_opponent,
+    series = play_series(env, LatentPolicy(gen_one, z_one, features_one), fixed_opponent,
                          games, rng, perspective="left")
     return series, {"latent_one": z_one, "latent_two": z_two}
 
@@ -259,13 +263,9 @@ def round_robin_matrix(generators: dict, search: SearchConfig,
 def evaluate_final_health(gen: PolicyGenerator, env_factory, latent: np.ndarray,
                           episodes: int, rng: np.random.Generator) -> float:
     """Mean final agent health over episodes, every agent running `latent`."""
-    finals = []
-    for _ in range(episodes):
-        env = env_factory()
-        obs = env.reset(int(rng.integers(2 ** 62)))
-        run_episode(gen, env, obs, dict.fromkeys(obs, latent), rng)
-        finals.append(env.mean_final_health())
-    return float(np.mean(finals))
+    env = env_factory()
+    return float(np.mean([env.mean_final_health()
+                          for _ in play_episodes(gen, env, episodes, rng, latent)]))
 
 
 def ablation_sweep(gen: PolicyGenerator, ablations: list[str],
@@ -290,32 +290,20 @@ def ablation_sweep(gen: PolicyGenerator, ablations: list[str],
     return rows
 
 
-def specialization_episode(gen: PolicyGenerator, env: Farmworld,
-                           rng: np.random.Generator) -> tuple[list[float], list[float], int]:
-    """One episode with per-agent latents; returns per-agent specialization,
-    per-agent episode returns, and the blunder total."""
-    obs = env.reset(int(rng.integers(2 ** 62)))
-    latents = {a: sample_latent(rng, gen.latent_dim) for a in sorted(obs)}
-    returns = run_episode(gen, env, obs, latents, rng)
-    records = env.specialization_counts()
-    specs = [specialization(records[a]) for a in sorted(records)]
-    rets = [returns[a] for a in sorted(returns)]
-    blunders = sum(records[a]["blunders"] for a in records)
-    return specs, rets, blunders
-
-
 def specialization_eval(gen: PolicyGenerator, env_factory, episodes: int,
                         rng: np.random.Generator) -> dict:
-    """Mean per-agent specialization and mean episode reward over episodes."""
-    all_specs, all_returns, blunders = [], [], 0
-    for _ in range(episodes):
-        specs, rets, b = specialization_episode(gen, env_factory(), rng)
-        all_specs.extend(specs)
-        all_returns.extend(rets)
-        blunders += b
+    """Mean per-agent specialization and mean episode reward over episodes in
+    which every agent draws its own latent, and the blunder total."""
+    env = env_factory()
+    specs, returns, blunders = [], [], 0
+    for episode in play_episodes(gen, env, episodes, rng):
+        records = env.specialization_counts()
+        specs.extend(specialization(records[a]) for a in sorted(records))
+        returns.extend(episode[a] for a in sorted(episode))
+        blunders += sum(record["blunders"] for record in records.values())
     return {
-        "mean_specialization": float(np.mean(all_specs)),
-        "mean_episode_reward": float(np.mean(all_returns)),
+        "mean_specialization": float(np.mean(specs)),
+        "mean_episode_reward": float(np.mean(returns)),
         "blunders": blunders,
     }
 

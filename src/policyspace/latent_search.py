@@ -141,16 +141,26 @@ def run_episode(gen, env, obs: dict, latents: dict, rng: np.random.Generator) ->
     return returns
 
 
+def play_episodes(gen, env, episodes: int, rng: np.random.Generator, latent=None):
+    """Yield the per-agent returns of `episodes` episodes of `env`, each reset
+    with a seed from `rng`, while `env` holds the episode's final state. All
+    agents share `latent`, or if it is None each draws its own after the reset,
+    in sorted agent order."""
+    for _ in range(episodes):
+        obs = env.reset(int(rng.integers(2 ** 62)))
+        latents = {a: sample_latent(rng, gen.latent_dim) if latent is None else latent
+                   for a in sorted(obs)}
+        yield run_episode(gen, env, obs, latents, rng)
+
+
 def episode_score_fn(gen, env_factory, episodes_per_latent: int, rng: np.random.Generator):
-    """Score a latent by mean per-agent episode return, all agents sharing it."""
+    """Score a latent by mean per-agent episode return, all agents sharing it,
+    on one environment from `env_factory`."""
+    env = env_factory()
 
     def score(z: np.ndarray) -> float:
-        returns = []
-        for _ in range(episodes_per_latent):
-            env = env_factory()
-            obs = env.reset(int(rng.integers(2 ** 62)))
-            returns.extend(run_episode(gen, env, obs, dict.fromkeys(obs, z), rng).values())
-        return float(np.mean(returns))
+        episodes = play_episodes(gen, env, episodes_per_latent, rng, z)
+        return float(np.mean([r for returns in episodes for r in returns.values()]))
 
     return score
 

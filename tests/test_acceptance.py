@@ -269,7 +269,7 @@ def test_criterion_6_soccer_vs_naive_bots():
             t0 = time.perf_counter()
             total = 0.0
             for _ in range(10):
-                result = play_game(config, BotPolicy(bot), LatentPolicy(gen, z),
+                result = play_game(MarkovSoccer(config), BotPolicy(bot), LatentPolicy(gen, z),
                                    int(rng.integers(2 ** 62)), rng)
                 total += 1.0 if result == "right" else (-1.0 if result == "left" else 0.0)
             env_cost[0] += time.perf_counter() - t0
@@ -280,7 +280,7 @@ def test_criterion_6_soccer_vs_naive_bots():
                                   SearchConfig(generations=10, episodes_per_latent=10),
                                   latent_dim=gen.latent_dim)
         search_overhead += (time.perf_counter() - t0) - env_cost[0]
-        series = play_series(config, BotPolicy(bot), LatentPolicy(gen, search.best_latent),
+        series = play_series(MarkovSoccer(config), BotPolicy(bot), LatentPolicy(gen, search.best_latent),
                              1000, rng, perspective="right")
         results[kind] = series
 
@@ -398,7 +398,7 @@ def test_criterion_8_engine_invariants(tmp_path):
                                                           episodes_per_latent=1),
                                        np.random.default_rng(5), games=30)
     zero_sum_ok = np.array_equal(matrix, -matrix.T) and np.all(np.diag(matrix) == 0)
-    series = play_series(SoccerConfig(), LatentPolicy(gens["g0"], sample_latent(np.random.default_rng(6))),
+    series = play_series(MarkovSoccer(), LatentPolicy(gens["g0"], sample_latent(np.random.default_rng(6))),
                          LatentPolicy(gens["g1"], sample_latent(np.random.default_rng(7))),
                          100, np.random.default_rng(8))
     zero_sum_ok = zero_sum_ok and (series.wins + series.losses + series.draws == 100)

@@ -173,6 +173,10 @@ TINY_RUNS = {"multigoal": TINY_MULTIGOAL, "farmworld": TINY_FARMWORLD, "soccer":
 INF = float("inf")
 REGION, LAYOUT_2X2 = [0, 0, 99, 99], {"width": 2, "height": 2, "agents": [[0, 0]],
                                       "chickens": [], "towers": [], "fences": []}
+# a map of the default 10x10 farmworld with a fence on the first agent's cell
+OVERLAPPING_LAYOUT = {"width": 10, "height": 10, "agents": [[0, c] for c in range(10)],
+                      "chickens": [[1, c] for c in range(10)],
+                      "towers": [[2, c] for c in range(10)], "fences": [[0, 0]]}
 # env -> field -> a value of the wrong type, then out-of-range values
 ENV_FIELD_FAULTS = {
     "multigoal": {
@@ -191,7 +195,7 @@ ENV_FIELD_FAULTS = {
         "ablation": [3, "gravity"], "agent_region": ["abc", REGION],
         "food_region": ["1,x", REGION], "chicken_region": [[0, 0, 3], REGION],
         "tower_region": ["abc", [5, 5, 2, 2]], "fence_cells": ["abc", [[99, 99]]],
-        "layout": ["abc", LAYOUT_2X2],
+        "layout": ["abc", LAYOUT_2X2, OVERLAPPING_LAYOUT],
     },
     "soccer": {
         "rows": ["x", 1], "cols": ["x", 1], "draw_prob": ["x", 1.5],
@@ -438,11 +442,13 @@ def test_adapt_refuses_soccer_with_exit_2(tmp_path, capsys, env_flag):
 # -- eval ------------------------------------------------------------------------
 
 
-def soccer_checkpoint(tmp_path, seed=0, name="soccer.ckpt", method="adap"):
-    gen = PolicyGenerator(41, 5, np.random.default_rng(seed), hidden_dim=8)
+def soccer_checkpoint(tmp_path, seed=0, name="soccer.ckpt", method="adap", **env):
+    """A soccer generator saved with `env` as its [env] section."""
+    size = make_env("soccer", env).observation_size
+    gen = PolicyGenerator(size, 5, np.random.default_rng(seed), hidden_dim=8)
     path = tmp_path / name
     save_checkpoint(path, gen, None, step=0, env_name="soccer",
-                    env_config={"name": "soccer"}, extra={"method": method, "seed": seed})
+                    env_config={"name": "soccer", **env}, extra={"method": method, "seed": seed})
     return path
 
 
@@ -465,6 +471,8 @@ HEADER_FAULTS = {
     "env_config zero max_episode_timesteps":
         lambda h: h["env_config"].update(max_episode_timesteps=0),
     "env_config unknown key": lambda h: h["env_config"].update(warp_speed=9),
+    "env_config overlapping farmworld layout":
+        lambda h: h.update(env="farmworld", env_config={"layout": OVERLAPPING_LAYOUT}),
 }
 
 
@@ -541,6 +549,34 @@ def test_eval_round_robin_four_checkpoints_emit_antisymmetric_matrix(tmp_path, c
             assert values[(a, b)] == -values[(b, a)]
 
 
+def test_eval_plays_on_the_checkpoints_soccer_config(tmp_path):
+    # a six-row pitch makes 61-wide observations; the default pitch 41
+    six = [soccer_checkpoint(tmp_path, seed=i, name=f"six{i}.ckpt", rows=6) for i in range(2)]
+    common = ["--games", "4", "--seeds", "1", "--generations", "1",
+              "--episodes-per-latent", "1", "--out", str(tmp_path / "out.csv")]
+    assert main(["eval", "bots", str(six[0]), *common]) == 0
+    with open(tmp_path / "out.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 6
+    assert main(["eval", "round_robin", *map(str, six), *common]) == 0
+    # a game that is drawn at its first tick scores 0 against every bot
+    drawn = soccer_checkpoint(tmp_path, name="drawn.ckpt", draw_prob=1.0)
+    assert main(["eval", "bots", str(drawn), *common[:-2], "--games", "20",
+                 "--out", str(tmp_path / "drawn.csv")]) == 0
+    with open(tmp_path / "drawn.csv", newline="") as fh:
+        assert {float(row["value"]) for row in csv.DictReader(fh)} == {0.0}
+
+
+def test_eval_round_robin_refuses_differing_soccer_configs_with_exit_2(tmp_path, capsys):
+    paths = [soccer_checkpoint(tmp_path, name="default.ckpt"),
+             soccer_checkpoint(tmp_path, name="drawn.ckpt", draw_prob=0.5)]
+    assert main(["eval", "round_robin", *map(str, paths), "--games", "1",
+                 "--generations", "1", "--episodes-per-latent", "1",
+                 "--out", str(tmp_path / "rr.csv")]) == 2
+    err = capsys.readouterr().err
+    assert all(str(path) in err for path in paths)
+    assert not (tmp_path / "rr.csv").exists()
+
+
 def test_eval_specialization_writes_metrics(tmp_path):
     ckpt = farmworld_checkpoint(tmp_path)
     out = tmp_path / "spec.csv"
@@ -600,6 +636,8 @@ MALFORMED_REPLAYS = {
                               REPLAY_RECORD, 1),
     "farmworld text start health": ({**REPLAY_HEADER, "env": "farmworld",
                                      "config": {"agent_start_health": "abc"}}, REPLAY_RECORD, 1),
+    "farmworld overlapping layout": ({**REPLAY_HEADER, "env": "farmworld",
+                                      "config": {"layout": OVERLAPPING_LAYOUT}}, REPLAY_RECORD, 1),
     "unknown env": ({"env": "cartpole", "seed": 1, "config": {}}, REPLAY_RECORD, 1),
     "ablation env": ({**REPLAY_HEADER, "env": "far_corner", "config": {}}, REPLAY_RECORD, 1),
     "string action": (REPLAY_HEADER, {**REPLAY_RECORD, "action": "a"}, 2),

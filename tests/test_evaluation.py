@@ -63,14 +63,14 @@ def test_zero_attacks_scores_zero():
 
 def test_match_score_accounting_is_zero_sum():
     rng = np.random.default_rng(1)
-    score = play_series(SoccerConfig(), RandomPolicy(), RandomPolicy(), 200, rng)
+    score = play_series(MarkovSoccer(), RandomPolicy(), RandomPolicy(), 200, rng)
     assert score.wins + score.losses + score.draws == 200
     assert score.games == 200
 
 
 def test_identical_random_policies_are_statistically_even():
     rng = np.random.default_rng(2)
-    score = play_series(SoccerConfig(), RandomPolicy(), RandomPolicy(), 1000, rng)
+    score = play_series(MarkovSoccer(), RandomPolicy(), RandomPolicy(), 1000, rng)
     assert abs(score.score) <= 3 * np.sqrt(1000)
 
 
@@ -101,7 +101,7 @@ def test_scripted_blocker_beats_the_straight_bot():
     bot = Bot("straight")
     config = bot_match_config(bot)
     rng = np.random.default_rng(3)
-    score = play_series(config, BotPolicy(bot), StraightCounter(), 200, rng)
+    score = play_series(MarkovSoccer(config), BotPolicy(bot), StraightCounter(), 200, rng)
     assert score.score > 0
 
 
@@ -439,6 +439,25 @@ def test_round_robin_matrix_is_antisymmetric_with_zero_diagonal():
     assert names == ["g0", "g1", "g2", "g3"]
 
 
+def test_each_bot_and_each_pair_builds_one_environment(monkeypatch):
+    # every game resets one environment instead of building and validating its own
+    built = []
+    init = MarkovSoccer.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(MarkovSoccer, "__init__", counting_init)
+    search = SearchConfig(generations=2, episodes_per_latent=2)
+    bots = [Bot(kind) for kind in BOT_KINDS]
+    bot_gauntlet(soccer_gen(55), bots, games=5, search=search, rng=np.random.default_rng(56))
+    assert len(built) <= len(bots)
+    built.clear()
+    round_robin_pair(soccer_gen(57), soccer_gen(58), search, np.random.default_rng(59), games=5)
+    assert len(built) == 1
+
+
 # -- farmworld sweeps --------------------------------------------------------------
 
 
@@ -517,6 +536,45 @@ def test_evaluate_final_health_runs_whole_episodes():
     assert 0.0 <= health <= cfg.agent_max_health
 
 
+# small, short-lived farmworld: the agents starve within 10 ticks unless they eat
+HUNGRY_FARM = dict(width=4, height=4, num_agents=3, num_chickens=3, num_towers=3,
+                   agent_start_health=1.0, respawn_time=3, max_episode_timesteps=40)
+
+
+def test_specialization_eval_is_pinned():
+    # the three metrics and the next draw of the caller's generator, recorded
+    # before the farmworld protocols shared one episode loop
+    from policyspace.envs.farmworld import Farmworld, FarmworldConfig
+    cfg = FarmworldConfig(**HUNGRY_FARM, tower_attacks=1, haystack_mines=1,
+                          enforced_specialization=True)
+    rng = np.random.default_rng(64)
+    out = specialization_eval(farm_gen(63), lambda: Farmworld(cfg), episodes=3, rng=rng)
+    assert out == {"mean_specialization": 0.3333333333333333,
+                   "mean_episode_reward": 1.877777777777778, "blunders": 2}
+    assert int(rng.integers(2 ** 62)) == 1699522194518994940
+
+
+GOLDEN_ABLATIONS = {   # post-search health, search score, best latent
+    "training": (0.0, 8.044999999999991, "ee05d2a50bd8dabf106940d2417fd8bfa3f5657c2d57eabf"),
+    "far_corner": (0.0, 4.56, "3211ad33ea38e1bfa78d3a0dec68e73fba496c4a2dc9da3f"),
+    "wall_barrier": (0.0, 3.8650000000000007, "541756330776c3bf0714c4d6c28fc83fd6233dc2b406ef3f"),
+    "speed": (0.0, 4.999999999999998, "eceb9e341954e63f34526bb32587e03fa4db288107c4dfbf"),
+    "patience": (0.0, 9.499999999999982, "4b22720b5503e5bfd44331601819a9bf6b94b4bf4115e8bf"),
+    "poison_chickens": (0.0, 4.35, "a4d818be83a8d83fc8d7b7eb1d42edbf8070fbfb39f2bf3f"),
+}
+
+
+def test_ablation_sweep_rows_are_pinned():
+    rng = np.random.default_rng(66)
+    rows = ablation_sweep(farm_gen(65), list(GOLDEN_ABLATIONS),
+                          SearchConfig(generations=3, episodes_per_latent=2), rng,
+                          eval_episodes=2)
+    got = {r["ablation"]: (r["post_search_health"], r["search_score"],
+                           r["best_latent"].tobytes().hex()) for r in rows}
+    assert got == GOLDEN_ABLATIONS
+    assert int(rng.integers(2 ** 62)) == 1607754471413805177
+
+
 # -- results CSV --------------------------------------------------------------------
 
 
@@ -551,7 +609,7 @@ def test_family_panel_of_32_is_converged():
             total = 0.0
             for k in range(search.episodes_per_latent):
                 game_rng = np.random.default_rng(int(seeds[k]))
-                result = play_game(SoccerConfig(), LatentPolicy(gen_a, panel[order[k]]),
+                result = play_game(MarkovSoccer(), LatentPolicy(gen_a, panel[order[k]]),
                                    LatentPolicy(gen_b, z), int(seeds[k]), game_rng)
                 total += 1.0 if result == "right" else (-1.0 if result == "left" else 0.0)
             return total / search.episodes_per_latent
@@ -567,7 +625,7 @@ def test_family_panel_of_32_is_converged():
             from policyspace.evaluation import play_game
             opp = LatentPolicy(gen_a, sample_latents(np.random.default_rng(int(seed)), 1)[0])
             game_rng = np.random.default_rng(int(seed) + 1)
-            result = play_game(SoccerConfig(), opp, LatentPolicy(gen_b, z),
+            result = play_game(MarkovSoccer(), opp, LatentPolicy(gen_b, z),
                                int(seed), game_rng)
             outcomes.append(1.0 if result == "right" else (-1.0 if result == "left" else 0.0))
         outcomes = np.asarray(outcomes)

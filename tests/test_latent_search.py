@@ -183,3 +183,26 @@ def test_run_episode_gives_each_agent_its_latent_and_sums_its_rewards():
     returns = run_episode(gen, env, obs, latents, rng)
     assert env.finished
     assert returns == totals
+
+
+def test_farmworld_adaptation_is_pinned():
+    # `adapt`'s search on a small farmworld: the trace's actions and scores, the
+    # best latent and the next draw, recorded before the farmworld protocols
+    # shared one episode loop
+    from policyspace.envs.farmworld import Farmworld, FarmworldConfig
+    cfg = FarmworldConfig(width=4, height=4, num_agents=3, num_chickens=3, num_towers=3,
+                          agent_start_health=1.0, respawn_time=3, max_episode_timesteps=40)
+    gen = PolicyGenerator(53, 6, np.random.default_rng(62), hidden_dim=8)
+    rng = np.random.default_rng(63)
+    result = optimize_latents(episode_score_fn(gen, lambda: Farmworld(cfg), 2, rng), rng,
+                              SearchConfig(generations=12, top_k=3), latent_dim=gen.latent_dim)
+    assert [(row["action"], row["score"]) for row in result.trace] == [
+        ("sample", 0.9999999999999999), ("sample", 0.9333333333333332),
+        ("sample", 0.9499999999999998), ("sample", 1.4833333333333336),
+        ("sample", 1.4500000000000002), ("sample", 0.8333333333333331),
+        ("mutate", 0.8333333333333331), ("mutate", 0.9999999999999999),
+        ("sample", 0.9999999999999999), ("prune", 0.9999999999999999),
+        ("prune", 0.85), ("replicate", 0.9999999999999999)]
+    assert result.best_latent.tobytes().hex() == "cc44162d5c62bb3f7f6fd5e0da12c03f093908b0c58fefbf"
+    assert result.best_score == 1.4833333333333336
+    assert int(rng.integers(2 ** 62)) == 1124047385453051916
