@@ -16,9 +16,9 @@ import json
 import numpy as np
 
 from .envs import ENVIRONMENTS, make_config
-from .envs.base import type_rule
+from .envs.base import field_types, type_rule
 from .errors import ConfigError, IntegrityError
-from .generator import PolicyGenerator
+from .generator import GeneratorConfig, PolicyGenerator
 
 MAGIC = b"PSPC"
 FORMAT_VERSION = 1
@@ -35,17 +35,10 @@ def _is_shapes(value) -> bool:
 
 _is_text, _is_object = type_rule(str), type_rule(dict)
 
-# `PolicyGenerator.describe()`, field by field
-GENERATOR_FIELDS = {
-    "obs_size": _is_count, "num_actions": _is_count, "architecture": _is_text,
-    "latent_dim": _is_count, "hidden_dim": _is_count, "hidden_layers": _is_count,
-    "policy_activation": _is_text, "value_activation": _is_text,
-}
-
-# the header fields that loading and its callers read
+# the header fields that loading and its callers read; `generator` is a
+# GeneratorConfig, whose validate() runs when the generator is built
 HEADER_FIELDS = {
-    "generator": lambda v: (_is_object(v) and set(v) == set(GENERATOR_FIELDS)
-                            and all(GENERATOR_FIELDS[k](v[k]) for k in v)),
+    "generator": lambda v: _is_object(v) and set(v) == set(field_types(GeneratorConfig)),
     "weight_count": _is_count,
     "moment_shapes": _is_shapes,
     "optimizer_step": _is_count,

@@ -33,12 +33,29 @@ import numpy as np
 
 from .diversity import DiversityConfig
 from .envs import ENVIRONMENTS, make_env
-from .envs.base import field_types, from_json, type_name, type_rule
+from .envs.base import (at_least, check_ranges, check_types, field_types, from_json, one_of,
+                        to_dict, type_name)
 from .errors import ConfigError
-from .generator import PolicyGenerator
-from .training import TrainerConfig
+from .generator import GeneratorConfig, PolicyGenerator
+from .training import METHODS, TrainerConfig
 
 CODE_VERSION = "policyspace-0.1.0"
+
+
+@dataclasses.dataclass
+class RunConfig:
+    env: str = ""
+    method: str = "adap"
+    seed: int = 0
+    epochs: int = 1000
+    checkpoint_every: int = 50
+    architecture: str = GeneratorConfig.architecture
+    run_name: str = ""
+
+    def validate(self):
+        check_types(self)
+        check_ranges(self, {"method": one_of(*METHODS), "seed": at_least(0),
+                            "epochs": at_least(0), "checkpoint_every": at_least(0)})
 
 
 def _dataclass_section(cls, skip=()) -> tuple[dict, dict]:
@@ -47,22 +64,16 @@ def _dataclass_section(cls, skip=()) -> tuple[dict, dict]:
     return typed, {f.name: f.default for f in dataclasses.fields(cls) if f.name in typed}
 
 
-TRAINER_TYPES, TRAINER_DEFAULTS = _dataclass_section(TrainerConfig, skip=("method", "diversity"))
-DIVERSITY_TYPES, DIVERSITY_DEFAULTS = _dataclass_section(DiversityConfig)
-
-# key -> type, per section; unknown keys are rejected by name
-SCHEMA = {
-    "run": {
-        "env": str, "method": str, "seed": int, "epochs": int,
-        "checkpoint_every": int, "architecture": str, "run_name": str,
-    },
-    "trainer": TRAINER_TYPES,
-    "diversity": DIVERSITY_TYPES,
-    "model": {
-        "hidden_dim": int, "latent_dim": int, "hidden_layers": int,
-        "policy_activation": str, "value_activation": str,
-    },
+# section -> (key -> type, key -> default), read off its dataclass; [model] is
+# the generator's shape less what [run] and the simulator set
+_SECTIONS = {
+    "run": _dataclass_section(RunConfig),
+    "trainer": _dataclass_section(TrainerConfig, skip=("method", "diversity")),
+    "diversity": _dataclass_section(DiversityConfig),
+    "model": _dataclass_section(GeneratorConfig, skip=("obs_size", "num_actions", "architecture")),
 }
+SCHEMA = {section: typed for section, (typed, _) in _SECTIONS.items()}   # unknown keys are rejected
+BASE_DEFAULTS = {section: defaults for section, (_, defaults) in _SECTIONS.items()}
 # [env] holds the fields of the simulator named in [run], and its name
 ENV_SCHEMA = {name: {"name": str, **_dataclass_section(env.config_class)[0]}
               for name, env in ENVIRONMENTS.items()}
@@ -93,22 +104,12 @@ ENV_DEFAULTS = {
     },
 }
 
-BASE_DEFAULTS = {
-    "run": {"env": "", "method": "adap", "seed": 0, "epochs": 1000,
-            "checkpoint_every": 50, "architecture": "multiplicative",
-            "run_name": ""},
-    "trainer": TRAINER_DEFAULTS,
-    "diversity": DIVERSITY_DEFAULTS,
-    "model": {"hidden_dim": 64, "latent_dim": 3, "hidden_layers": 2,
-              "policy_activation": "tanh", "value_activation": "tanh"},
-}
-
 
 def _env_name(run: dict) -> str:
     env_name = run.get("env", "")
     if not env_name:
         raise ConfigError("missing required field [run] env")
-    if env_name not in ENV_DEFAULTS:
+    if not isinstance(env_name, str) or env_name not in ENV_DEFAULTS:
         raise ConfigError(f"field [run] env: unknown environment {env_name!r}")
     return env_name
 
@@ -167,7 +168,8 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(overrides: dict) -> dict:
-    """Layer file overrides onto base and per-environment defaults."""
+    """Layer file overrides onto base and per-environment defaults, then check
+    every section, so a spec that resolves can be built and run."""
     env_name = _env_name(overrides.get("run", {}))
 
     resolved = {section: dict(values) for section, values in BASE_DEFAULTS.items()}
@@ -180,19 +182,15 @@ def resolve_config(overrides: dict) -> dict:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config field [{section}] {key}")
             resolved[section][key] = from_json(value, SCHEMA[section][key])
-
-    for key in ("seed", "epochs", "checkpoint_every"):
-        if resolved["run"][key] < 0:
-            raise ConfigError(f"field [run] {key}: must be >= 0, got {resolved['run'][key]}")
-    method = resolved["run"]["method"]
-    if method not in ("adap", "vanilla", "diayn_star"):
-        raise ConfigError(f"field [run] method: unknown method {method!r}")
-    if method == "vanilla":
+    RunConfig(**resolved["run"]).validate()
+    build_trainer_config(resolved)
+    if resolved["run"]["method"] == "vanilla":
         resolved["diversity"]["coef"] = 0.0
 
     # resolve the simulator config (including every default numeric)
     resolved["env"] = make_env(env_name, overrides.get("env", {})).config_dict()
     resolved["run"]["env"] = env_name
+    _generator_config(resolved).validate()
     return resolved
 
 
@@ -200,16 +198,14 @@ def build_environment_factory(env_name: str, env_config: dict):
     return functools.partial(make_env, env_name, env_config)
 
 
-def build_generator(resolved: dict, rng) -> PolicyGenerator:
+def _generator_config(resolved: dict) -> GeneratorConfig:
     env = make_env(resolved["run"]["env"], resolved["env"])
-    model = resolved["model"]
-    return PolicyGenerator(
-        env.observation_size, env.num_actions, rng,
-        architecture=resolved["run"]["architecture"],
-        latent_dim=model["latent_dim"], hidden_dim=model["hidden_dim"],
-        hidden_layers=model["hidden_layers"],
-        policy_activation=model["policy_activation"],
-        value_activation=model["value_activation"])
+    return GeneratorConfig(env.observation_size, env.num_actions,
+                           resolved["run"]["architecture"], **resolved["model"])
+
+
+def build_generator(resolved: dict, rng) -> PolicyGenerator:
+    return PolicyGenerator(rng=rng, **to_dict(_generator_config(resolved)))
 
 
 def build_trainer_config(resolved: dict) -> TrainerConfig:
@@ -264,7 +260,7 @@ def read_manifest(path) -> dict:
 
 def check_resolved(config) -> dict:
     """Check that a manifest's resolved config sets every schema field, and
-    only those, with values of the schema's types; returns the config."""
+    only those; `resolve_config` checks their values. Returns the config."""
     if not isinstance(config, dict):
         raise ConfigError("manifest field 'config' must be an object")
     for section in config:
@@ -278,12 +274,9 @@ def check_resolved(config) -> dict:
         for key in values:
             if key not in fields:
                 raise ConfigError(f"unknown config field [{section}] {key}")
-        for key, typ in fields.items():
+        for key in fields:
             if key not in values:
                 raise ConfigError(f"missing config field [{section}] {key}")
-            if not type_rule(typ)(values[key]):
-                raise ConfigError(f"field [{section}] {key}: {values[key]!r} is not "
-                                  f"a {type_name(typ)}")
     return config
 
 

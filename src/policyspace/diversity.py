@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
+from .envs.base import at_least, check_ranges, check_types, one_of
 from .errors import ConfigError
 
 
@@ -26,16 +27,10 @@ class DiversityConfig:
     mode: str = "exp_neg_kl"       # "exp_neg_kl" (bounded, default) or "raw_kl" (ablation)
 
     def validate(self):
-        if self.num_latents < 2:
-            raise ConfigError("diversity needs at least 2 latents per estimate")
-        if self.num_states < 1:
-            raise ConfigError("diversity needs at least 1 state per estimate")
-        if self.smoothing < 0.0:
-            raise ConfigError("smoothing constant must be >= 0")
-        if self.coef < 0.0:
-            raise ConfigError("diversity coefficient must be >= 0")
-        if self.mode not in ("exp_neg_kl", "raw_kl"):
-            raise ConfigError(f"unknown diversity mode {self.mode!r}")
+        check_types(self)
+        check_ranges(self, {"num_latents": at_least(2), "num_states": at_least(1),
+                            "smoothing": at_least(0.0), "coef": at_least(0.0),
+                            "mode": one_of("exp_neg_kl", "raw_kl")})
 
 
 def smooth_np(probs: np.ndarray, b: float) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 
@@ -69,6 +70,32 @@ def check_types(config):
         if not rule(getattr(config, name)):
             raise ConfigError(f"{type(config).__name__} field {name}: "
                               f"{getattr(config, name)!r} is not a {type_name(typ)}")
+
+
+# legal ranges of config fields, for `check_ranges`: (the range in words, its test)
+POSITIVE = ("finite and > 0", lambda value: 0.0 < value < math.inf)
+FINITE = ("finite", math.isfinite)
+
+
+def at_least(low) -> tuple:
+    return f"finite and >= {low}", lambda value: low <= value < math.inf
+
+
+def between(low, high) -> tuple:
+    return f"in [{low}, {high}]", lambda value: low <= value <= high
+
+
+def one_of(*choices) -> tuple:
+    return f"one of {', '.join(choices)}", lambda value: value in choices
+
+
+def check_ranges(config, ranges: dict):
+    """Raise ConfigError unless each field named in `ranges` passes its test;
+    NaN fails every test. Run after `check_types`."""
+    for name, (words, test) in ranges.items():
+        if not test(getattr(config, name)):
+            raise ConfigError(f"{type(config).__name__} field {name} must be {words}, "
+                              f"got {getattr(config, name)!r}")
 
 
 def to_dict(config) -> dict:

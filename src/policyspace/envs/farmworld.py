@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Environment, check_types, type_rule
+from .base import FINITE, Environment, at_least, between, check_ranges, check_types, type_rule
 
 GROUND, AGENT, CHICKEN, TOWER, FENCE = 0, 1, 2, 3, 4
 KIND_SCALE = 1.0 / 5.0
@@ -48,11 +48,16 @@ assert len(VIEW_OFFSETS) == 13
 
 IS_CELL = type_rule(tuple[int, int])    # a (row, col) pair
 
-# FarmworldConfig field -> its least legal value
-LOWER_BOUNDS = {"width": 1, "height": 1, "num_agents": 1, "num_chickens": 0, "num_towers": 0,
-                "chicken_max_health": 1, "tower_attacks": 1, "haystack_mines": 1,
-                "respawn_time": 0, "max_episode_timesteps": 1,
-                "health_decay": 0.0, "agent_attack_damage": 0.0}
+# FarmworldConfig field -> its legal range; yields keep their sign, since
+# `poison_chickens` negates `chicken_yield`
+FARMWORLD_RANGES = {
+    "width": at_least(1), "height": at_least(1), "num_agents": at_least(1),
+    "num_chickens": at_least(0), "num_towers": at_least(0), "chicken_max_health": at_least(1),
+    "tower_attacks": at_least(1), "haystack_mines": at_least(1), "respawn_time": at_least(0),
+    "max_episode_timesteps": at_least(1), "health_decay": at_least(0.0),
+    "agent_attack_damage": at_least(0.0), "chicken_move_probability": between(0.0, 1.0),
+    "agent_food_yield": FINITE, "chicken_yield": FINITE, "tower_yield": FINITE,
+}
 
 
 @dataclass
@@ -85,22 +90,12 @@ class FarmworldConfig:
     layout: dict | None = None          # parsed hand-crafted map
 
     def validate(self):
-        """Check every field's type, then its range; yields keep their sign,
-        since `poison_chickens` negates `chicken_yield`."""
+        """Check every field's type, then its range."""
         check_types(self)
-        for name, low in LOWER_BOUNDS.items():
-            if not low <= getattr(self, name) < math.inf:
-                raise ConfigError(f"farmworld {name} must be finite and >= {low}, "
-                                  f"got {getattr(self, name)!r}")
-        for name in ("agent_food_yield", "chicken_yield", "tower_yield"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"farmworld {name} must be finite, got {getattr(self, name)!r}")
+        check_ranges(self, FARMWORLD_RANGES)
         if not 0.0 < self.agent_start_health <= self.agent_max_health < math.inf:
             raise ConfigError(f"farmworld needs 0 < agent_start_health <= agent_max_health, "
                               f"got {self.agent_start_health!r} and {self.agent_max_health!r}")
-        if not 0.0 <= self.chicken_move_probability <= 1.0:
-            raise ConfigError(f"farmworld chicken_move_probability must be a probability, "
-                              f"got {self.chicken_move_probability!r}")
         cells = self.width * self.height
         units = self.num_agents + self.num_chickens + self.num_towers + len(self.fence_cells)
         if units > cells:
@@ -117,10 +112,19 @@ class FarmworldConfig:
             if not self._on_grid(cell):
                 raise ConfigError(f"farmworld fence_cells: {cell!r} is not a cell of the "
                                   f"{self.height}x{self.width} grid")
-        if self.layout is not None and not self._is_map(self.layout):
+        if len({tuple(cell) for cell in self.fence_cells}) < len(self.fence_cells):
+            raise ConfigError("farmworld fence_cells lists a cell twice")
+        if self.layout is None:
+            return
+        if not self._is_map(self.layout):
             raise ConfigError(f"farmworld layout is not a map of the {self.height}x{self.width} "
                               f"grid with {self.num_agents} agents, {self.num_chickens} "
                               f"chickens and {self.num_towers} towers, one unit per cell")
+        units = {tuple(cell) for kind in ("agents", "chickens", "towers")
+                 for cell in self.layout[kind]}
+        under = sorted(units & {tuple(cell) for cell in self.fence_cells})
+        if under:
+            raise ConfigError(f"farmworld fence_cells {under} are under units of the layout")
 
     def _on_grid(self, cell) -> bool:
         return IS_CELL(cell) and 0 <= cell[0] < self.height and 0 <= cell[1] < self.width
@@ -263,8 +267,6 @@ class Farmworld(Environment):
         self.tower_timer = np.zeros(cfg.num_towers, dtype=np.int64)
 
         for r, c in cfg.fence_cells:
-            if not self._free(r, c):
-                raise ConfigError(f"fence placement collides at ({r}, {c})")
             self._set_cell(r, c, FENCE, 1.0, 0, False)
 
         # a map places each unit on its own cell; otherwise cells are drawn in its region

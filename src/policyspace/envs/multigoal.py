@@ -12,12 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
-from .base import Environment, check_types
+from .base import Environment, at_least, between, check_ranges, check_types
 
 CORNERS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 MOVES = np.array([[0.0, 0.05], [0.0, -0.05], [0.05, 0.0], [-0.05, 0.0], [0.0, 0.0]])
 ACTION_NAMES = ("up", "down", "right", "left", "stay")
+
+
+# MultiGoalConfig field -> its legal range: the goal discs stay apart, and
+# every start is inside the square
+MULTIGOAL_RANGES = {
+    "max_episode_timesteps": at_least(1), "capture_radius": between(0.0, 0.5),
+    "step_size": ("in (0, 1]", lambda value: 0.0 < value <= 1.0),
+    "start_jitter": between(0.0, 0.5),
+}
 
 
 @dataclass
@@ -29,14 +37,7 @@ class MultiGoalConfig:
 
     def validate(self):
         check_types(self)
-        if self.max_episode_timesteps < 1:
-            raise ConfigError("max_episode_timesteps must be >= 1")
-        if not 0.0 <= self.capture_radius <= 0.5:     # the goal discs stay apart
-            raise ConfigError(f"capture_radius must be in [0, 0.5], got {self.capture_radius!r}")
-        if not 0.0 < self.step_size <= 1.0:
-            raise ConfigError(f"step_size must be in (0, 1], got {self.step_size!r}")
-        if not 0.0 <= self.start_jitter <= 0.5:       # every start is inside the square
-            raise ConfigError(f"start_jitter must be in [0, 0.5], got {self.start_jitter!r}")
+        check_ranges(self, MULTIGOAL_RANGES)
 
 
 class MultiGoal(Environment):

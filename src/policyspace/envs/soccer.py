@@ -20,12 +20,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Environment, check_types
+from .base import Environment, at_least, between, check_ranges, check_types, one_of
 
 # actions: up, down, left, right, stand
 ACTION_NAMES = ("up", "down", "left", "right", "stand")
 DELTAS = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0)}
 STAND = 4
+
+
+# SoccerConfig field -> its legal range
+SOCCER_RANGES = {
+    "rows": at_least(2), "cols": at_least(2), "max_episode_timesteps": at_least(1),
+    "draw_prob": between(0.0, 1.0), "initial_possession": one_of("left", "right", "random"),
+}
 
 
 @dataclass
@@ -41,14 +48,7 @@ class SoccerConfig:
     def validate(self):
         """Check every field's type and range; cheap, since each game runs it."""
         check_types(self)
-        if self.rows < 2 or self.cols < 2:
-            raise ConfigError(f"soccer rows and cols must be >= 2, got {self.rows}x{self.cols}")
-        if self.max_episode_timesteps < 1:
-            raise ConfigError("max_episode_timesteps must be >= 1")
-        if not 0.0 <= self.draw_prob <= 1.0:
-            raise ConfigError(f"draw_prob must be a probability, got {self.draw_prob!r}")
-        if self.initial_possession not in ("left", "right", "random"):
-            raise ConfigError(f"bad initial_possession {self.initial_possession!r}")
+        check_ranges(self, SOCCER_RANGES)
         for name in ("start_left", "start_right"):
             cell = getattr(self, name)
             if not (0 <= cell[0] < self.rows and 0 <= cell[1] < self.cols):
@@ -292,9 +292,9 @@ def bot_match_config(bot: Bot, base: SoccerConfig | None = None) -> SoccerConfig
     cfg = base or SoccerConfig()
     # an offensive bot starts with the ball, a defensive one without it
     possession = {"offense": "left", "defense": "right", "mixed": "random"}[bot.role]
-    start_right = cfg.start_right
-    if tuple(bot.start) == tuple(start_right):
-        start_right = (2, 3)
+    # a learner whose start cell is the bot's takes the config's other start
+    # cell, which is on the pitch and is not the bot's
+    start_right = cfg.start_left if tuple(bot.start) == tuple(cfg.start_right) else cfg.start_right
     out = replace(cfg, start_left=bot.start, start_right=start_right,
                   initial_possession=possession)
     out.validate()

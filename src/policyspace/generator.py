@@ -20,11 +20,14 @@ the critic must see which latent it is scoring.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .autodiff import Tensor, _unbroadcast, activation_grad, affine_np, constant, softmax_np
+from .envs.base import at_least, check_ranges, check_types, one_of, to_dict
 from .errors import ConfigError
-from .nets import DenseNet, Layer
+from .nets import ACTIVATIONS, DenseNet, Layer
 
 ARCHITECTURES = ("concat", "multiplicative")
 
@@ -97,42 +100,50 @@ def _join(obs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.concatenate([obs, z], axis=-1)
 
 
+@dataclass
+class GeneratorConfig:
+    """The generator's shape: what a checkpoint records and `[model]` sets
+    (with `[run]` architecture and the simulator's sizes)."""
+    obs_size: int
+    num_actions: int
+    architecture: str = "multiplicative"
+    latent_dim: int = 3
+    hidden_dim: int = 64
+    hidden_layers: int = 2
+    policy_activation: str = "tanh"
+    value_activation: str = "tanh"
+
+    def validate(self):
+        check_types(self)
+        check_ranges(self, {
+            "obs_size": at_least(1), "num_actions": at_least(1),
+            "architecture": one_of(*ARCHITECTURES), "latent_dim": at_least(1),
+            "hidden_dim": at_least(1), "hidden_layers": at_least(0),
+            "policy_activation": one_of(*ACTIVATIONS), "value_activation": one_of(*ACTIVATIONS)})
+
+
 class PolicyGenerator:
     """Latent-conditioned policy plus a separate latent-conditioned critic."""
 
-    def __init__(self, obs_size: int, num_actions: int, rng: np.random.Generator,
-                 architecture: str = "multiplicative", latent_dim: int = 3,
-                 hidden_dim: int = 64, hidden_layers: int = 2,
-                 policy_activation: str = "tanh", value_activation: str = "tanh"):
-        if architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {architecture!r}")
-        if min(obs_size, num_actions, latent_dim, hidden_dim) < 1 or hidden_layers < 0:
-            raise ConfigError("generator sizes must be positive (hidden_layers >= 0)")
-        self.obs_size = obs_size
-        self.num_actions = num_actions
-        self.architecture = architecture
-        self.latent_dim = latent_dim
-        self.hidden_dim = hidden_dim
-        self.hidden_layers = hidden_layers
-        self.policy_activation = policy_activation
-        self.value_activation = value_activation
+    def __init__(self, obs_size: int, num_actions: int, rng: np.random.Generator, **shape):
+        """`shape` sets the other `GeneratorConfig` fields by keyword; each
+        field is also an attribute (`gen.latent_dim`)."""
+        self.config = GeneratorConfig(obs_size, num_actions, **shape)
+        self.config.validate()
+        self.__dict__.update(to_dict(self.config))
 
-        d, k = hidden_dim, latent_dim
-        if architecture == "concat":
-            sizes = [obs_size + k] + [d] * hidden_layers + [num_actions]
-            acts = [policy_activation] * hidden_layers + ["identity"]
+        d, k = self.hidden_dim, self.latent_dim
+        if self.architecture == "concat":
+            sizes = [obs_size + k] + [d] * self.hidden_layers + [num_actions]
+            acts = [self.policy_activation] * self.hidden_layers + ["identity"]
             self.policy_net = DenseNet.create(rng, sizes, acts)
-            self.shared = None
-            self.branches = None
-            self.head = None
         else:
-            self.policy_net = None
-            self.shared = Layer.create(rng, obs_size, d, policy_activation)
-            self.branches = [Layer.create(rng, d, d, policy_activation) for _ in range(k)]
+            self.shared = Layer.create(rng, obs_size, d, self.policy_activation)
+            self.branches = [Layer.create(rng, d, d, self.policy_activation) for _ in range(k)]
             self.head = Layer.create(rng, d, num_actions, "identity")
 
-        value_sizes = [obs_size + k] + [d] * hidden_layers + [1]
-        value_acts = [value_activation] * hidden_layers + ["identity"]
+        value_sizes = [obs_size + k] + [d] * self.hidden_layers + [1]
+        value_acts = [self.value_activation] * self.hidden_layers + ["identity"]
         self.value_net = DenseNet.create(rng, value_sizes, value_acts)
 
     # -- parameter access --------------------------------------------------
@@ -260,16 +271,7 @@ class PolicyGenerator:
     # -- serialization ------------------------------------------------------------
 
     def describe(self) -> dict:
-        return {
-            "obs_size": self.obs_size,
-            "num_actions": self.num_actions,
-            "architecture": self.architecture,
-            "latent_dim": self.latent_dim,
-            "hidden_dim": self.hidden_dim,
-            "hidden_layers": self.hidden_layers,
-            "policy_activation": self.policy_activation,
-            "value_activation": self.value_activation,
-        }
+        return to_dict(self.config)
 
     @classmethod
     def from_description(cls, desc: dict) -> "PolicyGenerator":

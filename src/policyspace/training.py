@@ -26,12 +26,23 @@ import numpy as np
 
 from .autodiff import Tensor, constant
 from .diversity import DiversityConfig, estimate_for_generator
-from .errors import ConfigError, NumericError
+from .envs.base import POSITIVE, at_least, between, check_ranges, check_types, one_of
+from .errors import NumericError
 from .generator import PolicyGenerator, sample_latent, sample_latents
 from .nets import DenseNet
 from .optim import SGD, Adam, clip_grad_norm
 
 METHODS = ("adap", "vanilla", "diayn_star")
+# TrainerConfig field -> its legal range
+TRAINER_RANGES = {
+    "batch_size": at_least(1), "minibatch_size": at_least(1), "sgd_iters": at_least(1),
+    "num_envs": at_least(1), "discriminator_epochs": at_least(1),
+    "clip_epsilon": ("in (0, 1)", lambda value: 0.0 < value < 1.0),
+    "entropy_coef": at_least(0.0), "value_coef": at_least(0.0), "intrinsic_coef": at_least(0.0),
+    "discount": between(0.0, 1.0), "gae_lambda": between(0.0, 1.0),
+    "learning_rate": POSITIVE, "grad_clip": POSITIVE,
+    "optimizer": one_of("adam", "sgd"), "method": one_of(*METHODS),
+}
 
 
 @dataclass
@@ -56,14 +67,8 @@ class TrainerConfig:
     discriminator_epochs: int = 3
 
     def validate(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if min(self.batch_size, self.minibatch_size, self.sgd_iters, self.num_envs) < 1:
-            raise ConfigError("batch_size, minibatch_size, sgd_iters and num_envs must be positive")
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ConfigError("clip_epsilon must be in (0, 1)")
+        check_types(self)
+        check_ranges(self, TRAINER_RANGES)
         self.diversity.validate()
 
     @property

@@ -8,7 +8,7 @@ import pytest
 from helpers import random_episode, rewrite_checkpoint_header
 from policyspace.checkpoint import save_checkpoint
 from policyspace.cli import build_parser, main
-from policyspace.config import load_config_file, resolve_config, write_manifest
+from policyspace.config import SCHEMA, load_config_file, resolve_config, write_manifest
 from policyspace.envs import ENVIRONMENTS, MarkovSoccer, MultiGoal, MultiGoalConfig, make_env
 from policyspace.envs.base import field_types
 from policyspace.errors import ConfigError
@@ -170,13 +170,18 @@ def test_train_missing_file_exit_2(tmp_path):
 
 
 TINY_RUNS = {"multigoal": TINY_MULTIGOAL, "farmworld": TINY_FARMWORLD, "soccer": TINY_SOCCER}
-INF = float("inf")
+INF, NAN = float("inf"), float("nan")
 REGION, LAYOUT_2X2 = [0, 0, 99, 99], {"width": 2, "height": 2, "agents": [[0, 0]],
                                       "chickens": [], "towers": [], "fences": []}
 # a map of the default 10x10 farmworld with a fence on the first agent's cell
 OVERLAPPING_LAYOUT = {"width": 10, "height": 10, "agents": [[0, c] for c in range(10)],
                       "chickens": [[1, c] for c in range(10)],
                       "towers": [[2, c] for c in range(10)], "fences": [[0, 0]]}
+# a 1x3 farmworld whose `fence_cells` puts a fence under the layout's agent
+FENCE_UNDER_LAYOUT = {"width": 3, "height": 1, "num_agents": 1, "num_chickens": 0,
+                      "num_towers": 0, "fence_cells": [[0, 0]],
+                      "layout": {"width": 3, "height": 1, "agents": [[0, 0]], "chickens": [],
+                                 "towers": [], "fences": [[0, 2]]}}
 # env -> field -> a value of the wrong type, then out-of-range values
 ENV_FIELD_FAULTS = {
     "multigoal": {
@@ -194,7 +199,8 @@ ENV_FIELD_FAULTS = {
         "max_episode_timesteps": ["x", 0], "enforced_specialization": [3],
         "ablation": [3, "gravity"], "agent_region": ["abc", REGION],
         "food_region": ["1,x", REGION], "chicken_region": [[0, 0, 3], REGION],
-        "tower_region": ["abc", [5, 5, 2, 2]], "fence_cells": ["abc", [[99, 99]]],
+        "tower_region": ["abc", [5, 5, 2, 2]],
+        "fence_cells": ["abc", [[99, 99]], [[0, 0], [0, 0]]],
         "layout": ["abc", LAYOUT_2X2, OVERLAPPING_LAYOUT],
     },
     "soccer": {
@@ -212,8 +218,61 @@ def test_every_env_field_has_a_fault_row():
         assert set(fields) == set(field_types(ENVIRONMENTS[env].config_class))
 
 
+# section -> field -> a value of the wrong type, then out-of-range values
+SPEC_FIELD_FAULTS = {
+    "run": {
+        "env": [3, "cartpole"], "method": [3, "greedy"], "seed": ["x", -1], "epochs": [2.5, -1],
+        "checkpoint_every": ["x", -1], "architecture": [3, "lstm"], "run_name": [3],
+    },
+    "trainer": {
+        "batch_size": ["x", 0], "minibatch_size": ["x", 0], "sgd_iters": ["x", 0],
+        "clip_epsilon": ["x", 0.0, 1.0, NAN], "entropy_coef": ["x", -0.1, NAN],
+        "value_coef": ["x", -1.0, INF], "discount": ["x", 5.0, -0.1, NAN],
+        "gae_lambda": ["x", 3.0, NAN], "learning_rate": ["x", -1.0, 0.0, INF, NAN],
+        "grad_clip": ["x", -1.0, 0.0, INF], "optimizer": [3, "rmsprop"],
+        "resample_diversity_each_epoch": ["x"], "normalize_advantages": ["x"],
+        "num_envs": ["x", 0], "intrinsic_coef": ["x", -1.0, NAN],
+        "discriminator_epochs": ["x", -2, 0],
+    },
+    "diversity": {
+        "num_latents": ["x", 1], "num_states": ["x", 0], "smoothing": ["x", -0.1, NAN, INF],
+        "coef": ["x", -1.0, NAN, INF], "mode": [3, "l2"],
+    },
+    "model": {
+        "latent_dim": ["x", 0], "hidden_dim": ["x", 0, -1], "hidden_layers": ["x", -1],
+        "policy_activation": [3, "sigmoid"], "value_activation": [3, "sigmoid"],
+    },
+}
+SPEC_FIELD_ROWS = [(section, field, value) for section, fields in SPEC_FIELD_FAULTS.items()
+                   for field, values in fields.items() for value in values]
+
+
+def test_every_run_spec_field_has_a_fault_row():
+    assert {section: set(fields) for section, fields in SPEC_FIELD_FAULTS.items()} == \
+        {section: set(fields) for section, fields in SCHEMA.items()}
+
+
 def ini_value(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def ini_with(section, field, value) -> str:
+    """TINY_MULTIGOAL with `field = value` in `section`, in place of any value it had."""
+    lines = [line for line in TINY_MULTIGOAL.splitlines() if not line.startswith(f"{field} =")]
+    at = lines.index(f"[{section}]") + 1
+    return "\n".join(lines[:at] + [f"{field} = {ini_value(value)}"] + lines[at:]) + "\n"
+
+
+# an INI value is text, so a text field cannot hold a value of another type
+@pytest.mark.parametrize("section, field, value", [
+    (section, field, value) for section, field, value in SPEC_FIELD_ROWS
+    if SCHEMA[section][field] is not str or isinstance(value, str)])
+def test_train_rejects_a_bad_ini_field_before_making_the_run_dir(tmp_path, capsys, section,
+                                                                 field, value):
+    path = write_config(tmp_path, ini_with(section, field, value))
+    assert main(["train", str(path), "--run-dir", str(tmp_path / "run")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 MALFORMED_INI = {
@@ -302,15 +361,34 @@ MANIFEST_FAULTS = {
 }
 
 
-def env_edit(env, field, value):
+def env_edit(env, **fields):
     def edit(config):
         config["run"]["env"] = env
-        config["env"] = {**make_env(env).config_dict(), field: value}
+        config["env"] = {**make_env(env).config_dict(), **fields}
     return edit
 
 
-MANIFEST_FAULTS.update({f"{env} {field} {value!r}": (env_edit(env, field, value), field)
+MANIFEST_FAULTS.update({f"{env} {field} {value!r}": (env_edit(env, **{field: value}), field)
                         for env, field, value in ENV_FIELD_ROWS})
+MANIFEST_FAULTS["farmworld fence under a layout agent"] = (
+    env_edit("farmworld", **FENCE_UNDER_LAYOUT), "fence_cells")
+
+
+def spec_edit(section, field, value):
+    return lambda config: config[section].update({field: value})
+
+
+MANIFEST_FAULTS.update({f"[{section}] {field} {value!r}": (spec_edit(section, field, value), field)
+                        for section, field, value in SPEC_FIELD_ROWS})
+
+
+def vanilla_with_a_nan_coef(config):
+    """`vanilla` zeroes the diversity coefficient, but only a legal one."""
+    config["run"]["method"] = "vanilla"
+    config["diversity"]["coef"] = NAN
+
+
+MANIFEST_FAULTS["vanilla with a NaN coef"] = (vanilla_with_a_nan_coef, "coef")
 
 
 @pytest.mark.parametrize("edit, field", MANIFEST_FAULTS.values(), ids=MANIFEST_FAULTS.keys())
@@ -473,6 +551,8 @@ HEADER_FAULTS = {
     "env_config unknown key": lambda h: h["env_config"].update(warp_speed=9),
     "env_config overlapping farmworld layout":
         lambda h: h.update(env="farmworld", env_config={"layout": OVERLAPPING_LAYOUT}),
+    "env_config farmworld fence under a layout agent":
+        lambda h: h.update(env="farmworld", env_config=FENCE_UNDER_LAYOUT),
 }
 
 
@@ -566,6 +646,13 @@ def test_eval_plays_on_the_checkpoints_soccer_config(tmp_path):
         assert {float(row["value"]) for row in csv.DictReader(fh)} == {0.0}
 
 
+def test_eval_bots_on_a_small_pitch_where_a_bot_starts_on_the_learners_cell(tmp_path):
+    # four bots start on (1, 1), this checkpoint's start_right
+    ckpt = soccer_checkpoint(tmp_path, rows=2, start_left=[0, 0], start_right=[1, 1])
+    assert main(["eval", "bots", str(ckpt), "--games", "4", "--seeds", "1", "--generations", "1",
+                 "--episodes-per-latent", "1", "--out", str(tmp_path / "bots.csv")]) == 0
+
+
 def test_eval_round_robin_refuses_differing_soccer_configs_with_exit_2(tmp_path, capsys):
     paths = [soccer_checkpoint(tmp_path, name="default.ckpt"),
              soccer_checkpoint(tmp_path, name="drawn.ckpt", draw_prob=0.5)]
@@ -638,6 +725,8 @@ MALFORMED_REPLAYS = {
                                      "config": {"agent_start_health": "abc"}}, REPLAY_RECORD, 1),
     "farmworld overlapping layout": ({**REPLAY_HEADER, "env": "farmworld",
                                       "config": {"layout": OVERLAPPING_LAYOUT}}, REPLAY_RECORD, 1),
+    "farmworld fence under a layout agent": ({**REPLAY_HEADER, "env": "farmworld",
+                                              "config": FENCE_UNDER_LAYOUT}, REPLAY_RECORD, 1),
     "unknown env": ({"env": "cartpole", "seed": 1, "config": {}}, REPLAY_RECORD, 1),
     "ablation env": ({**REPLAY_HEADER, "env": "far_corner", "config": {}}, REPLAY_RECORD, 1),
     "string action": (REPLAY_HEADER, {**REPLAY_RECORD, "action": "a"}, 2),

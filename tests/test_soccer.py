@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from policyspace.envs.soccer import (Bot, MarkovSoccer, SoccerConfig,
+from policyspace.envs.soccer import (BOT_KINDS, Bot, MarkovSoccer, SoccerConfig,
                                      bot_action, bot_match_config)
 from policyspace.errors import ConfigError
 
@@ -205,6 +205,13 @@ def test_bot_roles_fix_initial_possession():
     assert cfg.start_left == (1, 0)
     with pytest.raises(ConfigError):
         Bot("psychic")
+
+
+def test_a_learner_on_the_bots_start_cell_takes_the_configs_start_left():
+    small = SoccerConfig(rows=2, start_left=(0, 0), start_right=(1, 1))
+    for kind in BOT_KINDS:
+        cfg = bot_match_config(Bot(kind), small)
+        assert cfg.start_right == ((0, 0) if Bot(kind).start == (1, 1) else (1, 1))
 
 
 def test_random_bot_uses_all_actions():
