@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="render a logged episode")
     p_replay.add_argument("log")
     p_replay.add_argument("--quiet", action="store_true",
-                          help="verify rewards without rendering")
+                          help="verify the log without rendering")
     p_replay.set_defaults(func=cmd_replay)
     return parser
 

@@ -26,6 +26,9 @@ from .base import Environment, at_least, between, check_ranges, check_types, one
 ACTION_NAMES = ("up", "down", "left", "right", "stand")
 DELTAS = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0)}
 STAND = 4
+ACTION_IDS = range(len(ACTION_NAMES))
+OTHER = {"left": "right", "right": "left"}
+LEFT_FIRST, RIGHT_FIRST = ("left", "right"), ("right", "left")   # move orders
 
 
 # SoccerConfig field -> its legal range
@@ -46,7 +49,9 @@ class SoccerConfig:
     initial_possession: str = "random"   # "left" | "right" | "random"
 
     def validate(self):
-        """Check every field's type and range; cheap, since each game runs it."""
+        """Check every field's type and range, and that the start cells are two
+        distinct cells of the pitch. A config is checked when it is read and
+        when a `MarkovSoccer` is built on it, not once per game."""
         check_types(self)
         check_ranges(self, SOCCER_RANGES)
         for name in ("start_left", "start_right"):
@@ -80,6 +85,11 @@ class _Observations(Mapping):
 
 
 class MarkovSoccer(Environment):
+    """Soccer on one pitch. `step_pair(left, right)` is the slot step a game
+    loop drives: it checks and plays one tick and returns nothing, since game
+    loop policies read `pos`, `possession` and `observation_key`. The dict
+    `step` plays the same tick and packs observation, reward and done dicts."""
+
     name = "soccer"
     config_class = SoccerConfig
     num_actions = 5
@@ -88,11 +98,10 @@ class MarkovSoccer(Environment):
     def __init__(self, config: SoccerConfig | None = None):
         super().__init__(config)
         self.observation_size = 2 * self.config.rows * self.config.cols + 1
-
-    @property
-    def goal_rows(self) -> tuple:
         mid = self.config.rows // 2
-        return (mid - 1, mid)
+        self.goal_rows = (mid - 1, mid)
+        # the column a carrier steps into to score: off the far edge of its attack
+        self._goal_col = {"left": self.config.cols, "right": -1}
 
     def living_agents(self) -> list[str]:
         return [] if self._finished else ["left", "right"]
@@ -117,7 +126,7 @@ class MarkovSoccer(Environment):
         """Board as seen by `side`, always attacking to the right; `board` is a
         (positions, possession) snapshot, by default the current one."""
         pos, possession = board or (self.pos, self.possession)
-        own, opp = pos[side], pos["right" if side == "left" else "left"]
+        own, opp = pos[side], pos[OTHER[side]]
         if side == "right":
             own, opp = self._mirror(own), self._mirror(opp)
         n = self.config.rows * self.config.cols
@@ -137,46 +146,55 @@ class MarkovSoccer(Environment):
     def _try_move(self, side: str, action: int):
         if action == STAND:
             return
-        other = "right" if side == "left" else "left"
         r, c = self.pos[side]
         dr, dc = DELTAS[action]
         nr, nc = r + dr, c + dc
-        if self.possession == side and nr in self.goal_rows:
-            if side == "left" and nc == self.config.cols:
-                self.result = "left"
-                return
-            if side == "right" and nc == -1:
-                self.result = "right"
-                return
+        if self.possession == side and nr in self.goal_rows and nc == self._goal_col[side]:
+            self.result = side
+            return
         if not (0 <= nr < self.config.rows and 0 <= nc < self.config.cols):
             return
+        other = OTHER[side]
         if (nr, nc) == self.pos[other]:
             # bump: mover stays, ball changes hands
             self.possession = other if self.possession == side else side
             return
         self.pos[side] = (nr, nc)
 
-    def _do_step(self, actions: dict) -> tuple[dict, dict, dict]:
+    def _play_tick(self, left: int, right: int):
+        """The soccer rules for one tick of legal actions: the draw, the move
+        order, both moves and the timeout draw. Leaves `tick` to the caller."""
         if self.rng.random() < self.config.draw_prob:
             self.result = "draw"
         else:
-            first = "left" if self.rng.random() < 0.5 else "right"
-            second = "right" if first == "left" else "left"
-            self.last_order = (first, second)
-            self._try_move(first, actions[first])
-            if self.result is None:
-                self._try_move(second, actions[second])
+            self.last_order = LEFT_FIRST if self.rng.random() < 0.5 else RIGHT_FIRST
+            for side in self.last_order:   # a goal by the first mover ends the tick
+                self._try_move(side, left if side == "left" else right)
+                if self.result is not None:
+                    break
         if self.result is None and self.tick + 1 >= self.max_episode_timesteps:
             self.result = "draw"
 
+    def step_pair(self, left: int, right: int):
+        """Advance one tick with the left and right players' action ids; the
+        slot form of `step`, refusing what it refuses with the same errors."""
+        if self._finished:
+            raise ConfigError(f"{self.name}: step() on a finished episode")
+        if left not in ACTION_IDS or right not in ACTION_IDS:
+            side, action = ("left", left) if left not in ACTION_IDS else ("right", right)
+            raise ConfigError(f"{self.name}: illegal action {action} for {side}")
+        self._play_tick(left, right)
+        self.tick += 1
+        self._finished = self.result is not None   # a tick at the cap always ends in a draw
+
+    def _do_step(self, actions: dict) -> tuple[dict, dict, dict]:
+        self._play_tick(actions["left"], actions["right"])
         rewards = {"left": 0.0, "right": 0.0}
         if self.result in ("left", "right"):
-            loser = "right" if self.result == "left" else "left"
             rewards[self.result] = 1.0
-            rewards[loser] = -1.0
+            rewards[OTHER[self.result]] = -1.0
         over = self.result is not None
-        dones = {"left": over, "right": over}
-        return _Observations(self), rewards, dones
+        return _Observations(self), rewards, {"left": over, "right": over}
 
     def render(self) -> str:
         rows = []
@@ -209,8 +227,10 @@ BOT_ROLES = {
     "random": "mixed",
 }
 
-# bots always play the left side; start cells chosen so the scripted motion
-# begins in place (the stand bot really does stand every tick)
+# bots always play the left side; start cells on the default 4x5 pitch, on its
+# top goal row, chosen so the scripted motion begins in place (the stand bot
+# really does stand every tick). `bot_match_config` keeps a bot's column and
+# puts it on the top goal row of the pitch it plays on.
 BOT_STARTS = {
     "straight": (1, 1),
     "oscillate0": (1, 0),
@@ -292,10 +312,11 @@ def bot_match_config(bot: Bot, base: SoccerConfig | None = None) -> SoccerConfig
     cfg = base or SoccerConfig()
     # an offensive bot starts with the ball, a defensive one without it
     possession = {"offense": "left", "defense": "right", "mixed": "random"}[bot.role]
+    start = (cfg.rows // 2 - 1, bot.start[1])
     # a learner whose start cell is the bot's takes the config's other start
     # cell, which is on the pitch and is not the bot's
-    start_right = cfg.start_left if tuple(bot.start) == tuple(cfg.start_right) else cfg.start_right
-    out = replace(cfg, start_left=bot.start, start_right=start_right,
+    start_right = cfg.start_left if start == tuple(cfg.start_right) else cfg.start_right
+    out = replace(cfg, start_left=start, start_right=start_right,
                   initial_possession=possession)
     out.validate()
     return out

@@ -9,7 +9,10 @@ wins - losses over the configured number of games.
 
 Games and episodes reuse their environment: `play_game` resets the one
 `MarkovSoccer` built for a bot's search and series or for a round-robin
-pair, and `play_episodes` resets the one environment of its call.
+pair, and `play_episodes` resets the one environment of its call. A soccer
+game runs on the slot step, `MarkovSoccer.step_pair`: each tick is two
+action ids in and no observation, reward or done dict out, because the
+soccer policies read the board (`observation_key`, `pos`) themselves.
 """
 
 from __future__ import annotations
@@ -131,13 +134,12 @@ class MatchScore:
 
 def play_game(env: MarkovSoccer, left, right, seed: int,
               rng: np.random.Generator) -> str:
-    """One game on `env`, reset with `seed`; returns "left", "right", or "draw"."""
+    """One game on `env`, reset with `seed`; returns "left", "right", or "draw".
+    Each tick the left policy acts, then the right, then `step_pair` plays them."""
     env.reset(seed)
     while not env.finished:
-        actions = {"left": left.act(env, "left", rng),
-                   "right": right.act(env, "right", rng)}
-        env.step(actions)
-    return env.result if env.result is not None else "draw"
+        env.step_pair(left.act(env, "left", rng), right.act(env, "right", rng))
+    return env.result
 
 
 def play_games(env: MarkovSoccer, games, side: str) -> MatchScore:

@@ -5,7 +5,7 @@ Step:   {"tick": t, "agent_id": a, "action": n, "reward": r, "done": bool}
 
 Replaying a log rebuilds the environment from (config, seed), checks the
 config against its hash, feeds the logged actions back in, and must
-reproduce the logged rewards bit-exactly.
+reproduce the logged ticks, dones and rewards, the rewards bit-exactly.
 """
 
 from __future__ import annotations
@@ -104,14 +104,22 @@ def read_replay(path) -> tuple[dict, list[dict]]:
 
 
 def group_by_tick(records: list[dict]) -> list[tuple[int, dict]]:
+    """Records as (tick, agent -> record), by tick; one agent logged twice at
+    one tick is a tampered log."""
     ticks: dict[int, dict] = {}
     for rec in records:
-        ticks.setdefault(rec["tick"], {})[rec["agent_id"]] = rec
+        agents = ticks.setdefault(rec["tick"], {})
+        if rec["agent_id"] in agents:
+            raise IntegrityError(f"replay logs agent {rec['agent_id']} twice at tick {rec['tick']}")
+        agents[rec["agent_id"]] = rec
     return sorted(ticks.items())
 
 
 def replay_episode(env, header: dict, records: list[dict], on_tick=None) -> int:
-    """Drive `env` through a logged episode, checking rewards bit-exactly.
+    """Drive `env` through a logged episode, checking each logged tick, reward
+    and done against the recomputed ones; rewards bit-exactly. A step the
+    environment refuses (an illegal action, a missing agent, a record past
+    the episode's end) is a tampered log too: all raise IntegrityError.
 
     `on_tick(env, tick)` is called after each step (rendering hook).
     Returns the number of ticks replayed.
@@ -122,16 +130,21 @@ def replay_episode(env, header: dict, records: list[dict], on_tick=None) -> int:
         raise IntegrityError(f"replay config_hash {header['config_hash']!r} does not match "
                              f"the environment's config {config_hash(env.config_dict())!r}")
     env.reset(header["seed"])
-    count = 0
     for tick, agent_records in group_by_tick(records):
+        if tick != env.tick:
+            raise IntegrityError(f"replay logs tick {tick} where the environment "
+                                 f"is at tick {env.tick}")
         actions = {a: rec["action"] for a, rec in agent_records.items()}
-        _, rewards, _ = env.step(actions)
+        try:
+            _, rewards, dones = env.step(actions)
+        except ConfigError as exc:
+            raise IntegrityError(f"replay refused at tick {tick}: {exc}") from exc
         for agent_id, rec in agent_records.items():
-            if rewards[agent_id] != rec["reward"]:
-                raise IntegrityError(
-                    f"replay diverged at tick {tick}, agent {agent_id}: "
-                    f"recomputed reward {rewards[agent_id]!r} != logged {rec['reward']!r}")
-        count += 1
+            for key, recomputed in (("reward", rewards[agent_id]), ("done", dones[agent_id])):
+                if recomputed != rec[key]:
+                    raise IntegrityError(
+                        f"replay diverged at tick {tick}, agent {agent_id}: "
+                        f"recomputed {key} {recomputed!r} != logged {rec[key]!r}")
         if on_tick is not None:
             on_tick(env, tick)
-    return count
+    return env.tick   # each logged tick was checked against it

@@ -647,8 +647,8 @@ def test_eval_plays_on_the_checkpoints_soccer_config(tmp_path):
 
 
 def test_eval_bots_on_a_small_pitch_where_a_bot_starts_on_the_learners_cell(tmp_path):
-    # four bots start on (1, 1), this checkpoint's start_right
-    ckpt = soccer_checkpoint(tmp_path, rows=2, start_left=[0, 0], start_right=[1, 1])
+    # four bots start on (0, 1), this checkpoint's start_right
+    ckpt = soccer_checkpoint(tmp_path, rows=2, start_left=[1, 0], start_right=[0, 1])
     assert main(["eval", "bots", str(ckpt), "--games", "4", "--seeds", "1", "--generations", "1",
                  "--episodes-per-latent", "1", "--out", str(tmp_path / "bots.csv")]) == 0
 
@@ -763,6 +763,37 @@ def test_replay_config_edited_under_its_hash_exit_4(tmp_path, capsys):
     writer.save(log)
     assert main(["replay", str(log), "--quiet"]) == 4
     assert "config_hash" in capsys.readouterr().err
+
+
+def past_the_end(records):
+    last = records[-1]["tick"] + 1
+    return records + [{**rec, "tick": last} for rec in records[-2:]]
+
+
+# a seeded soccer log, edited: name -> (edit of its records, words in the error)
+TAMPERED_REPLAYS = {
+    "record past the end": (past_the_end, "finished episode"),
+    "action 9": (lambda records: [{**records[0], "action": 9}, *records[1:]], "illegal action 9"),
+    "missing agent": (lambda records: records[1:], "one action per living agent"),
+    "every done flipped": (lambda records: [{**rec, "done": not rec["done"]} for rec in records],
+                           "recomputed done"),
+    "ticks renumbered": (lambda records: [{**rec, "tick": 2 * rec["tick"]} for rec in records],
+                         "tick 2 where the environment is at tick 1"),
+    "agent logged twice": (lambda records: [records[0], *records], "twice at tick 0"),
+}
+
+
+@pytest.mark.parametrize("edit, words", TAMPERED_REPLAYS.values(), ids=TAMPERED_REPLAYS.keys())
+def test_replay_tampered_soccer_log_exit_4(tmp_path, capsys, edit, words):
+    writer = random_episode(MarkovSoccer(), 3, np.random.default_rng(4))
+    assert len(writer.records) >= 6   # at least three ticks
+    log = tmp_path / "soccer.jsonl"
+    writer.save(log)
+    assert main(["replay", str(log), "--quiet"]) == 0
+    writer.records = edit(writer.records)
+    writer.save(log)
+    assert main(["replay", str(log), "--quiet"]) == 4
+    assert words in capsys.readouterr().err
 
 
 def test_replay_farmworld_episode_via_cli(tmp_path, capsys):

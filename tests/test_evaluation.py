@@ -105,6 +105,25 @@ def test_scripted_blocker_beats_the_straight_bot():
     assert score.score > 0
 
 
+def test_the_straight_bot_scores_on_a_six_row_pitch():
+    # it starts on the top goal row, row 2, so running right scores
+    bot = Bot("straight")
+    env = MarkovSoccer(bot_match_config(bot, SoccerConfig(rows=6, draw_prob=0.0)))
+    score = play_series(env, BotPolicy(bot), RandomPolicy(), 100, np.random.default_rng(8),
+                        perspective="left")
+    assert score.wins > 50
+
+
+def test_play_game_plays_on_the_slot_step(monkeypatch):
+    def refuse(self, actions):
+        raise AssertionError("play_game called the dict step")
+    monkeypatch.setattr(MarkovSoccer, "step", refuse)
+    rng = np.random.default_rng(9)
+    results = {play_game(MarkovSoccer(), RandomPolicy(), RandomPolicy(), seed, rng)
+               for seed in range(50)}
+    assert results <= {"left", "right", "draw"} and len(results) == 3
+
+
 def test_bot_policy_refuses_the_right_side():
     env = MarkovSoccer(SoccerConfig())
     env.reset(0)

@@ -208,10 +208,19 @@ def test_bot_roles_fix_initial_possession():
 
 
 def test_a_learner_on_the_bots_start_cell_takes_the_configs_start_left():
-    small = SoccerConfig(rows=2, start_left=(0, 0), start_right=(1, 1))
+    # on a 2-row pitch bots start on row 0; the column-1 bots start on (0, 1)
+    small = SoccerConfig(rows=2, start_left=(1, 0), start_right=(0, 1))
     for kind in BOT_KINDS:
         cfg = bot_match_config(Bot(kind), small)
-        assert cfg.start_right == ((0, 0) if Bot(kind).start == (1, 1) else (1, 1))
+        assert cfg.start_right == ((1, 0) if Bot(kind).start[1] == 1 else (0, 1))
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 6, 7])
+def test_bots_start_on_the_top_goal_row_of_the_pitch(rows):
+    for kind in BOT_KINDS:
+        cfg = bot_match_config(Bot(kind), SoccerConfig(rows=rows, start_right=(rows - 1, 3)))
+        assert cfg.start_left == (MarkovSoccer(cfg).goal_rows[0], Bot(kind).start[1])
+        assert cfg.start_left[0] == rows // 2 - 1
 
 
 def test_random_bot_uses_all_actions():
@@ -279,3 +288,59 @@ def test_config_accepts_every_legal_start_cell_and_numpy_integers():
         SoccerConfig(start_left=cell, start_right=list(other)).validate()
     SoccerConfig(rows=np.int64(3), max_episode_timesteps=np.int32(1), draw_prob=1,
                  start_left=(np.int64(0), 0)).validate()
+
+
+# -- the slot step ---------------------------------------------------------------
+
+
+def board(env):
+    return (dict(env.pos), env.possession, env.result, env.tick, env.last_order,
+            env.finished, env.rng.bit_generator.state)
+
+
+SLOT_STEP_CONFIGS = {
+    "default": {},
+    "draw_prob 0": {"draw_prob": 0.0},
+    "draw_prob 1": {"draw_prob": 1.0},
+    **{f"cap {cap}": {"max_episode_timesteps": cap} for cap in (1, 2, 3)},
+    "2 rows": {"rows": 2, "start_left": (0, 0), "start_right": (1, 1), "draw_prob": 0.0},
+    "6 rows": {"rows": 6, "draw_prob": 0.0, "max_episode_timesteps": 60},
+    **{f"{side} starts with the ball": {"initial_possession": side}
+       for side in ("left", "right", "random")},
+}
+
+
+@pytest.mark.parametrize("cfg", SLOT_STEP_CONFIGS.values(), ids=SLOT_STEP_CONFIGS.keys())
+def test_step_pair_plays_the_game_step_plays(cfg):
+    for seed in range(20):
+        by_dict, by_slot = MarkovSoccer(SoccerConfig(**cfg)), MarkovSoccer(SoccerConfig(**cfg))
+        by_dict.reset(seed)
+        by_slot.reset(seed)
+        actions = np.random.default_rng(seed)
+        while not by_dict.finished:
+            left, right = (int(a) for a in actions.integers(5, size=2))
+            by_dict.step({"left": left, "right": right})
+            by_slot.step_pair(left, right)
+            assert board(by_slot) == board(by_dict)
+        assert by_slot.finished and by_slot.result is not None
+        assert by_slot.rng.random() == by_dict.rng.random()
+
+
+@pytest.mark.parametrize("left, right", [(-1, STAND), (STAND, 5), (5, -1), (STAND, -1)])
+def test_step_pair_refuses_an_illegal_action_as_step_does(left, right):
+    env = fresh()
+    with pytest.raises(ConfigError, match="illegal action") as by_dict:
+        env.step({"left": left, "right": right})
+    with pytest.raises(ConfigError, match="illegal action") as by_slot:
+        env.step_pair(left, right)
+    assert str(by_slot.value) == str(by_dict.value)
+    assert env.tick == 0 and not env.finished
+
+
+def test_step_pair_refuses_a_finished_game():
+    env = fresh(draw_prob=1.0)
+    env.step_pair(STAND, STAND)
+    assert env.finished and env.result == "draw" and env.tick == 1
+    with pytest.raises(ConfigError, match="finished"):
+        env.step_pair(STAND, STAND)
+    assert env.tick == 1
