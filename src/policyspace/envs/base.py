@@ -4,7 +4,8 @@ Every environment exposes a fixed agent roster, a discrete action set, and
 per-agent (observation, reward, done) triples from ``step``. Simulation is
 deterministic given (seed, action sequence): all stochastic events draw
 from one generator seeded at ``reset``. A finished environment refuses to
-step; illegal action ids raise instead of being clamped.
+step; an action id that is not in ``range(num_actions)`` raises instead of
+being clamped or truncated.
 """
 
 from __future__ import annotations
@@ -188,8 +189,8 @@ class Environment:
             raise ConfigError(f"{self.name}: need exactly one action per living agent "
                               f"({sorted(living)}), got {sorted(actions)}")
         for agent, action in actions.items():
-            if not 0 <= int(action) < self.num_actions:
-                raise ConfigError(f"{self.name}: illegal action {action} for {agent}")
+            if action not in range(self.num_actions):
+                raise ConfigError(f"{self.name}: illegal action {action!r} for {agent}")
         obs, rewards, dones = self._do_step({a: int(v) for a, v in actions.items()})
         self.tick += 1
         if self.tick >= self.max_episode_timesteps or not self.living_agents():

@@ -9,12 +9,13 @@ game in a draw with a small probability, which keeps games short.
 
 Observations are side-invariant: both players see a board on which they
 attack to the right (coordinates are mirrored for the right player), as
-one-hot positions for self and opponent plus a possession flag.
+one-hot positions for self and opponent plus a possession flag. `reset` and
+the dict `step` return both sides' observations of the board they leave;
+`observe(side)` builds one side's observation of the current board.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,32 +64,12 @@ class SoccerConfig:
             raise ConfigError("players cannot share a starting cell")
 
 
-class _Observations(Mapping):
-    """Both sides' observations of one tick, each built on first read from a
-    snapshot of the board: a caller that never reads them pays nothing."""
-
-    def __init__(self, env: "MarkovSoccer"):
-        self._env = env
-        self._board = (dict(env.pos), env.possession)
-        self._built = {}
-
-    def __getitem__(self, side: str) -> np.ndarray:
-        if side not in self._built:
-            self._built[side] = self._env.observe(side, self._board)
-        return self._built[side]
-
-    def __iter__(self):
-        return iter(MarkovSoccer.agent_ids)
-
-    def __len__(self) -> int:
-        return 2
-
-
 class MarkovSoccer(Environment):
     """Soccer on one pitch. `step_pair(left, right)` is the slot step a game
     loop drives: it checks and plays one tick and returns nothing, since game
     loop policies read `pos`, `possession` and `observation_key`. The dict
-    `step` plays the same tick and packs observation, reward and done dicts."""
+    `step` plays the same tick and returns both sides' observations of the
+    new board, their rewards and their dones."""
 
     name = "soccer"
     config_class = SoccerConfig
@@ -115,25 +96,23 @@ class MarkovSoccer(Environment):
             self.possession = self.config.initial_possession
         self.result = None       # None while ongoing, else "left" | "right" | "draw"
         self.last_order = None
-        return _Observations(self)
+        return {side: self.observe(side) for side in self.agent_ids}
 
     # -- observations ----------------------------------------------------------
 
     def _mirror(self, cell: tuple) -> tuple:
         return (cell[0], self.config.cols - 1 - cell[1])
 
-    def observe(self, side: str, board: tuple | None = None) -> np.ndarray:
-        """Board as seen by `side`, always attacking to the right; `board` is a
-        (positions, possession) snapshot, by default the current one."""
-        pos, possession = board or (self.pos, self.possession)
-        own, opp = pos[side], pos[OTHER[side]]
+    def observe(self, side: str) -> np.ndarray:
+        """The current board as seen by `side`, always attacking to the right."""
+        own, opp = self.pos[side], self.pos[OTHER[side]]
         if side == "right":
             own, opp = self._mirror(own), self._mirror(opp)
         n = self.config.rows * self.config.cols
         obs = np.zeros(2 * n + 1)
         obs[own[0] * self.config.cols + own[1]] = 1.0
         obs[n + opp[0] * self.config.cols + opp[1]] = 1.0
-        obs[2 * n] = 1.0 if possession == side else 0.0
+        obs[2 * n] = 1.0 if self.possession == side else 0.0
         return obs
 
     def observation_key(self, side: str) -> tuple:
@@ -182,7 +161,7 @@ class MarkovSoccer(Environment):
             raise ConfigError(f"{self.name}: step() on a finished episode")
         if left not in ACTION_IDS or right not in ACTION_IDS:
             side, action = ("left", left) if left not in ACTION_IDS else ("right", right)
-            raise ConfigError(f"{self.name}: illegal action {action} for {side}")
+            raise ConfigError(f"{self.name}: illegal action {action!r} for {side}")
         self._play_tick(left, right)
         self.tick += 1
         self._finished = self.result is not None   # a tick at the cap always ends in a draw
@@ -194,7 +173,8 @@ class MarkovSoccer(Environment):
             rewards[self.result] = 1.0
             rewards[OTHER[self.result]] = -1.0
         over = self.result is not None
-        return _Observations(self), rewards, {"left": over, "right": over}
+        obs = {side: self.observe(side) for side in self.agent_ids}
+        return obs, rewards, {"left": over, "right": over}
 
     def render(self) -> str:
         rows = []
@@ -227,18 +207,11 @@ BOT_ROLES = {
     "random": "mixed",
 }
 
-# bots always play the left side; start cells on the default 4x5 pitch, on its
-# top goal row, chosen so the scripted motion begins in place (the stand bot
-# really does stand every tick). `bot_match_config` keeps a bot's column and
-# puts it on the top goal row of the pitch it plays on.
-BOT_STARTS = {
-    "straight": (1, 1),
-    "oscillate0": (1, 0),
-    "oscillate1": (1, 1),
-    "stand": (1, 0),
-    "rule_based": (1, 1),
-    "random": (1, 1),
-}
+# bots always play the left side and start on the top goal row of the pitch
+# (`bot_match_config`), in a column chosen so the scripted motion begins in
+# place (the stand bot really does stand every tick)
+BOT_COLUMNS = {"straight": 1, "oscillate0": 0, "oscillate1": 1, "stand": 0,
+               "rule_based": 1, "random": 1}
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 
@@ -256,8 +229,8 @@ class Bot:
         return BOT_ROLES[self.kind]
 
     @property
-    def start(self) -> tuple:
-        return BOT_STARTS[self.kind]
+    def column(self) -> int:
+        return BOT_COLUMNS[self.kind]
 
     def action(self, env: MarkovSoccer, rng: np.random.Generator) -> int:
         return bot_action(self.kind, env, rng)
@@ -312,7 +285,7 @@ def bot_match_config(bot: Bot, base: SoccerConfig | None = None) -> SoccerConfig
     cfg = base or SoccerConfig()
     # an offensive bot starts with the ball, a defensive one without it
     possession = {"offense": "left", "defense": "right", "mixed": "random"}[bot.role]
-    start = (cfg.rows // 2 - 1, bot.start[1])
+    start = (cfg.rows // 2 - 1, bot.column)
     # a learner whose start cell is the bot's takes the config's other start
     # cell, which is on the pitch and is not the bot's
     start_right = cfg.start_left if start == tuple(cfg.start_right) else cfg.start_right

@@ -5,7 +5,8 @@ Step:   {"tick": t, "agent_id": a, "action": n, "reward": r, "done": bool}
 
 Replaying a log rebuilds the environment from (config, seed), checks the
 config against its hash, feeds the logged actions back in, and must
-reproduce the logged ticks, dones and rewards, the rewards bit-exactly.
+reproduce the logged ticks, dones and rewards, the rewards bit-exactly, and
+end where the episode ends.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def replay_episode(env, header: dict, records: list[dict], on_tick=None) -> int:
     """Drive `env` through a logged episode, checking each logged tick, reward
     and done against the recomputed ones; rewards bit-exactly. A step the
     environment refuses (an illegal action, a missing agent, a record past
-    the episode's end) is a tampered log too: all raise IntegrityError.
+    the episode's end) is a tampered log too, and so is a log whose records
+    stop before the episode ends: all raise IntegrityError.
 
     `on_tick(env, tick)` is called after each step (rendering hook).
     Returns the number of ticks replayed.
@@ -147,4 +149,6 @@ def replay_episode(env, header: dict, records: list[dict], on_tick=None) -> int:
                         f"recomputed {key} {recomputed!r} != logged {rec[key]!r}")
         if on_tick is not None:
             on_tick(env, tick)
+    if records and not env.finished:
+        raise IntegrityError(f"replay stops at tick {env.tick} before the episode ends")
     return env.tick   # each logged tick was checked against it

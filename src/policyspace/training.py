@@ -119,7 +119,6 @@ class RolloutBatch:
     log_probs_old: np.ndarray
     advantages: np.ndarray
     value_targets: np.ndarray
-    rewards: np.ndarray
 
     def __len__(self):
         return len(self.actions)
@@ -143,15 +142,19 @@ def assemble_batch(trajectories: list[Trajectory], discount: float, lam: float,
         log_probs_old=np.concatenate([t.log_probs for t in trajectories]),
         advantages=adv,
         value_targets=np.concatenate(targets),
-        rewards=np.concatenate([t.rewards for t in trajectories]),
     )
 
 
 class _EpisodeBuffer:
-    __slots__ = ("latent", "obs", "actions", "log_probs", "rewards", "values")
+    """One agent's episode in flight: the latent it holds for the whole
+    episode, its return so far, and the rows of the segment recorded since
+    the last batch boundary."""
 
-    def __init__(self, latent):
+    __slots__ = ("latent", "episode_return", "obs", "actions", "log_probs", "rewards", "values")
+
+    def __init__(self, latent, episode_return: float = 0.0):
         self.latent = latent
+        self.episode_return = episode_return
         self.obs, self.actions, self.log_probs, self.rewards, self.values = [], [], [], [], []
 
     def to_trajectory(self, terminal: bool, bootstrap: float = 0.0) -> Trajectory:
@@ -163,21 +166,20 @@ class _EpisodeBuffer:
 
 
 class RolloutState:
-    """Environments plus the episodes currently in flight.
+    """Environments, each one's latest observations, and the episodes in flight.
 
-    Persists across training iterations so episodes continue where the
-    previous batch cut them off: the batch boundary truncates the recorded
-    *segment* (finalized with a bootstrap value), never the episode itself,
-    and an agent keeps its episode latent across the boundary.
+    `obs[i]` is empty until env `i` starts its first episode; `buffers[i]`
+    maps each living agent to its `_EpisodeBuffer`. The state persists across
+    training iterations so episodes continue where the previous batch cut
+    them off: the batch boundary truncates the recorded *segment* (finalized
+    with a bootstrap value), never the episode itself, and the buffer that
+    replaces it keeps the agent's latent and running return.
     """
 
     def __init__(self, envs: list):
         self.envs = envs
         self.obs: list[dict] = [{} for _ in envs]
-        self.latents: list[dict] = [{} for _ in envs]
         self.buffers: list[dict] = [{} for _ in envs]
-        self.episode_return: list[dict] = [{} for _ in envs]
-        self.started = [False] * len(envs)
 
 
 def collect_rollouts(gen: PolicyGenerator, state: RolloutState, steps: int,
@@ -193,48 +195,41 @@ def collect_rollouts(gen: PolicyGenerator, state: RolloutState, steps: int,
     finished_returns: list[float] = []
 
     def start_episode(i):
-        obs = envs[i].reset(int(rng.integers(2 ** 62)))
-        state.latents[i] = {a: sample_latent(rng, gen.latent_dim) for a in sorted(obs)}
-        state.buffers[i] = {a: _EpisodeBuffer(state.latents[i][a]) for a in sorted(obs)}
-        state.episode_return[i] = {a: 0.0 for a in obs}
-        state.obs[i] = obs
-        state.started[i] = True
+        state.obs[i] = envs[i].reset(int(rng.integers(2 ** 62)))
+        state.buffers[i] = {a: _EpisodeBuffer(sample_latent(rng, gen.latent_dim))
+                            for a in sorted(state.obs[i])}
 
     for i in range(len(envs)):
-        if not state.started[i]:
+        if not state.obs[i]:
             start_episode(i)
 
     collected = 0
     while collected < steps:
-        rows_obs, rows_z, owners = [], [], []
-        for i, env in enumerate(envs):
-            for agent in env.living_agents():
-                rows_obs.append(state.obs[i][agent])
-                rows_z.append(state.latents[i][agent])
-                owners.append((i, agent))
-        obs_mat = np.asarray(rows_obs)
-        z_mat = np.asarray(rows_z)
-        actions, log_probs, values = gen.act(obs_mat, z_mat, rng)
+        rows = [(i, agent, state.buffers[i][agent])
+                for i, env in enumerate(envs) for agent in env.living_agents()]
+        rows_obs = [state.obs[i][agent] for i, agent, _ in rows]
+        actions, log_probs, values = gen.act(np.asarray(rows_obs),
+                                             np.asarray([buf.latent for _, _, buf in rows]), rng)
 
         per_env_actions: list[dict] = [{} for _ in envs]
-        for row, (i, agent) in enumerate(owners):
-            per_env_actions[i][agent] = int(actions[row])
-            buf = state.buffers[i][agent]
-            buf.obs.append(rows_obs[row])
-            buf.actions.append(int(actions[row]))
-            buf.log_probs.append(float(log_probs[row]))
-            buf.values.append(float(values[row]))
+        for (i, agent, buf), obs, action, log_prob, value in zip(
+                rows, rows_obs, actions.tolist(), log_probs.tolist(), values.tolist()):
+            per_env_actions[i][agent] = action
+            buf.obs.append(obs)
+            buf.actions.append(action)
+            buf.log_probs.append(log_prob)
+            buf.values.append(value)
 
         for i, env in enumerate(envs):
-            obs, rewards, dones = env.step(per_env_actions[i])
-            state.obs[i] = obs
+            state.obs[i], rewards, dones = env.step(per_env_actions[i])
             for agent, reward in rewards.items():
-                state.buffers[i][agent].rewards.append(float(reward))
-                state.episode_return[i][agent] += float(reward)
+                buf = state.buffers[i][agent]
+                buf.rewards.append(float(reward))
+                buf.episode_return += float(reward)
                 collected += 1
                 if dones[agent]:
-                    segments.append(state.buffers[i][agent].to_trajectory(terminal=True))
-                    finished_returns.append(state.episode_return[i][agent])
+                    segments.append(buf.to_trajectory(terminal=True))
+                    finished_returns.append(buf.episode_return)
                     del state.buffers[i][agent]
             if env.finished:
                 start_episode(i)
@@ -248,7 +243,7 @@ def collect_rollouts(gen: PolicyGenerator, state: RolloutState, steps: int,
         tail_values = gen.value_np(obs_mat, z_mat)
         for (i, agent, buf), v in zip(leftovers, tail_values):
             segments.append(buf.to_trajectory(terminal=False, bootstrap=float(v)))
-            state.buffers[i][agent] = _EpisodeBuffer(buf.latent)
+            state.buffers[i][agent] = _EpisodeBuffer(buf.latent, buf.episode_return)
     return segments, finished_returns
 
 
@@ -340,18 +335,20 @@ def centered_intrinsic_errors(squared_errors: np.ndarray, intrinsic_coef: float)
 
 
 def shape_rewards_with_discriminator(trajectories: list[Trajectory], disc: Discriminator,
-                                     intrinsic_coef: float) -> np.ndarray:
-    """Add centered discriminator error to every reward, in place; returns errs."""
+                                     intrinsic_coef: float, epochs: int) -> float:
+    """The diayn_star pass over one batch: train `disc` on its states and
+    episode latents for `epochs`, then add the centered error of its
+    predictions to every reward, in place. Returns the last training loss."""
     obs = np.concatenate([t.obs for t in trajectories])
     latents = np.concatenate([np.repeat(t.latent[None], len(t), axis=0) for t in trajectories])
-    pred = disc.predict(obs)
-    se = ((pred - latents) ** 2).sum(axis=-1)
+    loss = disc.train_batch(obs, latents, epochs)
+    se = ((disc.predict(obs) - latents) ** 2).sum(axis=-1)
     errs = centered_intrinsic_errors(se, intrinsic_coef)
     i = 0
     for traj in trajectories:
         traj.rewards = traj.rewards + errs[i:i + len(traj)]
         i += len(traj)
-    return errs
+    return loss
 
 
 # -- the trainer --------------------------------------------------------------
@@ -396,26 +393,16 @@ class Trainer:
 
         discriminator_loss = 0.0
         if cfg.method == "diayn_star":
-            obs = np.concatenate([t.obs for t in trajectories])
-            lats = np.concatenate([np.repeat(t.latent[None], len(t), axis=0)
-                                   for t in trajectories])
-            discriminator_loss = self.discriminator.train_batch(obs, lats,
-                                                                cfg.discriminator_epochs)
-            shape_rewards_with_discriminator(trajectories, self.discriminator,
-                                             cfg.intrinsic_coef)
+            discriminator_loss = shape_rewards_with_discriminator(
+                trajectories, self.discriminator, cfg.intrinsic_coef, cfg.discriminator_epochs)
 
         batch = assemble_batch(trajectories, cfg.discount, cfg.gae_lambda,
                                cfg.normalize_advantages)
         self.agent_steps += len(batch)
 
-        alpha = cfg.alpha
-        div_latents = div_states = None
-        if alpha > 0.0:
-            div_latents, div_states = self._sample_diversity_inputs(batch)
-
         snap = self._snapshot()
         try:
-            metrics = self._update(batch, alpha, div_latents, div_states)
+            metrics = self._update(batch)
         except NumericError:
             self._restore(snap)
             raise
@@ -441,14 +428,18 @@ class Trainer:
         idx = self.rng.choice(len(batch), size=count, replace=False)
         return latents, batch.obs[idx]
 
-    def _update(self, batch: RolloutBatch, alpha: float, div_latents, div_states) -> dict:
+    def _update(self, batch: RolloutBatch) -> dict:
+        """Run `sgd_iters` epochs of minibatch updates. The diversity inputs
+        are sampled at epoch 0, and again at each epoch when
+        `resample_diversity_each_epoch` is set."""
         cfg = self.config
+        alpha = cfg.alpha
         n = len(batch)
         last = {"surrogate": 0.0, "value_loss": 0.0, "entropy": 0.0}
         l_div_value = 0.0
         params = self.gen.parameters()
-        for _ in range(cfg.sgd_iters):
-            if alpha > 0.0 and cfg.resample_diversity_each_epoch:
+        for epoch in range(cfg.sgd_iters):
+            if alpha > 0.0 and (epoch == 0 or cfg.resample_diversity_each_epoch):
                 div_latents, div_states = self._sample_diversity_inputs(batch)
             order = self.rng.permutation(n)
             for lo in range(0, n, cfg.minibatch_size):

@@ -780,6 +780,7 @@ TAMPERED_REPLAYS = {
     "ticks renumbered": (lambda records: [{**rec, "tick": 2 * rec["tick"]} for rec in records],
                          "tick 2 where the environment is at tick 1"),
     "agent logged twice": (lambda records: [records[0], *records], "twice at tick 0"),
+    "cut short": (lambda records: records[:4], "stops at tick 2 before the episode ends"),
 }
 
 

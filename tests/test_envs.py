@@ -113,12 +113,17 @@ def step_faults(env):
         "action -1": ({**good, first: -1}, f"{env.name}: illegal action -1 for {first}"),
         "action num_actions": ({**good, first: env.num_actions},
                                f"{env.name}: illegal action {env.num_actions} for {first}"),
+        # an id is legal only if it is in range(num_actions): none is truncated
+        "action 2.7": ({**good, first: 2.7}, f"{env.name}: illegal action 2.7 for {first}"),
+        "action '3'": ({**good, first: "3"}, f"{env.name}: illegal action '3' for {first}"),
+        "action None": ({**good, first: None}, f"{env.name}: illegal action None for {first}"),
     }
 
 
 @pytest.mark.parametrize("name", ["multigoal", "farmworld", "soccer"])
 @pytest.mark.parametrize("fault", ["missing agent", "unknown agent", "action -1",
-                                   "action num_actions"])
+                                   "action num_actions", "action 2.7", "action '3'",
+                                   "action None"])
 def test_step_rejects_a_malformed_action_set(name, fault):
     env = started(name)
     actions, message = step_faults(env)[fault]
@@ -126,6 +131,20 @@ def test_step_rejects_a_malformed_action_set(name, fault):
         env.step(actions)
     assert str(caught.value) == message
     assert env.tick == 0 and not env.finished
+
+
+@pytest.mark.parametrize("name", ["multigoal", "farmworld", "soccer"])
+def test_step_accepts_a_numpy_integer_action_as_its_int(name):
+    by_numpy, by_int = started(name), started(name)
+    first = by_numpy.living_agents()[0]
+    actions = {agent: 0 for agent in by_numpy.living_agents()}
+    obs_numpy, rewards_numpy, dones_numpy = by_numpy.step({**actions, first: np.int64(2)})
+    obs_int, rewards_int, dones_int = by_int.step({**actions, first: 2})
+    assert by_numpy.tick == by_int.tick == 1
+    assert (rewards_numpy, dones_numpy) == (rewards_int, dones_int)
+    assert obs_numpy.keys() == obs_int.keys()
+    for agent in obs_int:
+        assert np.array_equal(obs_numpy[agent], obs_int[agent])
 
 
 @pytest.mark.parametrize("name", ["multigoal", "farmworld", "soccer"])

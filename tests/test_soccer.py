@@ -154,7 +154,7 @@ def test_straight_bot_always_moves_right():
 
 def test_stand_bot_stands_every_tick():
     bot = Bot("stand")
-    env = fresh(start_left=bot.start, initial_possession="right")
+    env = fresh(start_left=bot_match_config(bot).start_left, initial_possession="right")
     rng = np.random.default_rng(0)
     for _ in range(5):
         assert bot.action(env, rng) == STAND
@@ -212,14 +212,14 @@ def test_a_learner_on_the_bots_start_cell_takes_the_configs_start_left():
     small = SoccerConfig(rows=2, start_left=(1, 0), start_right=(0, 1))
     for kind in BOT_KINDS:
         cfg = bot_match_config(Bot(kind), small)
-        assert cfg.start_right == ((1, 0) if Bot(kind).start[1] == 1 else (0, 1))
+        assert cfg.start_right == ((1, 0) if Bot(kind).column == 1 else (0, 1))
 
 
 @pytest.mark.parametrize("rows", [2, 3, 4, 5, 6, 7])
 def test_bots_start_on_the_top_goal_row_of_the_pitch(rows):
     for kind in BOT_KINDS:
         cfg = bot_match_config(Bot(kind), SoccerConfig(rows=rows, start_right=(rows - 1, 3)))
-        assert cfg.start_left == (MarkovSoccer(cfg).goal_rows[0], Bot(kind).start[1])
+        assert cfg.start_left == (MarkovSoccer(cfg).goal_rows[0], Bot(kind).column)
         assert cfg.start_left[0] == rows // 2 - 1
 
 
@@ -326,7 +326,8 @@ def test_step_pair_plays_the_game_step_plays(cfg):
         assert by_slot.rng.random() == by_dict.rng.random()
 
 
-@pytest.mark.parametrize("left, right", [(-1, STAND), (STAND, 5), (5, -1), (STAND, -1)])
+@pytest.mark.parametrize("left, right", [(-1, STAND), (STAND, 5), (5, -1), (STAND, -1),
+                                         (2.7, STAND), (STAND, "3"), (None, STAND)])
 def test_step_pair_refuses_an_illegal_action_as_step_does(left, right):
     env = fresh()
     with pytest.raises(ConfigError, match="illegal action") as by_dict:
@@ -335,6 +336,13 @@ def test_step_pair_refuses_an_illegal_action_as_step_does(left, right):
         env.step_pair(left, right)
     assert str(by_slot.value) == str(by_dict.value)
     assert env.tick == 0 and not env.finished
+
+
+def test_step_pair_accepts_a_numpy_integer_as_step_does():
+    by_dict, by_slot = fresh(seed=2), fresh(seed=2)
+    by_dict.step({"left": np.int64(2), "right": STAND})
+    by_slot.step_pair(np.int64(2), STAND)
+    assert board(by_slot) == board(by_dict) and by_slot.tick == 1
 
 
 def test_step_pair_refuses_a_finished_game():

@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import weakref
@@ -13,7 +14,7 @@ from policyspace.generator import PolicyGenerator, sample_latents
 from policyspace.training import (Discriminator, RolloutState, Trainer,
                                   TrainerConfig, centered_intrinsic_errors,
                                   clipped_surrogate, collect_rollouts, compute_gae,
-                                  ppo_objective)
+                                  ppo_objective, shape_rewards_with_discriminator)
 
 from helpers import check_gradients, ppo_surrogate_generic
 
@@ -422,6 +423,44 @@ def test_diayn_star_method_shapes_rewards_and_trains_discriminator():
     assert trainer.discriminator is not None
     m = trainer.train_iteration()
     assert m["discriminator_loss"] > 0.0
+
+
+def test_diayn_star_pass_is_train_then_predict_then_shape():
+    gen = tiny_gen(18)
+    state = RolloutState([MultiGoal(MultiGoalConfig(max_episode_timesteps=15)) for _ in range(2)])
+    trajectories, _ = collect_rollouts(gen, state, steps=60, rng=np.random.default_rng(8))
+    disc = Discriminator(2, 3, np.random.default_rng(9), hidden_dim=8, lr=1e-2)
+    twin = copy.deepcopy(disc)
+    # by hand, on the copy: train on the batch, predict, center the errors
+    obs = np.concatenate([t.obs for t in trajectories])
+    latents = np.concatenate([np.repeat(t.latent[None], len(t), axis=0) for t in trajectories])
+    expected_loss = twin.train_batch(obs, latents, epochs=3)
+    errs = centered_intrinsic_errors(((twin.predict(obs) - latents) ** 2).sum(axis=-1), 0.05)
+    expected_rewards = np.concatenate([t.rewards for t in trajectories]) + errs
+
+    loss = shape_rewards_with_discriminator(trajectories, disc, 0.05, epochs=3)
+    assert loss == expected_loss
+    assert np.array_equal(np.concatenate([t.rewards for t in trajectories]), expected_rewards)
+    for shaped, by_hand in zip(disc.net.parameters(), twin.net.parameters()):
+        assert np.array_equal(shaped.data, by_hand.data)
+
+
+@pytest.mark.parametrize("resample, draws", [(False, 1), (True, 3)])
+def test_diversity_inputs_are_drawn_once_or_at_every_epoch(monkeypatch, resample, draws):
+    gen = tiny_gen(19, hidden=8)
+    cfg = TrainerConfig(batch_size=40, minibatch_size=20, sgd_iters=3, num_envs=2,
+                        resample_diversity_each_epoch=resample,
+                        diversity=DiversityConfig(coef=0.2, num_states=10))
+    trainer = Trainer(gen, lambda: MultiGoal(MultiGoalConfig(max_episode_timesteps=10)), cfg, seed=11)
+    real, calls = Trainer._sample_diversity_inputs, []
+
+    def counted(self, batch):
+        calls.append(len(batch))
+        return real(self, batch)
+
+    monkeypatch.setattr(Trainer, "_sample_diversity_inputs", counted)
+    trainer.train_iteration()
+    assert len(calls) == draws
 
 
 def test_episodes_persist_across_batch_boundaries():
