@@ -33,9 +33,10 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
 
 
 def softmax_np(x: Array, axis: int = -1) -> Array:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)                    # in place, here and below: one buffer
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def affine_np(x: Array, weight: Array, bias: Array, activation: str) -> Array:

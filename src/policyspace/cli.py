@@ -3,7 +3,7 @@
 Exit codes: 0 ok, 2 configuration error, 3 numeric fault, 4 integrity
 failure. Run directories live under $POLICYSPACE_RUNS (default ./runs) and
 always contain exactly one manifest.json; re-running a manifest reproduces
-the metrics CSV bit-exactly in single-worker mode (wall_seconds aside).
+the metrics CSV bit-exactly (wall_seconds aside).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Every environment exposes a fixed agent roster, a discrete action set, and
 per-agent (observation, reward, done) triples from ``step``. Simulation is
 deterministic given (seed, action sequence): all stochastic events draw
 from one generator seeded at ``reset``. A finished environment refuses to
-step; an action id that is not in ``range(num_actions)`` raises instead of
-being clamped or truncated.
+step; an action id that is not an int in ``range(num_actions)`` raises
+instead of being clamped or truncated.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ from ..errors import ConfigError
 
 def is_int(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)   # bool is not an int here
+
+
+def is_action(value, num_actions: int) -> bool:
+    """Whether `value` is an action id: an int (not a bool or a float) in range."""
+    return is_int(value) and 0 <= value < num_actions
 
 
 # -- one typed schema for every config section ------------------------------------
@@ -174,11 +179,15 @@ class Environment:
 
     def reset(self, seed: int) -> dict:
         """Start a fresh episode; identical seeds give identical states."""
+        self._start(seed)
+        return self._do_reset()
+
+    def _start(self, seed: int):
+        """The episode bookkeeping of `reset`: the seed, its generator, tick 0."""
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
         self.tick = 0
         self._finished = False
-        return self._do_reset()
 
     def step(self, actions: dict) -> tuple[dict, dict, dict]:
         """Advance one tick with one action per living agent."""
@@ -189,7 +198,7 @@ class Environment:
             raise ConfigError(f"{self.name}: need exactly one action per living agent "
                               f"({sorted(living)}), got {sorted(actions)}")
         for agent, action in actions.items():
-            if action not in range(self.num_actions):
+            if not is_action(action, self.num_actions):
                 raise ConfigError(f"{self.name}: illegal action {action!r} for {agent}")
         obs, rewards, dones = self._do_step({a: int(v) for a, v in actions.items()})
         self.tick += 1

@@ -12,6 +12,12 @@ attack to the right (coordinates are mirrored for the right player), as
 one-hot positions for self and opponent plus a possession flag. `reset` and
 the dict `step` return both sides' observations of the board they leave;
 `observe(side)` builds one side's observation of the current board.
+
+The pitch's uniforms (the possession coin, each tick's draw and move-order
+coins) come from `rng.random(DRAW_BLOCK)` blocks and are used in order, so a
+game plays exactly as if each were a scalar `rng.random()` call. After a game
+`rng` has run ahead to the end of the last block, and replacing `rng`
+mid-episode takes effect only once the block in hand is spent.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Environment, at_least, between, check_ranges, check_types, one_of
+from .base import (Environment, at_least, between, check_ranges, check_types, is_action,
+                   one_of)
 
 # actions: up, down, left, right, stand
 ACTION_NAMES = ("up", "down", "left", "right", "stand")
@@ -30,6 +37,7 @@ STAND = 4
 ACTION_IDS = range(len(ACTION_NAMES))
 OTHER = {"left": "right", "right": "left"}
 LEFT_FIRST, RIGHT_FIRST = ("left", "right"), ("right", "left")   # move orders
+DRAW_BLOCK = 64   # uniforms drawn from the pitch's rng at a time: a typical game's worth
 
 
 # SoccerConfig field -> its legal range
@@ -69,7 +77,8 @@ class MarkovSoccer(Environment):
     loop drives: it checks and plays one tick and returns nothing, since game
     loop policies read `pos`, `possession` and `observation_key`. The dict
     `step` plays the same tick and returns both sides' observations of the
-    new board, their rewards and their dones."""
+    new board, their rewards and their dones. Both take their uniforms from
+    `_draws`, a block of `rng`'s next draws (see the module docstring)."""
 
     name = "soccer"
     config_class = SoccerConfig
@@ -87,16 +96,26 @@ class MarkovSoccer(Environment):
     def living_agents(self) -> list[str]:
         return [] if self._finished else ["left", "right"]
 
+    def reset_pair(self, seed: int):
+        """`reset` without building the observations, which game loop policies
+        do not read; the slot form of `reset`, as `step_pair` is of `step`."""
+        self._start(seed)
+        self._kick_off()
+
     def _do_reset(self) -> dict:
+        self._kick_off()
+        return {side: self.observe(side) for side in self.agent_ids}
+
+    def _kick_off(self):
         self.pos = {"left": tuple(self.config.start_left),
                     "right": tuple(self.config.start_right)}
+        self._draws = []   # the unused uniforms of the block in hand, next one last
         if self.config.initial_possession == "random":
-            self.possession = "left" if self.rng.random() < 0.5 else "right"
+            self.possession = "left" if self._refill().pop() < 0.5 else "right"
         else:
             self.possession = self.config.initial_possession
         self.result = None       # None while ongoing, else "left" | "right" | "draw"
         self.last_order = None
-        return {side: self.observe(side) for side in self.agent_ids}
 
     # -- observations ----------------------------------------------------------
 
@@ -140,13 +159,21 @@ class MarkovSoccer(Environment):
             return
         self.pos[side] = (nr, nc)
 
+    def _refill(self) -> list:
+        """Put the next `DRAW_BLOCK` uniforms of `rng` behind those in hand."""
+        block = self.rng.random(DRAW_BLOCK).tolist()
+        block.reverse()
+        self._draws = block + self._draws
+        return self._draws
+
     def _play_tick(self, left: int, right: int):
         """The soccer rules for one tick of legal actions: the draw, the move
         order, both moves and the timeout draw. Leaves `tick` to the caller."""
-        if self.rng.random() < self.config.draw_prob:
+        draws = self._draws if len(self._draws) >= 2 else self._refill()
+        if draws.pop() < self.config.draw_prob:
             self.result = "draw"
         else:
-            self.last_order = LEFT_FIRST if self.rng.random() < 0.5 else RIGHT_FIRST
+            self.last_order = LEFT_FIRST if draws.pop() < 0.5 else RIGHT_FIRST
             for side in self.last_order:   # a goal by the first mover ends the tick
                 self._try_move(side, left if side == "left" else right)
                 if self.result is not None:
@@ -159,9 +186,11 @@ class MarkovSoccer(Environment):
         slot form of `step`, refusing what it refuses with the same errors."""
         if self._finished:
             raise ConfigError(f"{self.name}: step() on a finished episode")
-        if left not in ACTION_IDS or right not in ACTION_IDS:
-            side, action = ("left", left) if left not in ACTION_IDS else ("right", right)
-            raise ConfigError(f"{self.name}: illegal action {action!r} for {side}")
+        if not (type(left) is int and type(right) is int   # the common case, checked fast
+                and left in ACTION_IDS and right in ACTION_IDS):
+            for side, action in (("left", left), ("right", right)):
+                if not is_action(action, self.num_actions):
+                    raise ConfigError(f"{self.name}: illegal action {action!r} for {side}")
         self._play_tick(left, right)
         self.tick += 1
         self._finished = self.result is not None   # a tick at the cap always ends in a draw
@@ -251,14 +280,15 @@ def _toward(src: tuple, dst: tuple) -> int:
 
 def bot_action(kind: str, env: MarkovSoccer, rng: np.random.Generator) -> int:
     """Scripted policies for the left side."""
+    if kind == "straight":
+        return RIGHT
+    if kind == "stand":
+        return STAND
+    if kind == "random":
+        return int(rng.integers(5))
     me = env.pos["left"]
     opp = env.pos["right"]
     top, bottom = env.goal_rows
-
-    if kind == "straight":
-        return RIGHT
-    if kind == "random":
-        return int(rng.integers(5))
     if kind in ("oscillate0", "oscillate1"):
         col = 0 if kind == "oscillate0" else 1
         if me == (top, col):
@@ -266,8 +296,6 @@ def bot_action(kind: str, env: MarkovSoccer, rng: np.random.Generator) -> int:
         if me == (bottom, col):
             return UP
         return _toward(me, (top, col))
-    if kind == "stand":
-        return STAND
     # rule_based heuristic: with the ball run right, sidestepping a blocker;
     # without it, park between the opponent and our goal
     if env.possession == "left":

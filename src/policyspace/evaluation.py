@@ -10,9 +10,13 @@ wins - losses over the configured number of games.
 Games and episodes reuse their environment: `play_game` resets the one
 `MarkovSoccer` built for a bot's search and series or for a round-robin
 pair, and `play_episodes` resets the one environment of its call. A soccer
-game runs on the slot step, `MarkovSoccer.step_pair`: each tick is two
-action ids in and no observation, reward or done dict out, because the
-soccer policies read the board (`observation_key`, `pos`) themselves.
+game runs on the slot forms, `MarkovSoccer.reset_pair` and `step_pair`: a
+reset builds no observations, and each tick is two action ids in and no
+observation, reward or done dict out, because the soccer policies read the
+board (`observation_key`, `pos`) themselves. The pitch draws its uniforms
+from its own generator in blocks (see `envs.soccer`), so a game's result
+depends only on its seed and the policies' actions, as with scalar draws;
+the policies draw from the `rng` passed in.
 """
 
 from __future__ import annotations
@@ -135,10 +139,13 @@ class MatchScore:
 def play_game(env: MarkovSoccer, left, right, seed: int,
               rng: np.random.Generator) -> str:
     """One game on `env`, reset with `seed`; returns "left", "right", or "draw".
-    Each tick the left policy acts, then the right, then `step_pair` plays them."""
-    env.reset(seed)
-    while not env.finished:
-        env.step_pair(left.act(env, "left", rng), right.act(env, "right", rng))
+    Each tick the left policy acts, then the right, then `step_pair` plays them;
+    the three methods are looked up once per game. The game is on while
+    `env.result` is None: the tick that finishes it sets the result."""
+    env.reset_pair(seed)
+    step, act_left, act_right = env.step_pair, left.act, right.act
+    while env.result is None:
+        step(act_left(env, "left", rng), act_right(env, "right", rng))
     return env.result
 
 

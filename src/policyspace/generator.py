@@ -58,9 +58,9 @@ def mix(h0, branches: list[Layer], z: np.ndarray, outs: list | None = None):
     forms all k branches' gradients with stacked matmuls."""
     x = h0.data if isinstance(h0, Tensor) else h0
     outs = branch_outputs(x, branches) if outs is None else outs
-    mixed = x
-    for i, out in enumerate(outs):
-        mixed = mixed + out * z[..., i:i + 1]
+    mixed = x + outs[0] * z[..., 0:1]   # a new array, then summed into in place
+    for i in range(1, len(outs)):
+        mixed += outs[i] * z[..., i:i + 1]
     if not isinstance(h0, Tensor):
         return mixed
     stacked = np.concatenate([branch.weight.data for branch in branches])   # (k*d, d_in)

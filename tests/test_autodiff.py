@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from policyspace.autodiff import Tensor, affine, constant, parameter
+from policyspace.autodiff import Tensor, affine, constant, parameter, softmax_np
 from policyspace.errors import NumericError
 
 from helpers import check_gradients, finite_diff_grads, relative_error
@@ -203,3 +203,17 @@ def test_leaf_gradients_own_their_buffers():
     assert not np.shares_memory(a.grad, b.grad)
     a.grad *= 0.5
     assert np.array_equal(b.grad, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("shape, axis", [((1, 5), -1), ((7, 5), -1), ((3, 4, 6), -1),
+                                         ((3, 4, 6), 0), ((3, 1, 5), 1), ((200, 33), -1)])
+def test_softmax_np_in_place_equals_the_out_of_place_softmax(shape, axis):
+    # softmax_np exponentiates and normalizes in its own buffer; the same
+    # operations in the same order, so byte for byte the out-of-place result
+    x = 3.0 * np.random.default_rng(len(shape) + axis).standard_normal(shape)
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    expected = e / e.sum(axis=axis, keepdims=True)
+    got = softmax_np(x, axis)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert not np.shares_memory(got, x)

@@ -117,13 +117,19 @@ def step_faults(env):
         "action 2.7": ({**good, first: 2.7}, f"{env.name}: illegal action 2.7 for {first}"),
         "action '3'": ({**good, first: "3"}, f"{env.name}: illegal action '3' for {first}"),
         "action None": ({**good, first: None}, f"{env.name}: illegal action None for {first}"),
+        # a bool or a float equal to an id is not one
+        "action True": ({**good, first: True}, f"{env.name}: illegal action True for {first}"),
+        "action 2.0": ({**good, first: 2.0}, f"{env.name}: illegal action 2.0 for {first}"),
+        "action np.float64(1)": ({**good, first: np.float64(1)},
+                                 f"{env.name}: illegal action {np.float64(1)!r} for {first}"),
     }
 
 
 @pytest.mark.parametrize("name", ["multigoal", "farmworld", "soccer"])
 @pytest.mark.parametrize("fault", ["missing agent", "unknown agent", "action -1",
                                    "action num_actions", "action 2.7", "action '3'",
-                                   "action None"])
+                                   "action None", "action True", "action 2.0",
+                                   "action np.float64(1)"])
 def test_step_rejects_a_malformed_action_set(name, fault):
     env = started(name)
     actions, message = step_faults(env)[fault]

@@ -3,7 +3,8 @@ import pytest
 
 from policyspace.autodiff import constant, parameter
 from policyspace.errors import ConfigError
-from policyspace.generator import PolicyGenerator, mix, sample_latent, sample_latents
+from policyspace.generator import (PolicyGenerator, branch_outputs, mix, sample_latent,
+                                  sample_latents)
 
 from helpers import check_gradients, mix_generic
 
@@ -213,3 +214,22 @@ def test_mix_node_equals_the_branch_loop(activation):
         grads.append([p.grad for p in params])
     for a, b in zip(*grads):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h0_shape, z_shape", [((6, 4), (6, 3)), ((1, 4), (1, 3)),
+                                               ((2, 5, 4), (2, 5, 3)), ((5, 4), (7, 1, 3))],
+                         ids=["rows", "one row", "3-D", "latent grid"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_array_mix_in_place_equals_the_out_of_place_sum(activation, h0_shape, z_shape):
+    # the array mix sums the scaled branches into one buffer; the same
+    # additions in the same order, so byte for byte the out-of-place sum
+    gen, _, _, _ = mix_inputs(activation, 0)
+    rng = np.random.default_rng(27)
+    h0 = rng.standard_normal(h0_shape)
+    z = sample_latents(rng, int(np.prod(z_shape[:-1]))).reshape(z_shape)
+    expected = h0
+    for i, out in enumerate(branch_outputs(h0, gen.branches)):
+        expected = expected + out * z[..., i:i + 1]
+    got = mix(h0, gen.branches, z)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert not np.shares_memory(got, h0)

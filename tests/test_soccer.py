@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -327,7 +329,9 @@ def test_step_pair_plays_the_game_step_plays(cfg):
 
 
 @pytest.mark.parametrize("left, right", [(-1, STAND), (STAND, 5), (5, -1), (STAND, -1),
-                                         (2.7, STAND), (STAND, "3"), (None, STAND)])
+                                         (2.7, STAND), (STAND, "3"), (None, STAND),
+                                         (True, STAND), (STAND, 2.0), (np.float64(1), STAND),
+                                         (np.int64(2), True)])
 def test_step_pair_refuses_an_illegal_action_as_step_does(left, right):
     env = fresh()
     with pytest.raises(ConfigError, match="illegal action") as by_dict:
@@ -352,3 +356,64 @@ def test_step_pair_refuses_a_finished_game():
     with pytest.raises(ConfigError, match="finished"):
         env.step_pair(STAND, STAND)
     assert env.tick == 1
+
+
+# -- the pinned random stream ----------------------------------------------------
+
+# per-tick (last_order, result, tick, possession) under seeded random actions,
+# seeds 0-19, as a sha256 prefix; recorded when each tick drew its uniforms one
+# at a time, so drawing them in blocks must leave every game unchanged. With
+# draw_prob 0 each tick takes two uniforms and only a goal or the cap ends a
+# game, so the long config's games run through several blocks.
+STREAM_CONFIGS = {
+    "default": {},
+    "draw_prob 0": {"draw_prob": 0.0},
+    "cap 3": {"max_episode_timesteps": 3},
+    "6 rows": SLOT_STEP_CONFIGS["6 rows"],
+    "random starts with the ball": {"initial_possession": "random", "draw_prob": 0.05},
+    "long": {"draw_prob": 0.0, "max_episode_timesteps": 200},
+}
+GOLDEN_STREAMS = {
+    "default": "fd703a88219a8d3c",
+    "draw_prob 0": "cce0fff96cae0245",
+    "cap 3": "38ac84f353e8321c",
+    "6 rows": "d7c9dc73919b048e",
+    "random starts with the ball": "c0bcb9096eb168aa",
+    "long": "6ee6c7bf4ba65081",
+}
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def tick_stream(cfg: dict, seed: int) -> list:
+    env = MarkovSoccer(SoccerConfig(**cfg))
+    env.reset(seed)
+    actions, ticks = np.random.default_rng(seed), []
+    while not env.finished:
+        env.step_pair(*(int(a) for a in actions.integers(5, size=2)))
+        ticks.append((env.last_order, env.result, env.tick, env.possession))
+    return ticks
+
+
+@pytest.mark.parametrize("name", STREAM_CONFIGS)
+def test_the_tick_stream_is_pinned(name):
+    streams = [tick_stream(STREAM_CONFIGS[name], seed) for seed in range(20)]
+    assert digest(streams) == GOLDEN_STREAMS[name]
+    if name == "long":   # some game draws more uniforms than one block holds
+        assert max(map(len, streams)) > 100
+
+
+# play_game's (result, tick) for 20 games of a random policy against itself,
+# and the caller's next draw, as a sha256 prefix
+GOLDEN_RANDOM_GAMES = {"default": "657f45696f40efb0", "long": "302a9bd8f34c2ae1"}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RANDOM_GAMES)
+def test_random_policy_games_are_pinned(name):
+    from policyspace.evaluation import RandomPolicy, play_game
+    env, policy = MarkovSoccer(SoccerConfig(**STREAM_CONFIGS[name])), RandomPolicy()
+    rng = np.random.default_rng(17)
+    games = [(play_game(env, policy, policy, seed, rng), env.tick) for seed in range(20)]
+    assert digest((games, rng.random())) == GOLDEN_RANDOM_GAMES[name]
