@@ -12,6 +12,10 @@ attack to the right (coordinates are mirrored for the right player), as
 one-hot positions for self and opponent plus a possession flag. `reset` and
 the dict `step` return both sides' observations of the board they leave;
 `observe(side)` builds one side's observation of the current board.
+`board_index(side)` numbers that board, an int below `board_count`, and
+`board_observations()` is every board's observation in that order, so a
+policy can tabulate its action distributions over the whole pitch without
+knowing the observation layout.
 
 The pitch's uniforms (the possession coin, each tick's draw and move-order
 coins) come from `rng.random(DRAW_BLOCK)` blocks and are used in order, so a
@@ -75,7 +79,7 @@ class SoccerConfig:
 class MarkovSoccer(Environment):
     """Soccer on one pitch. `step_pair(left, right)` is the slot step a game
     loop drives: it checks and plays one tick and returns nothing, since game
-    loop policies read `pos`, `possession` and `observation_key`. The dict
+    loop policies read `pos`, `possession` and `board_index`. The dict
     `step` plays the same tick and returns both sides' observations of the
     new board, their rewards and their dones. Both take their uniforms from
     `_draws`, a block of `rng`'s next draws (see the module docstring)."""
@@ -87,7 +91,10 @@ class MarkovSoccer(Environment):
 
     def __init__(self, config: SoccerConfig | None = None):
         super().__init__(config)
-        self.observation_size = 2 * self.config.rows * self.config.cols + 1
+        self._cols, self._cells = self.config.cols, self.config.rows * self.config.cols
+        self.observation_size = 2 * self._cells + 1
+        # boards a side can see: own cell, opponent cell, own possession
+        self.board_count = 2 * self._cells ** 2
         mid = self.config.rows // 2
         self.goal_rows = (mid - 1, mid)
         # the column a carrier steps into to score: off the far edge of its attack
@@ -134,10 +141,27 @@ class MarkovSoccer(Environment):
         obs[2 * n] = 1.0 if self.possession == side else 0.0
         return obs
 
-    def observation_key(self, side: str) -> tuple:
-        """The state `observe(side)` reads that changes during a game: equal
-        keys give equal observations on one pitch, so policies can cache by it."""
-        return (side, self.pos["left"], self.pos["right"], self.possession)
+    def board_index(self, side: str) -> int:
+        """The board `observe(side)` shows, numbered in `[0, board_count)` from
+        own cell, opponent cell and own possession in the side's attacking
+        frame: the row of `board_observations()` that equals `observe(side)`."""
+        (row, col), (opp_row, opp_col) = self.pos[side], self.pos[OTHER[side]]
+        cols = self._cols
+        if side == "right":
+            col, opp_col = cols - 1 - col, cols - 1 - opp_col
+        return ((row * cols + col) * self._cells + opp_row * cols + opp_col) * 2 \
+            + (self.possession == side)
+
+    def board_observations(self) -> np.ndarray:
+        """The (board_count, observation_size) array whose row `board_index(side)`
+        is `observe(side)`; rows whose two cells coincide are never played."""
+        cells = self._cells
+        index = np.arange(self.board_count)
+        obs = np.zeros((self.board_count, self.observation_size))
+        obs[index, index // (2 * cells)] = 1.0
+        obs[index, cells + index // 2 % cells] = 1.0
+        obs[:, 2 * cells] = index % 2
+        return obs
 
     # -- dynamics ------------------------------------------------------------------
 

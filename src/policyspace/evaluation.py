@@ -13,7 +13,7 @@ pair, and `play_episodes` resets the one environment of its call. A soccer
 game runs on the slot forms, `MarkovSoccer.reset_pair` and `step_pair`: a
 reset builds no observations, and each tick is two action ids in and no
 observation, reward or done dict out, because the soccer policies read the
-board (`observation_key`, `pos`) themselves. The pitch draws its uniforms
+board (`board_index`, `pos`) themselves. The pitch draws its uniforms
 from its own generator in blocks (see `envs.soccer`), so a game's result
 depends only on its seed and the policies' actions, as with scalar draws;
 the policies draw from the `rng` passed in.
@@ -57,39 +57,84 @@ def specialization(record: dict) -> float:
 # -- soccer matches ------------------------------------------------------------
 
 
+# The most boards (`MarkovSoccer.board_count`) on which a policy tabulates the
+# whole pitch at its first act. A gauntlet policy visits a few hundred boards,
+# so on a large pitch the whole-board passes cost more than the one-row misses
+# they replace: with one BLAS thread, a hidden-64 `eval bots` gauntlet was
+# faster with the table up to 8x5 (3,200 boards), level at 7x6 and 9x5, and
+# 12-19% slower at 10x5 (5,000).
+TABLE_BOARDS = 3200
+
+
+class BoardFeatures:
+    """One generator's latent-free forward, `PolicyGenerator.state_features`,
+    on the boards of one pitch: `table` is every board's at once, computed at
+    its first use, and `row` one board's, kept by board index. The policies
+    of one search share one; the gauntlet and round-robin functions keep one
+    per generator for the length of one call."""
+
+    def __init__(self, gen: PolicyGenerator):
+        self.gen = gen
+        self._table = None
+        self._rows: dict = {}
+
+    def table(self, env: MarkovSoccer) -> tuple:
+        if self._table is None:
+            self._table = self.gen.state_features(env.board_observations())
+        return self._table
+
+    def row(self, env: MarkovSoccer, side: str, index: int) -> tuple:
+        features = self._rows.get(index)
+        if features is None:
+            features = self._rows[index] = self.gen.state_features(env.observe(side)[None])
+        return features
+
+
 class LatentPolicy:
     """A generator frozen at one latent, acting from side-invariant observations.
 
-    A soccer observation is a function of `MarkovSoccer.observation_key`,
-    which takes at most 1,520 values on the 4x5 pitch, so the policy computes
-    each key's action distribution once and keeps it for its own lifetime.
-    The latent-free half of that forward, `PolicyGenerator.state_features`,
-    comes from `features`, a dict from key to features that the policies of
-    one search share; the gauntlet and round-robin functions keep one per
-    generator for the length of one call. Actions and random draws are the
-    same as without the caches. The generator's weights and the latent must
-    not change while the policy or its `features` table is alive, and the
-    environments it plays on must share one pitch size, as those of one
-    gauntlet or round robin do: they come from one soccer config.
+    A soccer observation is a function of `MarkovSoccer.board_index`, so the
+    policy keeps each board's action distribution, as its cumulative sum and
+    total, for its own lifetime. On a pitch of at most `TABLE_BOARDS` boards
+    its first act fills every board's row with one head pass over
+    `features.table` (800 boards on the 4x5 pitch); above it each new board
+    is one head pass over `features.row`. Rows of a batched forward can differ
+    from one-row forwards in the last bits, so an action can differ from an
+    uncached sampler's only when a uniform falls between two adjacent doubles.
+    The generator's weights and the latent must not change while the policy
+    or its `features` is alive, and the environments it plays on must share
+    one pitch size, as those of one gauntlet or round robin do: they come
+    from one soccer config.
     """
 
-    def __init__(self, gen: PolicyGenerator, latent: np.ndarray, features: dict | None = None):
+    def __init__(self, gen: PolicyGenerator, latent: np.ndarray,
+                 features: BoardFeatures | None = None):
         self.gen = gen
         self.latent = np.asarray(latent, dtype=np.float64)
-        self.features = {} if features is None else features
-        self._cdfs: dict = {}   # observation key -> (cumulative probs as a list, their total)
+        self.features = BoardFeatures(gen) if features is None else features
+        # board index -> (cumulative probs as a list, their total): a dict of
+        # the boards seen, or after a whole-pitch fill a list of every board
+        self._cdfs: dict | list = {}
 
     def act(self, env: MarkovSoccer, side: str, rng: np.random.Generator) -> int:
-        key = env.observation_key(side)
-        cdf = self._cdfs.get(key)
-        if cdf is None:
-            features = self.features.get(key)
-            if features is None:
-                features = self.features[key] = self.gen.state_features(env.observe(side)[None])
-            probs = self.gen.probs_from_features(features, self.latent[None])[0]
-            cdf = self._cdfs[key] = (np.cumsum(probs).tolist(), float(probs.sum()))
-        cumulative, total = cdf   # the first index reaching u, as np.searchsorted(side="left")
+        index = env.board_index(side)
+        try:
+            cumulative, total = self._cdfs[index]
+        except LookupError:
+            cumulative, total = self._fill(env, side, index)
+        # the first index reaching u, as np.searchsorted(side="left")
         return bisect.bisect_left(cumulative, rng.random() * total)
+
+    def _fill(self, env: MarkovSoccer, side: str, index: int) -> tuple:
+        """Fill the rows a miss on board `index` asks for and return its row."""
+        if env.board_count <= TABLE_BOARDS:
+            probs = self.gen.probs_from_features(self.features.table(env), self.latent[None])
+            self._cdfs = list(zip(np.cumsum(probs, axis=1).tolist(), probs.sum(axis=1).tolist()))
+        else:
+            probs = self.gen.probs_from_features(self.features.row(env, side, index),
+                                                 self.latent[None])[0]
+            self._cdfs[index] = (np.cumsum(probs).tolist(), float(probs.sum()))
+        return self._cdfs[index]
 
 
 class BotPolicy:
@@ -170,10 +215,10 @@ def play_series(env: MarkovSoccer, left, right, games: int,
 
 def select_latent_vs_bot(gen: PolicyGenerator, bot: Bot, env: MarkovSoccer,
                          search: SearchConfig, rng: np.random.Generator,
-                         features: dict) -> tuple[np.ndarray, float]:
+                         features: BoardFeatures) -> tuple[np.ndarray, float]:
     """Latent-search the family for its best answer to one scripted bot on
     `env`, built from `bot_match_config`; `features` is the generator's
-    state-feature table (see `LatentPolicy`)."""
+    state features (see `BoardFeatures`)."""
     bot_policy = BotPolicy(bot)
 
     def score(z: np.ndarray) -> float:
@@ -192,7 +237,7 @@ def bot_gauntlet(gen: PolicyGenerator, bots: list[Bot], games: int = 1000,
     each bot's search and series on one environment built from `base`."""
     rng = rng or np.random.default_rng(0)
     search = search or SearchConfig(generations=10, episodes_per_latent=10)
-    results, features = {}, {}   # one state-feature table for the whole call
+    results, features = {}, BoardFeatures(gen)   # one for the whole call
     for bot in bots:
         env = MarkovSoccer(bot_match_config(bot, base))
         latent, _ = select_latent_vs_bot(gen, bot, env, search, rng, features)
@@ -221,7 +266,7 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
     panel = sample_latents(rng, family_panel, gen_one.latent_dim)
     panel_seeds = rng.integers(2 ** 62, size=search.episodes_per_latent).tolist()
     panel_order = rng.integers(len(panel), size=search.episodes_per_latent)
-    features_one, features_two = {}, {}   # each generator's state-feature table
+    features_one, features_two = BoardFeatures(gen_one), BoardFeatures(gen_two)
     panel_policies = [LatentPolicy(gen_one, z, features_one) for z in panel]
 
     def score_two(z: np.ndarray) -> float:

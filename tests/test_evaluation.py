@@ -19,8 +19,14 @@ from policyspace.latent_search import SearchConfig
 UP, DOWN, LEFT, RIGHT, STAND = range(5)
 
 
-def soccer_gen(seed=0):
-    return PolicyGenerator(41, 5, np.random.default_rng(seed), hidden_dim=8)
+def soccer_gen(seed=0, config=None):
+    config = config or SoccerConfig()
+    obs_size = 2 * config.rows * config.cols + 1   # as MarkovSoccer.observation_size
+    return PolicyGenerator(obs_size, 5, np.random.default_rng(seed), hidden_dim=8)
+
+
+# a pitch with more boards than evaluation.TABLE_BOARDS: policies fill by board
+MEMO_PITCH = SoccerConfig(rows=8, cols=8)
 
 
 # -- specialization metric ------------------------------------------------------
@@ -164,6 +170,8 @@ def test_memoized_policy_matches_the_uncached_sampler_in_every_state():
     config = SoccerConfig()
     env = MarkovSoccer(config)
     env.reset(0)
+    # the batched whole-board forward the policy's table is filled from
+    board = gen.probs_from_features(gen.state_features(env.board_observations()), z[None])
     cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
     states = [(left, right, possession) for left in cells for right in cells
               if left != right for possession in ("left", "right")]
@@ -171,70 +179,86 @@ def test_memoized_policy_matches_the_uncached_sampler_in_every_state():
         env.pos = {"left": left, "right": right}
         env.possession = possession
         for side in ("left", "right"):
-            for repeat in range(3):   # the first call fills the cache, the rest hit it
+            for repeat in range(3):   # the very first act fills the whole table
                 seed = [i, side == "right", repeat]
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
                 assert memoized.act(env, side, rng_a) == reference.act(env, side, rng_b)
                 assert rng_a.random() == rng_b.random()
-            # the sampler's table: the cumulative sum and the total probs.sum()
-            probs = gen.probs_np(env.observe(side)[None], z[None])[0]
-            cdf = memoized._cdfs[env.observation_key(side)]
+            # the sampler's table row: the cumulative sum and the total probs.sum()
+            probs = board[env.board_index(side)]
+            cdf = memoized._cdfs[env.board_index(side)]
             assert cdf == (np.cumsum(probs).tolist(), probs.sum())
             assert type(cdf[0]) is list
-    assert len(memoized._cdfs) == 2 * len(states)
+    assert len(memoized._cdfs) == env.board_count
 
 
-def test_observation_key_determines_the_observation():
-    # LatentPolicy caches by observation_key: equal keys must give equal
-    # observations at any tick, and one side's distinct keys distinct ones
-    seen = {"left": {}, "right": {}}
-    rng = np.random.default_rng(32)
-    for seed in range(100):
-        env = MarkovSoccer(SoccerConfig())
-        env.reset(seed)
-        while not env.finished:
-            for side in ("left", "right"):
-                obs = env.observe(side).tobytes()
-                assert seen[side].setdefault(env.observation_key(side), obs) == obs
-            env.step({side: int(rng.integers(5)) for side in ("left", "right")})
-    for by_key in seen.values():
-        assert len(by_key) > 100
-        assert len(set(by_key.values())) == len(by_key)
+@pytest.mark.parametrize("rows, cols", [(2, 5), (4, 5), (6, 5), (5, 4)])
+def test_board_index_numbers_the_observation(rows, cols):
+    # row board_index(side) of the board array is observe(side), on every
+    # board and for both sides, and distinct boards have distinct indices
+    env = MarkovSoccer(SoccerConfig(rows=rows, cols=cols))
+    env.reset(0)
+    board = env.board_observations()
+    assert board.shape == (env.board_count, env.observation_size)
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    seen = {}
+    for left in cells:
+        for right in cells:
+            if left == right:
+                continue
+            for possession in ("left", "right"):
+                env.pos = {"left": left, "right": right}
+                env.possession = possession
+                for side in ("left", "right"):
+                    index = env.board_index(side)
+                    assert type(index) is int and 0 <= index < env.board_count
+                    obs = env.observe(side)
+                    assert np.array_equal(board[index], obs)
+                    assert seen.setdefault(obs.tobytes(), index) == index
+    # every (own cell, opponent cell, possession) board shows, one index each
+    assert len(seen) == len(cells) * (len(cells) - 1) * 2
+    assert len(set(seen.values())) == len(seen)
 
 
-def gauntlet_fingerprint(gen, rng_seed):
+def gauntlet_fingerprint(gen, rng_seed, config=None):
     results = bot_gauntlet(gen, [Bot(kind) for kind in BOT_KINDS], games=40,
                            search=SearchConfig(generations=3, episodes_per_latent=3),
-                           rng=np.random.default_rng(rng_seed))
+                           rng=np.random.default_rng(rng_seed), base=config)
     return {kind: (row["score"].wins, row["score"].losses, row["score"].draws,
                    row["latent"].tobytes()) for kind, row in results.items()}
 
 
 def test_gauntlet_matches_the_uncached_sampler(monkeypatch):
-    gen = soccer_gen(35)
-    memoized = gauntlet_fingerprint(gen, 36)
+    # on the default pitch (a whole-pitch table) and on one above the bound
+    # (a fill per board)
+    configs = (None, MEMO_PITCH)
+    gens = [soccer_gen(35, config) for config in configs]
+    memoized = [gauntlet_fingerprint(gen, 36, config) for gen, config in zip(gens, configs)]
     monkeypatch.setattr(evaluation, "LatentPolicy", UncachedLatentPolicy)
-    assert gauntlet_fingerprint(gen, 36) == memoized
+    assert [gauntlet_fingerprint(gen, 36, config)
+            for gen, config in zip(gens, configs)] == memoized
 
 
 def test_round_robin_matches_the_uncached_sampler(monkeypatch):
-    def run():
-        series, info = round_robin_pair(soccer_gen(37), soccer_gen(38),
+    def run(config):
+        series, info = round_robin_pair(soccer_gen(37, config), soccer_gen(38, config),
                                         SearchConfig(generations=3, episodes_per_latent=3),
-                                        np.random.default_rng(39), games=40)
+                                        np.random.default_rng(39), games=40, config=config)
         return (series, info["latent_one"].tobytes(), info["latent_two"].tobytes())
 
-    memoized = run()
+    configs = (None, MEMO_PITCH)
+    memoized = [run(config) for config in configs]
     monkeypatch.setattr(evaluation, "LatentPolicy", UncachedLatentPolicy)
-    assert run() == memoized
+    assert [run(config) for config in configs] == memoized
 
 
 class ForwardCounts:
-    """Counts `state_features` passes per (generator, observation) and
-    `probs_from_features` passes, and refuses full `probs_np` forwards."""
+    """Counts `state_features` passes per (generator, observation rows) and
+    the rows of each `probs_from_features` pass, and refuses full `probs_np`
+    forwards."""
 
     def __init__(self, monkeypatch):
-        self.policies, self.features, self.heads = [], Counter(), 0
+        self.policies, self.features, self.heads = [], Counter(), []
         counts = self
 
         class CountedPolicy(LatentPolicy):
@@ -250,8 +274,9 @@ class ForwardCounts:
             return state_features(gen, obs)
 
         def counting_heads(gen, features, z):
-            self.heads += 1
-            return probs_from_features(gen, features, z)
+            probs = probs_from_features(gen, features, z)
+            self.heads.append(len(probs))
+            return probs
 
         def refused(*args):
             raise AssertionError("a full forward in the soccer evaluation loop")
@@ -261,16 +286,33 @@ class ForwardCounts:
         monkeypatch.setattr(PolicyGenerator, "probs_from_features", counting_heads)
         monkeypatch.setattr(PolicyGenerator, "probs_np", refused)
 
-    def check(self, generators):
-        # every policy of one generator shares one table, filled once per key
+    def shared_features(self, gen):
+        """The one `BoardFeatures` every policy of `gen` shares."""
+        shared = {id(p.features): p.features for p in self.policies if p.gen is gen}
+        assert len(shared) == 1
+        return next(iter(shared.values()))
+
+    def check_table(self, generators, board):
+        # one state_features pass per generator, over the whole board array
+        assert list(self.features.values()) == [1] * len(generators)
         for gen in generators:
-            tables = {id(p.features): p.features for p in self.policies if p.gen is gen}
-            assert len(tables) == 1
-            table, = tables.values()
-            assert sum(n for (g, _), n in self.features.items() if g == id(gen)) == len(table)
+            assert (id(gen), board.tobytes()) in self.features
+            assert self.shared_features(gen)._rows == {}
+        # one whole-board head pass per policy that acted; a panel member
+        # no game picked never acts
+        acted = [p for p in self.policies if len(p._cdfs)]
+        assert self.heads == [len(board)] * len(acted)
+        assert all(len(p._cdfs) == len(board) for p in acted)
+
+    def check_memo(self, generators):
+        # one one-row state_features pass per (generator, board), kept in the
+        # generator's shared rows, and one one-row head pass per (policy, board)
+        for gen in generators:
+            rows = self.shared_features(gen)._rows
+            assert sum(n for (g, _), n in self.features.items() if g == id(gen)) == len(rows)
         assert max(self.features.values()) == 1
-        # one head pass per (policy, key)
-        assert self.heads == sum(len(p._cdfs) for p in self.policies)
+        assert self.heads == [1] * sum(len(p._cdfs) for p in self.policies)
+        assert len(self.features) < len(self.heads)
 
 
 def test_gauntlet_computes_state_features_once_per_call(monkeypatch):
@@ -281,8 +323,19 @@ def test_gauntlet_computes_state_features_once_per_call(monkeypatch):
     bot_gauntlet(gen, bots, games=30, search=search, rng=np.random.default_rng(41))
     # one policy per scored candidate and one for each bot's series
     assert len(counts.policies) == len(bots) * (search.generations + 1)
-    counts.check([gen])
-    assert len(counts.features) < counts.heads
+    counts.check_table([gen], MarkovSoccer().board_observations())
+
+
+def test_gauntlet_above_the_table_bound_fills_once_per_board(monkeypatch):
+    counts = ForwardCounts(monkeypatch)
+    assert MarkovSoccer(MEMO_PITCH).board_count > evaluation.TABLE_BOARDS
+    search = SearchConfig(generations=3, episodes_per_latent=4)
+    bots = [Bot(kind) for kind in BOT_KINDS]
+    gen = soccer_gen(40, MEMO_PITCH)
+    bot_gauntlet(gen, bots, games=30, search=search, rng=np.random.default_rng(41),
+                 base=MEMO_PITCH)
+    assert len(counts.policies) == len(bots) * (search.generations + 1)
+    counts.check_memo([gen])
 
 
 def test_round_robin_computes_state_features_once_per_call(monkeypatch):
@@ -294,7 +347,17 @@ def test_round_robin_computes_state_features_once_per_call(monkeypatch):
     # the panel, one policy per scored candidate in each pass, the fixed
     # opponent and the series' own policy
     assert len(counts.policies) == 8 + 2 * search.generations + 2
-    counts.check([gen_one, gen_two])
+    counts.check_table([gen_one, gen_two], MarkovSoccer().board_observations())
+
+
+def test_round_robin_above_the_table_bound_fills_once_per_board(monkeypatch):
+    counts = ForwardCounts(monkeypatch)
+    search = SearchConfig(generations=3, episodes_per_latent=4)
+    gen_one, gen_two = soccer_gen(42, MEMO_PITCH), soccer_gen(43, MEMO_PITCH)
+    round_robin_pair(gen_one, gen_two, search, np.random.default_rng(44), games=30,
+                     family_panel=8, config=MEMO_PITCH)
+    assert len(counts.policies) == 8 + 2 * search.generations + 2
+    counts.check_memo([gen_one, gen_two])
 
 
 def test_a_new_call_builds_a_new_feature_table(monkeypatch):
@@ -316,11 +379,11 @@ class FixedDraw:
 
 
 def sampled(cumulative, total, rng):
-    """The action `LatentPolicy.act` draws from a given cumulative table."""
+    """The action `LatentPolicy.act` draws from a given cumulative table row."""
     env = MarkovSoccer(SoccerConfig())
     env.reset(0)
     policy = LatentPolicy(soccer_gen(), np.ones(3) / np.sqrt(3))
-    policy._cdfs[env.observation_key("right")] = (list(cumulative), total)
+    policy._cdfs[env.board_index("right")] = (list(cumulative), total)
     return policy.act(env, "right", rng)
 
 
