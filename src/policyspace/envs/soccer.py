@@ -7,6 +7,13 @@ executed in a uniformly random order; a mover stepping into the opponent's
 cell stays put and possession switches. Every tick independently ends the
 game in a draw with a small probability, which keeps games short.
 
+The pitch's geometry is worked out once, when a `MarkovSoccer` is built: a
+move table gives, for each cell and action, the cell moved to (None off the
+pitch or for standing) and the side, if any, that scores by carrying the ball there, and a
+per-side table numbers the cells in each side's attacking frame. A tick then
+applies the rules in order (a goal with possession, the edge, a bump, the
+move) by table lookups; positions stay `(row, col)` tuples in `pos`.
+
 Observations are side-invariant: both players see a board on which they
 attack to the right (coordinates are mirrored for the right player), as
 one-hot positions for self and opponent plus a possession flag. `reset` and
@@ -82,7 +89,13 @@ class MarkovSoccer(Environment):
     loop policies read `pos`, `possession` and `board_index`. The dict
     `step` plays the same tick and returns both sides' observations of the
     new board, their rewards and their dones. Both take their uniforms from
-    `_draws`, a block of `rng`'s next draws (see the module docstring)."""
+    `_draws`, a block of `rng`'s next draws (see the module docstring).
+
+    What a tick reads of the config is read once, at construction: `_moves`
+    maps each cell to one `(cell moved to, side scoring)` entry per action,
+    and `_numbers` gives each side's cell numbers, which `board_index` and
+    `observe` read. A tick plays its two moves in the drawn order straight
+    through, with no per-side loop."""
 
     name = "soccer"
     config_class = SoccerConfig
@@ -91,14 +104,35 @@ class MarkovSoccer(Environment):
 
     def __init__(self, config: SoccerConfig | None = None):
         super().__init__(config)
-        self._cols, self._cells = self.config.cols, self.config.rows * self.config.cols
+        cfg = self.config
+        rows, cols = cfg.rows, cfg.cols
+        self._cells = rows * cols
         self.observation_size = 2 * self._cells + 1
         # boards a side can see: own cell, opponent cell, own possession
         self.board_count = 2 * self._cells ** 2
-        mid = self.config.rows // 2
+        mid = rows // 2
         self.goal_rows = (mid - 1, mid)
-        # the column a carrier steps into to score: off the far edge of its attack
-        self._goal_col = {"left": self.config.cols, "right": -1}
+        self._draw_prob, self._initial_possession = cfg.draw_prob, cfg.initial_possession
+        self._starts = (tuple(cfg.start_left), tuple(cfg.start_right))
+        cells = [(r, c) for r in range(rows) for c in range(cols)]
+        # cell -> per action (the cell moved to, or None for off the pitch or
+        # standing; the side that scores by carrying the ball there, or None)
+        self._moves = {cell: tuple(self._move(cell, action) for action in ACTION_IDS)
+                       for cell in cells}
+        # side -> cell -> its number in the side's attacking frame (mirrored for right)
+        self._numbers = {side: {(r, c): r * cols + (c if side == "left" else cols - 1 - c)
+                                for r, c in cells} for side in self.agent_ids}
+
+    def _move(self, cell: tuple, action: int) -> tuple:
+        """The move table's entry for `action` from `cell`: the pitch's geometry."""
+        if action == STAND:
+            return None, None
+        dr, dc = DELTAS[action]
+        r, c = cell[0] + dr, cell[1] + dc
+        if r in self.goal_rows and c in (-1, self.config.cols):
+            return None, "left" if c == self.config.cols else "right"
+        on_pitch = 0 <= r < self.config.rows and 0 <= c < self.config.cols
+        return ((r, c) if on_pitch else None), None
 
     def living_agents(self) -> list[str]:
         return [] if self._finished else ["left", "right"]
@@ -114,30 +148,23 @@ class MarkovSoccer(Environment):
         return {side: self.observe(side) for side in self.agent_ids}
 
     def _kick_off(self):
-        self.pos = {"left": tuple(self.config.start_left),
-                    "right": tuple(self.config.start_right)}
+        self.pos = {"left": self._starts[0], "right": self._starts[1]}
         self._draws = []   # the unused uniforms of the block in hand, next one last
-        if self.config.initial_possession == "random":
+        if self._initial_possession == "random":
             self.possession = "left" if self._refill().pop() < 0.5 else "right"
         else:
-            self.possession = self.config.initial_possession
+            self.possession = self._initial_possession
         self.result = None       # None while ongoing, else "left" | "right" | "draw"
         self.last_order = None
 
     # -- observations ----------------------------------------------------------
 
-    def _mirror(self, cell: tuple) -> tuple:
-        return (cell[0], self.config.cols - 1 - cell[1])
-
     def observe(self, side: str) -> np.ndarray:
         """The current board as seen by `side`, always attacking to the right."""
-        own, opp = self.pos[side], self.pos[OTHER[side]]
-        if side == "right":
-            own, opp = self._mirror(own), self._mirror(opp)
-        n = self.config.rows * self.config.cols
+        numbers, n = self._numbers[side], self._cells
         obs = np.zeros(2 * n + 1)
-        obs[own[0] * self.config.cols + own[1]] = 1.0
-        obs[n + opp[0] * self.config.cols + opp[1]] = 1.0
+        obs[numbers[self.pos[side]]] = 1.0
+        obs[n + numbers[self.pos[OTHER[side]]]] = 1.0
         obs[2 * n] = 1.0 if self.possession == side else 0.0
         return obs
 
@@ -145,11 +172,8 @@ class MarkovSoccer(Environment):
         """The board `observe(side)` shows, numbered in `[0, board_count)` from
         own cell, opponent cell and own possession in the side's attacking
         frame: the row of `board_observations()` that equals `observe(side)`."""
-        (row, col), (opp_row, opp_col) = self.pos[side], self.pos[OTHER[side]]
-        cols = self._cols
-        if side == "right":
-            col, opp_col = cols - 1 - col, cols - 1 - opp_col
-        return ((row * cols + col) * self._cells + opp_row * cols + opp_col) * 2 \
+        numbers = self._numbers[side]
+        return (numbers[self.pos[side]] * self._cells + numbers[self.pos[OTHER[side]]]) * 2 \
             + (self.possession == side)
 
     def board_observations(self) -> np.ndarray:
@@ -165,23 +189,20 @@ class MarkovSoccer(Environment):
 
     # -- dynamics ------------------------------------------------------------------
 
-    def _try_move(self, side: str, action: int):
-        if action == STAND:
-            return
-        r, c = self.pos[side]
-        dr, dc = DELTAS[action]
-        nr, nc = r + dr, c + dc
-        if self.possession == side and nr in self.goal_rows and nc == self._goal_col[side]:
+    def _try_move(self, side: str, other: str, action: int):
+        """One player's move, by the rules in order: a goal with possession,
+        the edge (or standing), a bump, the move."""
+        pos = self.pos
+        target, scorer = self._moves[pos[side]][action]
+        if scorer == side and self.possession == side:
             self.result = side
-            return
-        if not (0 <= nr < self.config.rows and 0 <= nc < self.config.cols):
-            return
-        other = OTHER[side]
-        if (nr, nc) == self.pos[other]:
+        elif target is None:
+            pass
+        elif target == pos[other]:
             # bump: mover stays, ball changes hands
             self.possession = other if self.possession == side else side
-            return
-        self.pos[side] = (nr, nc)
+        else:
+            pos[side] = target
 
     def _refill(self) -> list:
         """Put the next `DRAW_BLOCK` uniforms of `rng` behind those in hand."""
@@ -194,14 +215,18 @@ class MarkovSoccer(Environment):
         """The soccer rules for one tick of legal actions: the draw, the move
         order, both moves and the timeout draw. Leaves `tick` to the caller."""
         draws = self._draws if len(self._draws) >= 2 else self._refill()
-        if draws.pop() < self.config.draw_prob:
+        if draws.pop() < self._draw_prob:
             self.result = "draw"
+        elif draws.pop() < 0.5:   # a goal by the first mover ends the tick
+            self.last_order = LEFT_FIRST
+            self._try_move("left", "right", left)
+            if self.result is None:
+                self._try_move("right", "left", right)
         else:
-            self.last_order = LEFT_FIRST if draws.pop() < 0.5 else RIGHT_FIRST
-            for side in self.last_order:   # a goal by the first mover ends the tick
-                self._try_move(side, left if side == "left" else right)
-                if self.result is not None:
-                    break
+            self.last_order = RIGHT_FIRST
+            self._try_move("right", "left", right)
+            if self.result is None:
+                self._try_move("left", "right", left)
         if self.result is None and self.tick + 1 >= self.max_episode_timesteps:
             self.result = "draw"
 

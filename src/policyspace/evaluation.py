@@ -71,17 +71,31 @@ class BoardFeatures:
     on the boards of one pitch: `table` is every board's at once, computed at
     its first use, and `row` one board's, kept by board index. The policies
     of one search share one; the gauntlet and round-robin functions keep one
-    per generator for the length of one call."""
+    per generator for the length of one call.
+
+    `probs` is a latent's whole-board head pass. A multiplicative generator
+    mixes it in two (boards, hidden) buffers held here for the whole call, the
+    mixed value and each branch's product: freed after every pass, arrays of
+    that size go back to the system, and the next pass faults their pages in
+    again. The buffers never leave the pass, so a result kept by one policy
+    does not change when the next policy's pass reuses them."""
 
     def __init__(self, gen: PolicyGenerator):
         self.gen = gen
         self._table = None
+        self._buffers = None
         self._rows: dict = {}
 
     def table(self, env: MarkovSoccer) -> tuple:
         if self._table is None:
-            self._table = self.gen.state_features(env.board_observations())
+            self._table = h0, outs = self.gen.state_features(env.board_observations())
+            if outs is not None:   # multiplicative: the mix has h0's shape
+                self._buffers = (np.empty_like(h0), np.empty_like(h0))
         return self._table
+
+    def probs(self, env: MarkovSoccer, latent: np.ndarray) -> np.ndarray:
+        """Every board's action distribution under `latent`, one head pass."""
+        return self.gen.probs_from_features(self.table(env), latent[None], self._buffers)
 
     def row(self, env: MarkovSoccer, side: str, index: int) -> tuple:
         features = self._rows.get(index)
@@ -94,11 +108,14 @@ class LatentPolicy:
     """A generator frozen at one latent, acting from side-invariant observations.
 
     A soccer observation is a function of `MarkovSoccer.board_index`, so the
-    policy keeps each board's action distribution, as its cumulative sum and
-    total, for its own lifetime. On a pitch of at most `TABLE_BOARDS` boards
-    its first act fills every board's row with one head pass over
-    `features.table` (800 boards on the 4x5 pitch); above it each new board
-    is one head pass over `features.row`. Rows of a batched forward can differ
+    policy keeps each board's action distribution, as a row of its cumulative
+    sum (a list) and total, for its own lifetime; a row is made on its board's
+    first visit. On a pitch of at most `TABLE_BOARDS` boards the first act
+    makes one head pass over every board (`features.probs`, 800 boards on the
+    4x5 pitch) and keeps its cumulative sums and totals as two arrays, which
+    later rows are read from: a 10-game search policy visits only some of the
+    boards. Above the bound each new board is one head pass over
+    `features.row`. Rows of a batched forward can differ
     from one-row forwards in the last bits, so an action can differ from an
     uncached sampler's only when a uniform falls between two adjacent doubles.
     The generator's weights and the latent must not change while the policy
@@ -112,29 +129,31 @@ class LatentPolicy:
         self.gen = gen
         self.latent = np.asarray(latent, dtype=np.float64)
         self.features = BoardFeatures(gen) if features is None else features
-        # board index -> (cumulative probs as a list, their total): a dict of
-        # the boards seen, or after a whole-pitch fill a list of every board
-        self._cdfs: dict | list = {}
+        # board index -> (cumulative probs as a list, their total), per board seen
+        self._cdfs: dict = {}
+        # after a whole-pitch pass: every board's (cumulative sums, totals) arrays
+        self._table = None
 
     def act(self, env: MarkovSoccer, side: str, rng: np.random.Generator) -> int:
         index = env.board_index(side)
         try:
             cumulative, total = self._cdfs[index]
-        except LookupError:
-            cumulative, total = self._fill(env, side, index)
+        except KeyError:
+            cumulative, total = self._cdfs[index] = self._row(env, side, index)
         # the first index reaching u, as np.searchsorted(side="left")
         return bisect.bisect_left(cumulative, rng.random() * total)
 
-    def _fill(self, env: MarkovSoccer, side: str, index: int) -> tuple:
-        """Fill the rows a miss on board `index` asks for and return its row."""
-        if env.board_count <= TABLE_BOARDS:
-            probs = self.gen.probs_from_features(self.features.table(env), self.latent[None])
-            self._cdfs = list(zip(np.cumsum(probs, axis=1).tolist(), probs.sum(axis=1).tolist()))
-        else:
-            probs = self.gen.probs_from_features(self.features.row(env, side, index),
-                                                 self.latent[None])[0]
-            self._cdfs[index] = (np.cumsum(probs).tolist(), float(probs.sum()))
-        return self._cdfs[index]
+    def _row(self, env: MarkovSoccer, side: str, index: int) -> tuple:
+        """Board `index`'s row, made on its first visit."""
+        if self._table is None:
+            if env.board_count > TABLE_BOARDS:
+                probs = self.gen.probs_from_features(self.features.row(env, side, index),
+                                                     self.latent[None])[0]
+                return np.cumsum(probs).tolist(), float(probs.sum())
+            probs = self.features.probs(env, self.latent)
+            self._table = np.cumsum(probs, axis=1), probs.sum(axis=1)
+        cumulative, totals = self._table
+        return cumulative[index].tolist(), float(totals[index])
 
 
 class BotPolicy:

@@ -145,3 +145,31 @@ def random_episode(env, seed, policy_rng):
         _, rewards, dones = env.step(actions)
         writer.record_step(tick, actions, rewards, dones)
     return writer
+
+
+def soccer_moves_oracle(rows, cols, pos, possession, actions, order):
+    """One soccer tick's two moves by the rules written out, independent of
+    `MarkovSoccer`'s move table: in `order`, each mover steps by its action's
+    delta; a carrier stepping off its attacking edge through a goal-row cell
+    scores and ends the tick, a step off the pitch stays put, and a step into
+    the opponent's cell stays put and switches possession. Returns the new
+    (pos, possession, result)."""
+    deltas = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0)}
+    goal_rows = (rows // 2 - 1, rows // 2)
+    goal_col = {"left": cols, "right": -1}
+    other = {"left": "right", "right": "left"}
+    pos = dict(pos)
+    for side in order:
+        if actions[side] == 4:
+            continue
+        (r, c), (dr, dc) = pos[side], deltas[actions[side]]
+        nr, nc = r + dr, c + dc
+        if possession == side and nr in goal_rows and nc == goal_col[side]:
+            return pos, possession, side
+        if not (0 <= nr < rows and 0 <= nc < cols):
+            continue
+        if (nr, nc) == pos[other[side]]:
+            possession = other[side] if possession == side else side
+            continue
+        pos[side] = (nr, nc)
+    return pos, possession, None

@@ -170,26 +170,33 @@ def test_memoized_policy_matches_the_uncached_sampler_in_every_state():
     config = SoccerConfig()
     env = MarkovSoccer(config)
     env.reset(0)
-    # the batched whole-board forward the policy's table is filled from
+    # the batched whole-board forward the policy's rows are made from
     board = gen.probs_from_features(gen.state_features(env.board_observations()), z[None])
+    cumsum, totals = np.cumsum(board, axis=1), board.sum(axis=1)
     cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
     states = [(left, right, possession) for left in cells for right in cells
               if left != right for possession in ("left", "right")]
+    visited = set()
     for i, (left, right, possession) in enumerate(states):
         env.pos = {"left": left, "right": right}
         env.possession = possession
         for side in ("left", "right"):
-            for repeat in range(3):   # the very first act fills the whole table
+            index = env.board_index(side)
+            assert (index in memoized._cdfs) == (index in visited)   # no row before its visit
+            for repeat in range(3):   # the very first act makes the whole-board pass
                 seed = [i, side == "right", repeat]
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
                 assert memoized.act(env, side, rng_a) == reference.act(env, side, rng_b)
                 assert rng_a.random() == rng_b.random()
-            # the sampler's table row: the cumulative sum and the total probs.sum()
-            probs = board[env.board_index(side)]
-            cdf = memoized._cdfs[env.board_index(side)]
-            assert cdf == (np.cumsum(probs).tolist(), probs.sum())
-            assert type(cdf[0]) is list
-    assert len(memoized._cdfs) == env.board_count
+            visited.add(index)
+            # the sampler's row, made on the board's first visit: row `index`
+            # of the whole-board pass's cumulative sum, and its total, bit for bit
+            cdf = memoized._cdfs[index]
+            assert cdf == (cumsum[index].tolist(), totals[index])
+            assert type(cdf[0]) is list and type(cdf[1]) is float
+    # one row per board played; the pass's arrays are kept whole
+    assert len(memoized._cdfs) == len(visited) == len(states)
+    assert np.array_equal(memoized._table[0], cumsum) and np.array_equal(memoized._table[1], totals)
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 5), (4, 5), (6, 5), (5, 4)])
@@ -218,6 +225,48 @@ def test_board_index_numbers_the_observation(rows, cols):
     # every (own cell, opponent cell, possession) board shows, one index each
     assert len(seen) == len(cells) * (len(cells) - 1) * 2
     assert len(set(seen.values())) == len(seen)
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 5), (7, 5)])
+@pytest.mark.parametrize("hidden", [32, 64])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_the_buffered_head_pass_is_the_plain_one(rows, cols, hidden, activation):
+    # BoardFeatures.probs mixes in buffers held across passes; each pass is
+    # byte-equal to probs_from_features without them
+    config = SoccerConfig(rows=rows, cols=cols)
+    env = MarkovSoccer(config)
+    assert env.board_count <= evaluation.TABLE_BOARDS
+    gen = PolicyGenerator(env.observation_size, 5, np.random.default_rng(hidden),
+                          hidden_dim=hidden, policy_activation=activation)
+    features = evaluation.BoardFeatures(gen)
+    plain = gen.state_features(env.board_observations())
+    rng = np.random.default_rng(rows)
+    held = None
+    for _ in range(3):
+        z = sample_latent(rng)
+        buffered = features.probs(env, z)
+        held = held or features._buffers   # the same two arrays for every pass
+        assert features._buffers is held and held[0].shape == (env.board_count, hidden)
+        assert buffered.tobytes() == gen.probs_from_features(plain, z[None]).tobytes()
+        assert not any(np.shares_memory(buffered, b) for b in features._buffers)
+
+
+def test_a_reused_buffer_leaves_kept_rows_unchanged():
+    gen = soccer_gen(48)
+    env = MarkovSoccer()
+    env.reset(0)
+    features = evaluation.BoardFeatures(gen)
+    rng = np.random.default_rng(49)
+    first = LatentPolicy(gen, sample_latent(rng), features)
+    first.act(env, "right", rng)
+    table = [a.copy() for a in first._table]
+    rows = {index: (list(cumulative), total) for index, (cumulative, total) in first._cdfs.items()}
+    second = LatentPolicy(gen, sample_latent(rng), features)
+    second.act(env, "right", rng)
+    assert not np.array_equal(second._table[0], first._table[0])   # a different latent
+    assert all(np.array_equal(a, b) for a, b in zip(first._table, table))
+    assert first._cdfs == rows
+    assert not any(np.shares_memory(a, b) for a in first._table for b in features._buffers)
 
 
 def gauntlet_fingerprint(gen, rng_seed, config=None):
@@ -273,8 +322,8 @@ class ForwardCounts:
             self.features[id(gen), obs.tobytes()] += 1
             return state_features(gen, obs)
 
-        def counting_heads(gen, features, z):
-            probs = probs_from_features(gen, features, z)
+        def counting_heads(gen, features, z, buffers=None):
+            probs = probs_from_features(gen, features, z, buffers)
             self.heads.append(len(probs))
             return probs
 
@@ -298,11 +347,13 @@ class ForwardCounts:
         for gen in generators:
             assert (id(gen), board.tobytes()) in self.features
             assert self.shared_features(gen)._rows == {}
-        # one whole-board head pass per policy that acted; a panel member
-        # no game picked never acts
+        # one whole-board head pass per policy that acted, kept whole; a
+        # panel member no game picked never acts. Rows are made only for the
+        # boards a policy visited.
         acted = [p for p in self.policies if len(p._cdfs)]
         assert self.heads == [len(board)] * len(acted)
-        assert all(len(p._cdfs) == len(board) for p in acted)
+        assert all(p._table[0].shape == (len(board), 5) for p in acted)
+        assert all(len(p._cdfs) < len(board) for p in acted)
 
     def check_memo(self, generators):
         # one one-row state_features pass per (generator, board), kept in the

@@ -7,6 +7,8 @@ from policyspace.envs.soccer import (BOT_KINDS, Bot, MarkovSoccer, SoccerConfig,
                                      bot_action, bot_match_config)
 from policyspace.errors import ConfigError
 
+from helpers import soccer_moves_oracle
+
 UP, DOWN, LEFT, RIGHT, STAND = range(5)
 
 
@@ -290,6 +292,38 @@ def test_config_accepts_every_legal_start_cell_and_numpy_integers():
         SoccerConfig(start_left=cell, start_right=list(other)).validate()
     SoccerConfig(rows=np.int64(3), max_episode_timesteps=np.int32(1), draw_prob=1,
                  start_left=(np.int64(0), 0)).validate()
+
+
+# -- the move table against the rules ------------------------------------------
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 4), (4, 5), (5, 4), (6, 5), (8, 8)])
+def test_the_move_table_plays_the_rules(rows, cols):
+    # every ordered pair of distinct cells, both possessions, every action
+    # pair and both move orders: one tick leaves the oracle's pos,
+    # possession and result
+    env = MarkovSoccer(SoccerConfig(rows=rows, cols=cols, draw_prob=0.0,
+                                    start_left=(0, 0), start_right=(0, 1)))
+    env.reset(0)
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    # the tick pops the draw coin (0.5, never a draw), then the order coin
+    orders = {("left", "right"): 0.25, ("right", "left"): 0.75}
+    for left_cell in cells:
+        for right_cell in cells:
+            if left_cell == right_cell:
+                continue
+            start = {"left": left_cell, "right": right_cell}
+            for possession in ("left", "right"):
+                for left in range(5):
+                    for right in range(5):
+                        for order, coin in orders.items():
+                            env.pos, env.possession, env.result = dict(start), possession, None
+                            env.tick, env._finished, env._draws = 0, False, [coin, 0.5]
+                            env.step_pair(left, right)
+                            expected = soccer_moves_oracle(rows, cols, start, possession,
+                                                           {"left": left, "right": right}, order)
+                            assert (env.pos, env.possession, env.result) == expected
+                            assert env.last_order == order
 
 
 # -- the slot step ---------------------------------------------------------------
