@@ -191,6 +191,17 @@ class Environment:
 
     def step(self, actions: dict) -> tuple[dict, dict, dict]:
         """Advance one tick with one action per living agent."""
+        self._check_step(actions)
+        obs, rewards, dones = self._do_step({a: int(v) for a, v in actions.items()})
+        self.tick += 1
+        if self.tick >= self.max_episode_timesteps or not self.living_agents():
+            dones = {a: True for a in dones}
+        self._finished = all(dones.values())
+        return obs, rewards, dones
+
+    def _check_step(self, actions: dict):
+        """Raise ConfigError unless `step(actions)` may play: the episode is
+        on, and `actions` holds one action id per living agent."""
         if self._finished:
             raise ConfigError(f"{self.name}: step() on a finished episode")
         living = set(self.living_agents())
@@ -200,9 +211,3 @@ class Environment:
         for agent, action in actions.items():
             if not is_action(action, self.num_actions):
                 raise ConfigError(f"{self.name}: illegal action {action!r} for {agent}")
-        obs, rewards, dones = self._do_step({a: int(v) for a, v in actions.items()})
-        self.tick += 1
-        if self.tick >= self.max_episode_timesteps or not self.living_agents():
-            dones = {a: True for a in dones}
-        self._finished = all(dones.values())
-        return obs, rewards, dones

@@ -10,9 +10,12 @@ game in a draw with a small probability, which keeps games short.
 The pitch's geometry is worked out once, when a `MarkovSoccer` is built: a
 move table gives, for each cell and action, the cell moved to (None off the
 pitch or for standing) and the side, if any, that scores by carrying the ball there, and a
-per-side table numbers the cells in each side's attacking frame. A tick then
-applies the rules in order (a goal with possession, the edge, a bump, the
-move) by table lookups; positions stay `(row, col)` tuples in `pos`.
+per-side table numbers the cells in each side's attacking frame. The rules
+are written once, in `MarkovSoccer.play`, a game loop that asks two players
+for their actions each tick and applies each move by the rules in order (a
+goal with possession, the edge, a bump, the move) by table lookups;
+positions stay `(row, col)` tuples in `pos`. `step_pair` and the dict
+`step` are one-tick plays between two fixed actions.
 
 Observations are side-invariant: both players see a board on which they
 attack to the right (coordinates are mirrored for the right player), as
@@ -83,19 +86,34 @@ class SoccerConfig:
             raise ConfigError("players cannot share a starting cell")
 
 
+class FixedAction:
+    """A player that plays one action id: `step_pair`'s two players."""
+
+    __slots__ = ("action",)
+
+    def __init__(self, action: int):
+        self.action = action
+
+    def act(self, env, side: str, rng) -> int:
+        return self.action
+
+
 class MarkovSoccer(Environment):
-    """Soccer on one pitch. `step_pair(left, right)` is the slot step a game
-    loop drives: it checks and plays one tick and returns nothing, since game
-    loop policies read `pos`, `possession` and `board_index`. The dict
-    `step` plays the same tick and returns both sides' observations of the
-    new board, their rewards and their dones. Both take their uniforms from
-    `_draws`, a block of `rng`'s next draws (see the module docstring).
+    """Soccer on one pitch. `play(left, right, rng)` holds the rules: it plays
+    from the current board until the result (or for `ticks` ticks), asking
+    the two players' `act` for each tick's actions, as the game loop of
+    `evaluation.play_game` does. `step_pair(left, right)` is a one-tick
+    `play` between two fixed action ids and returns nothing, since game loop
+    policies read `pos`, `possession` and `board_index`. The dict `step`
+    wraps `step_pair` with `Environment.step`'s checks and returns both
+    sides' observations of the new board, their rewards and their dones. All
+    take their uniforms from `_draws`, a block of `rng`'s next draws (see the
+    module docstring).
 
     What a tick reads of the config is read once, at construction: `_moves`
     maps each cell to one `(cell moved to, side scoring)` entry per action,
     and `_numbers` gives each side's cell numbers, which `board_index` and
-    `observe` read. A tick plays its two moves in the drawn order straight
-    through, with no per-side loop."""
+    `observe` read."""
 
     name = "soccer"
     config_class = SoccerConfig
@@ -189,21 +207,6 @@ class MarkovSoccer(Environment):
 
     # -- dynamics ------------------------------------------------------------------
 
-    def _try_move(self, side: str, other: str, action: int):
-        """One player's move, by the rules in order: a goal with possession,
-        the edge (or standing), a bump, the move."""
-        pos = self.pos
-        target, scorer = self._moves[pos[side]][action]
-        if scorer == side and self.possession == side:
-            self.result = side
-        elif target is None:
-            pass
-        elif target == pos[other]:
-            # bump: mover stays, ball changes hands
-            self.possession = other if self.possession == side else side
-        else:
-            pos[side] = target
-
     def _refill(self) -> list:
         """Put the next `DRAW_BLOCK` uniforms of `rng` behind those in hand."""
         block = self.rng.random(DRAW_BLOCK).tolist()
@@ -211,41 +214,82 @@ class MarkovSoccer(Environment):
         self._draws = block + self._draws
         return self._draws
 
-    def _play_tick(self, left: int, right: int):
-        """The soccer rules for one tick of legal actions: the draw, the move
-        order, both moves and the timeout draw. Leaves `tick` to the caller."""
-        draws = self._draws if len(self._draws) >= 2 else self._refill()
-        if draws.pop() < self._draw_prob:
-            self.result = "draw"
-        elif draws.pop() < 0.5:   # a goal by the first mover ends the tick
-            self.last_order = LEFT_FIRST
-            self._try_move("left", "right", left)
-            if self.result is None:
-                self._try_move("right", "left", right)
-        else:
-            self.last_order = RIGHT_FIRST
-            self._try_move("right", "left", right)
-            if self.result is None:
-                self._try_move("left", "right", left)
-        if self.result is None and self.tick + 1 >= self.max_episode_timesteps:
-            self.result = "draw"
-
-    def step_pair(self, left: int, right: int):
-        """Advance one tick with the left and right players' action ids; the
-        slot form of `step`, refusing what it refuses with the same errors."""
+    def play(self, left, right, rng, ticks: int | None = None) -> str | None:
+        """Play from the current board until the result, or for `ticks` ticks,
+        and return `result`. Each tick `left.act(self, "left", rng)` and then
+        `right.act(self, "right", rng)` give the two action ids, and the rules
+        play them: the draw, the move order, both moves (a goal with
+        possession, the edge or standing, a bump, the move) and the timeout
+        draw. The board is kept in locals; `pos`, `possession` and `tick` are
+        written back before each `act`, and everything once play stops. A
+        finished game refuses to play, and an action that is not an id
+        raises, before the tick draws anything, with `step`'s messages."""
         if self._finished:
             raise ConfigError(f"{self.name}: step() on a finished episode")
-        if not (type(left) is int and type(right) is int   # the common case, checked fast
-                and left in ACTION_IDS and right in ACTION_IDS):
-            for side, action in (("left", left), ("right", right)):
-                if not is_action(action, self.num_actions):
-                    raise ConfigError(f"{self.name}: illegal action {action!r} for {side}")
-        self._play_tick(left, right)
-        self.tick += 1
-        self._finished = self.result is not None   # a tick at the cap always ends in a draw
+        act_left, act_right = left.act, right.act
+        moves, pos, draws = self._moves, self.pos, self._draws
+        draw_prob, cap = self._draw_prob, self.max_episode_timesteps
+        possession, tick, order, result = self.possession, self.tick, self.last_order, None
+        stop = None if ticks is None else tick + ticks
+        try:
+            while result is None and tick != stop:
+                self.possession, self.tick = possession, tick
+                a, b = act_left(self, "left", rng), act_right(self, "right", rng)
+                if not (type(a) is int and type(b) is int   # the common case, checked fast
+                        and a in ACTION_IDS and b in ACTION_IDS):
+                    for side, action in (("left", a), ("right", b)):
+                        if not is_action(action, self.num_actions):
+                            raise ConfigError(f"{self.name}: illegal action {action!r} for {side}")
+                if len(draws) < 2:
+                    draws = self._refill()
+                if draws.pop() < draw_prob:
+                    result = "draw"
+                else:   # the order coin; then the first mover's move, the second's
+                    if draws.pop() < 0.5:
+                        order = first, second = LEFT_FIRST
+                    else:
+                        order = first, second = RIGHT_FIRST
+                        a, b = b, a
+                    first_at, second_at = pos[first], pos[second]
+                    target, scorer = moves[first_at][a]
+                    if scorer == first and possession == first:
+                        result = first   # a goal by the first mover ends the tick
+                    elif target is not None:
+                        if target == second_at:   # bump: mover stays, ball changes hands
+                            possession = OTHER[possession]
+                        else:
+                            pos[first] = first_at = target
+                    if result is None:
+                        target, scorer = moves[second_at][b]
+                        if scorer == second and possession == second:
+                            result = second
+                        elif target is not None:
+                            if target == first_at:
+                                possession = OTHER[possession]
+                            else:
+                                pos[second] = target
+                tick += 1
+                if result is None and tick >= cap:
+                    result = "draw"
+        finally:
+            self.possession, self.tick, self.last_order, self.result = \
+                possession, tick, order, result
+            self._draws = draws
+            self._finished = result is not None   # a tick at the cap always ends in a draw
+        return result
 
-    def _do_step(self, actions: dict) -> tuple[dict, dict, dict]:
-        self._play_tick(actions["left"], actions["right"])
+    def step_pair(self, left: int, right: int):
+        """Advance one tick with the left and right players' action ids: a
+        one-tick `play` between the two fixed actions. The slot form of
+        `step`, refusing what it refuses with the same errors; it returns
+        nothing, since game loop policies read the board themselves."""
+        self.play(FixedAction(left), FixedAction(right), None, 1)
+
+    def step(self, actions: dict) -> tuple[dict, dict, dict]:
+        """`step_pair` behind `Environment.step`'s checks, returning both
+        sides' observations of the new board, their rewards and their dones."""
+        self._check_step(actions)
+        self.step_pair(int(actions["left"]), int(actions["right"]))
         rewards = {"left": 0.0, "right": 0.0}
         if self.result in ("left", "right"):
             rewards[self.result] = 1.0

@@ -10,13 +10,23 @@ wins - losses over the configured number of games.
 Games and episodes reuse their environment: `play_game` resets the one
 `MarkovSoccer` built for a bot's search and series or for a round-robin
 pair, and `play_episodes` resets the one environment of its call. A soccer
-game runs on the slot forms, `MarkovSoccer.reset_pair` and `step_pair`: a
-reset builds no observations, and each tick is two action ids in and no
-observation, reward or done dict out, because the soccer policies read the
-board (`board_index`, `pos`) themselves. The pitch draws its uniforms
-from its own generator in blocks (see `envs.soccer`), so a game's result
-depends only on its seed and the policies' actions, as with scalar draws;
-the policies draw from the `rng` passed in.
+game is `MarkovSoccer.reset_pair` and one `MarkovSoccer.play`: a reset
+builds no observations, and the game loop runs inside the environment,
+with no observation, reward or done dict per tick, because the soccer
+policies read the board (`board_index`, `pos`) themselves. The pitch draws
+its uniforms from its own generator in blocks (see `envs.soccer`), so a
+game's result depends only on its seed and the policies' actions, as with
+scalar draws; the policies draw from the `rng` passed in.
+
+A soccer policy fills its action distributions from terms kept per
+generator and call (`BoardFeatures`). With the multiplicative architecture
+the logit head is an identity layer after the latent mix, so the logits are
+affine in the latent: head(h0 + sum_i z_i o_i) = head(h0) + sum_i z_i (o_i @
+W.T). The base and the k parts are computed once, and a fill is their sum
+under the latent and a softmax over (boards, actions). The affine sum rounds
+differently from the head pass, so its probabilities agree with `probs_np`
+up to the last bits, and a sampled action can differ only when a uniform
+falls between two adjacent doubles.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import softmax_np
 from .envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config, build_ablation
 from .envs.farmworld import Farmworld
 from .errors import ConfigError
@@ -60,48 +71,79 @@ def specialization(record: dict) -> float:
 # The most boards (`MarkovSoccer.board_count`) on which a policy tabulates the
 # whole pitch at its first act. A gauntlet policy visits a few hundred boards,
 # so on a large pitch the whole-board passes cost more than the one-row misses
-# they replace: with one BLAS thread, a hidden-64 `eval bots` gauntlet was
-# faster with the table up to 8x5 (3,200 boards), level at 7x6 and 9x5, and
-# 12-19% slower at 10x5 (5,000).
+# they replace: with one BLAS thread, and fills made by head passes, a
+# hidden-64 `eval bots` gauntlet was faster with the table up to 8x5 (3,200
+# boards), level at 7x6 and 9x5, and 12-19% slower at 10x5 (5,000).
 TABLE_BOARDS = 3200
 
 
 class BoardFeatures:
-    """One generator's latent-free forward, `PolicyGenerator.state_features`,
-    on the boards of one pitch: `table` is every board's at once, computed at
-    its first use, and `row` one board's, kept by board index. The policies
-    of one search share one; the gauntlet and round-robin functions keep one
-    per generator for the length of one call.
+    """One generator's latent-free forward on the boards of one pitch: `table`
+    is every board's at once, computed at its first use, and `row` one
+    board's, kept by board index. The policies of one search share one; the
+    gauntlet and round-robin functions keep one per generator for the length
+    of one call. The first use fixes the pitch's `board_count`, and a later
+    environment with another count is refused: its board indices number other
+    boards.
 
-    `probs` is a latent's whole-board head pass. A multiplicative generator
-    mixes it in two (boards, hidden) buffers held here for the whole call, the
-    mixed value and each branch's product: freed after every pass, arrays of
-    that size go back to the system, and the next pass faults their pages in
-    again. The buffers never leave the pass, so a result kept by one policy
-    does not change when the next policy's pass reuses them."""
+    What is kept is the latent's terms (`PolicyGenerator.latent_terms`): a
+    multiplicative generator's logits are affine in the latent, a base plus
+    one part per latent coordinate, so `probs` under a latent is
+    softmax(base + z_0 * part_0 + z_1 * part_1 + ...) over the kept boards,
+    summed in that order: arithmetic on (boards, actions) arrays, with no
+    pass through the hidden layers. A `concat` generator's logits are not
+    affine in the latent, so its features are kept, and `probs` is its head
+    pass (`probs_from_features`)."""
 
     def __init__(self, gen: PolicyGenerator):
         self.gen = gen
+        self.board_count = None
         self._table = None
-        self._buffers = None
         self._rows: dict = {}
 
+    def _pitch(self, env: MarkovSoccer):
+        if env.board_count != self.board_count:
+            if self.board_count is not None:
+                raise ConfigError(f"board features of a {self.board_count}-board pitch "
+                                  f"cannot serve a {env.board_count}-board pitch")
+            self.board_count = env.board_count
+
+    def _terms(self, obs: np.ndarray) -> tuple:
+        """(features, terms) of observation rows: the terms where the logits
+        are affine in the latent, else the features. The terms are kept in
+        column-major order, so that a fill's sums and reductions over each
+        board's few actions run along contiguous columns."""
+        features = self.gen.state_features(obs)
+        terms = self.gen.latent_terms(features)
+        if terms is None:
+            return features, None
+        base, parts = terms
+        return None, (np.asfortranarray(base), [np.asfortranarray(part) for part in parts])
+
     def table(self, env: MarkovSoccer) -> tuple:
+        self._pitch(env)
         if self._table is None:
-            self._table = h0, outs = self.gen.state_features(env.board_observations())
-            if outs is not None:   # multiplicative: the mix has h0's shape
-                self._buffers = (np.empty_like(h0), np.empty_like(h0))
+            self._table = self._terms(env.board_observations())
         return self._table
 
-    def probs(self, env: MarkovSoccer, latent: np.ndarray) -> np.ndarray:
-        """Every board's action distribution under `latent`, one head pass."""
-        return self.gen.probs_from_features(self.table(env), latent[None], self._buffers)
-
     def row(self, env: MarkovSoccer, side: str, index: int) -> tuple:
-        features = self._rows.get(index)
-        if features is None:
-            features = self._rows[index] = self.gen.state_features(env.observe(side)[None])
-        return features
+        self._pitch(env)
+        entry = self._rows.get(index)
+        if entry is None:
+            entry = self._rows[index] = self._terms(env.observe(side)[None])
+        return entry
+
+    def probs(self, entry: tuple, latent: np.ndarray) -> np.ndarray:
+        """The action distributions under `latent` of the boards of `entry`,
+        a `table` or a `row`."""
+        features, terms = entry
+        if terms is None:
+            return self.gen.probs_from_features(features, latent[None])
+        base, parts = terms
+        logits = base + latent[0] * parts[0]
+        for i in range(1, len(parts)):
+            logits += latent[i] * parts[i]
+        return softmax_np(logits)
 
 
 class LatentPolicy:
@@ -111,13 +153,15 @@ class LatentPolicy:
     policy keeps each board's action distribution, as a row of its cumulative
     sum (a list) and total, for its own lifetime; a row is made on its board's
     first visit. On a pitch of at most `TABLE_BOARDS` boards the first act
-    makes one head pass over every board (`features.probs`, 800 boards on the
-    4x5 pitch) and keeps its cumulative sums and totals as two arrays, which
-    later rows are read from: a 10-game search policy visits only some of the
-    boards. Above the bound each new board is one head pass over
-    `features.row`. Rows of a batched forward can differ
-    from one-row forwards in the last bits, so an action can differ from an
-    uncached sampler's only when a uniform falls between two adjacent doubles.
+    fills every board at once (`features.probs` of `features.table`, 800
+    boards on the 4x5 pitch) and keeps its cumulative sums and totals as two
+    arrays, which later rows are read from: a 10-game search policy visits
+    only some of the boards. Above the bound each new board is filled alone,
+    from `features.row`. A fill is the affine sum of the latent's terms (see
+    `BoardFeatures`), or a head pass for `concat`. Rows of the affine sum or
+    of a batched forward can differ from a one-row forward in the last bits,
+    so an action can differ from an uncached sampler's only when a uniform
+    falls between two adjacent doubles.
     The generator's weights and the latent must not change while the policy
     or its `features` is alive, and the environments it plays on must share
     one pitch size, as those of one gauntlet or round robin do: they come
@@ -131,7 +175,7 @@ class LatentPolicy:
         self.features = BoardFeatures(gen) if features is None else features
         # board index -> (cumulative probs as a list, their total), per board seen
         self._cdfs: dict = {}
-        # after a whole-pitch pass: every board's (cumulative sums, totals) arrays
+        # after a whole-pitch fill: every board's (cumulative sums, totals) arrays
         self._table = None
 
     def act(self, env: MarkovSoccer, side: str, rng: np.random.Generator) -> int:
@@ -146,12 +190,15 @@ class LatentPolicy:
     def _row(self, env: MarkovSoccer, side: str, index: int) -> tuple:
         """Board `index`'s row, made on its first visit."""
         if self._table is None:
+            features = self.features
             if env.board_count > TABLE_BOARDS:
-                probs = self.gen.probs_from_features(self.features.row(env, side, index),
-                                                     self.latent[None])[0]
+                probs = features.probs(features.row(env, side, index), self.latent)[0]
                 return np.cumsum(probs).tolist(), float(probs.sum())
-            probs = self.features.probs(env, self.latent)
-            self._table = np.cumsum(probs, axis=1), probs.sum(axis=1)
+            probs = features.probs(features.table(env), self.latent)
+            totals = probs.sum(axis=1)
+            for action in range(1, probs.shape[1]):   # np.cumsum(probs, axis=1), in place
+                probs[:, action] += probs[:, action - 1]
+            self._table = probs, totals
         cumulative, totals = self._table
         return cumulative[index].tolist(), float(totals[index])
 
@@ -203,14 +250,10 @@ class MatchScore:
 def play_game(env: MarkovSoccer, left, right, seed: int,
               rng: np.random.Generator) -> str:
     """One game on `env`, reset with `seed`; returns "left", "right", or "draw".
-    Each tick the left policy acts, then the right, then `step_pair` plays them;
-    the three methods are looked up once per game. The game is on while
-    `env.result` is None: the tick that finishes it sets the result."""
+    `MarkovSoccer.play` runs the game: each tick the left policy acts, then
+    the right, then the rules play both actions."""
     env.reset_pair(seed)
-    step, act_left, act_right = env.step_pair, left.act, right.act
-    while env.result is None:
-        step(act_left(env, "left", rng), act_right(env, "right", rng))
-    return env.result
+    return env.play(left, right, rng)
 
 
 def play_games(env: MarkovSoccer, games, side: str) -> MatchScore:

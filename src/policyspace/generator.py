@@ -50,21 +50,17 @@ def branch_outputs(x: np.ndarray, branches: list[Layer]) -> list[np.ndarray]:
     return [affine_np(x, b.weight.data, b.bias.data, b.activation) for b in branches]
 
 
-def mix(h0, branches: list[Layer], z: np.ndarray, outs: list | None = None,
-        buffers: tuple | None = None):
+def mix(h0, branches: list[Layer], z: np.ndarray, outs: list | None = None):
     """The multiplicative mix h0 + sum_i branch_i(h0) * z_i, given the `outs`
     of an array h0 if known; the leading axes of h0 and z broadcast, so an
     (m, 1, k) z mixes m latents into one (n, d) h0. For a `Tensor` h0 it is one
     graph node whose value is this same loop over arrays, and whose backward
-    forms all k branches' gradients with stacked matmuls. An array h0 may come
-    with `buffers`, two arrays of the mixed shape that receive the result and
-    each product instead of new arrays; the arithmetic is the same."""
+    forms all k branches' gradients with stacked matmuls."""
     x = h0.data if isinstance(h0, Tensor) else h0
     outs = branch_outputs(x, branches) if outs is None else outs
-    mixed, product = (None, None) if buffers is None else buffers
-    mixed = np.add(x, np.multiply(outs[0], z[..., 0:1], out=product), out=mixed)
+    mixed = x + outs[0] * z[..., 0:1]
     for i in range(1, len(outs)):   # summed into the result in place
-        mixed += np.multiply(outs[i], z[..., i:i + 1], out=product)
+        mixed += outs[i] * z[..., i:i + 1]
     if not isinstance(h0, Tensor):
         return mixed
     stacked = np.concatenate([branch.weight.data for branch in branches])   # (k*d, d_in)
@@ -211,13 +207,13 @@ class PolicyGenerator:
         h0 = self.shared(wrap(obs))
         return h0, (None if isinstance(h0, Tensor) else branch_outputs(h0, self.branches))
 
-    def _head(self, features: tuple, z, wrap, buffers: tuple | None = None):
+    def _head(self, features: tuple, z, wrap):
         """The latent part of the policy forward: the latent joins, then the
-        logit layers; `buffers` are the multiplicative mix's (see `mix`)."""
+        logit layers."""
         x, outs = features
         if self.architecture == "concat":
             return self.policy_net(wrap(_join(x, z)))
-        return self.head(mix(x, self.branches, z, outs, buffers))
+        return self.head(mix(x, self.branches, z, outs))
 
     def _logits(self, obs, z, wrap):
         """The one logits body; `wrap` makes graph inputs (`constant`) or arrays."""
@@ -242,11 +238,23 @@ class PolicyGenerator:
         while the weights do not change."""
         return self._features(self._obs(obs), np.asarray)
 
-    def probs_from_features(self, features: tuple, z: np.ndarray,
-                            buffers: tuple | None = None) -> np.ndarray:
-        """``probs_np(obs, z)`` bit for bit, given ``state_features(obs)``; a
-        multiplicative generator may mix in held `buffers` (see `mix`)."""
-        return softmax_np(self._head(features, self._latent(z), np.asarray, buffers))
+    def probs_from_features(self, features: tuple, z: np.ndarray) -> np.ndarray:
+        """``probs_np(obs, z)`` bit for bit, given ``state_features(obs)``."""
+        return softmax_np(self._head(features, self._latent(z), np.asarray))
+
+    def latent_terms(self, features: tuple) -> tuple | None:
+        """The logits as an affine function of the latent, given
+        ``state_features(obs)``: a base of shape (n, A) and a list of k parts
+        of that shape, with ``logits_np(obs, z)`` equal to
+        ``base + z_0 * parts[0] + ... + z_{k-1} * parts[k-1]``. The head is an
+        identity layer after `mix`, so head(h0 + sum_i z_i o_i) is head(h0)
+        plus sum_i z_i (o_i @ W.T). The two sides round differently, so they
+        agree up to the last bits. None for `concat`, whose logits are not
+        affine in z."""
+        if self.architecture == "concat":
+            return None
+        h0, outs = features
+        return self.head(h0), [out @ self.head.weight.data.T for out in outs]
 
     # -- value forward ---------------------------------------------------------
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import policyspace.evaluation as evaluation
+from policyspace.autodiff import softmax_np
 from policyspace.envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config
 from policyspace.envs.soccer import BOT_KINDS
 from policyspace.evaluation import (BotPolicy, LatentPolicy, MatchScore,
@@ -170,8 +171,9 @@ def test_memoized_policy_matches_the_uncached_sampler_in_every_state():
     config = SoccerConfig()
     env = MarkovSoccer(config)
     env.reset(0)
-    # the batched whole-board forward the policy's rows are made from
-    board = gen.probs_from_features(gen.state_features(env.board_observations()), z[None])
+    # the whole-board affine fill the policy's rows are made from
+    base, parts = gen.latent_terms(gen.state_features(env.board_observations()))
+    board = softmax_np(base + z[0] * parts[0] + z[1] * parts[1] + z[2] * parts[2])
     cumsum, totals = np.cumsum(board, axis=1), board.sum(axis=1)
     cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
     states = [(left, right, possession) for left in cells for right in cells
@@ -227,46 +229,91 @@ def test_board_index_numbers_the_observation(rows, cols):
     assert len(set(seen.values())) == len(seen)
 
 
-@pytest.mark.parametrize("rows, cols", [(4, 5), (7, 5)])
+# How far an affine fill's probabilities may lie from the head pass's: both
+# sides compute the same logits, a few units in size, with their sums in
+# different orders, so probabilities (at most 1) differ by a few rounding
+# errors of float64 near 1.0 (at most 1.5 eps on these pitches). 64 eps
+# leaves room for other weights and is far below what a wrong term moves.
+AFFINE_BOUND = 64 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 5), (7, 5), (2, 5), (8, 8)])
 @pytest.mark.parametrize("hidden", [32, 64])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_the_buffered_head_pass_is_the_plain_one(rows, cols, hidden, activation):
-    # BoardFeatures.probs mixes in buffers held across passes; each pass is
-    # byte-equal to probs_from_features without them
-    config = SoccerConfig(rows=rows, cols=cols)
+def test_the_affine_fill_is_the_head_pass_within_a_bound(rows, cols, hidden, activation):
+    # BoardFeatures.probs sums a latent's affine terms; on every board it is
+    # probs_from_features of the same features within AFFINE_BOUND: the whole
+    # pitch at once up to TABLE_BOARDS, one board at a time (8x8) above it
+    config = SoccerConfig(rows=rows, cols=cols, start_left=(0, 0), start_right=(1, 1))
     env = MarkovSoccer(config)
-    assert env.board_count <= evaluation.TABLE_BOARDS
+    env.reset(0)
     gen = PolicyGenerator(env.observation_size, 5, np.random.default_rng(hidden),
                           hidden_dim=hidden, policy_activation=activation)
     features = evaluation.BoardFeatures(gen)
-    plain = gen.state_features(env.board_observations())
+    obs = env.board_observations()
     rng = np.random.default_rng(rows)
-    held = None
     for _ in range(3):
         z = sample_latent(rng)
-        buffered = features.probs(env, z)
-        held = held or features._buffers   # the same two arrays for every pass
-        assert features._buffers is held and held[0].shape == (env.board_count, hidden)
-        assert buffered.tobytes() == gen.probs_from_features(plain, z[None]).tobytes()
-        assert not any(np.shares_memory(buffered, b) for b in features._buffers)
+        head_pass = gen.probs_from_features(gen.state_features(obs), z[None])
+        if env.board_count <= evaluation.TABLE_BOARDS:
+            affine = features.probs(features.table(env), z)
+        else:   # the per-board terms of 50 boards, each made on its board
+            indices, rows_made = [], []
+            for _ in range(50):
+                cells = rng.choice(rows * cols, size=2, replace=False)
+                env.pos = {side: divmod(int(c), cols) for side, c in zip(("left", "right"), cells)}
+                env.possession = ("left", "right")[int(rng.integers(2))]
+                indices.append(env.board_index("left"))
+                rows_made.append(features.probs(features.row(env, "left", indices[-1]), z))
+            head_pass, affine = head_pass[indices], np.concatenate(rows_made)
+        assert affine.shape == head_pass.shape
+        assert np.abs(affine - head_pass).max() <= AFFINE_BOUND
+        assert np.allclose(affine.sum(axis=1), 1.0, rtol=0.0, atol=AFFINE_BOUND)
 
 
-def test_a_reused_buffer_leaves_kept_rows_unchanged():
-    gen = soccer_gen(48)
+def test_the_latent_terms_are_the_logits_of_the_multiplicative_generator_only():
+    obs = np.random.default_rng(1).random((6, 41))
+    z = sample_latent(np.random.default_rng(2))
+    gen = soccer_gen(3)
+    base, parts = gen.latent_terms(gen.state_features(obs))
+    assert base.shape == (6, 5) and [part.shape for part in parts] == [(6, 5)] * 3
+    logits = base + z[0] * parts[0] + z[1] * parts[1] + z[2] * parts[2]
+    assert np.allclose(logits, gen.logits_np(obs, np.broadcast_to(z, (6, 3))),
+                       rtol=0.0, atol=AFFINE_BOUND)
+    concat = PolicyGenerator(41, 5, np.random.default_rng(3), hidden_dim=8, architecture="concat")
+    assert concat.latent_terms(concat.state_features(obs)) is None
+
+
+def test_concat_policies_fill_by_the_head_pass():
+    # a concat generator's logits are not affine in z: the kept features are
+    # the head pass's input, and a fill is that head pass
     env = MarkovSoccer()
     env.reset(0)
+    gen = PolicyGenerator(env.observation_size, 5, np.random.default_rng(4), hidden_dim=8,
+                          architecture="concat")
+    z = sample_latent(np.random.default_rng(5))
     features = evaluation.BoardFeatures(gen)
-    rng = np.random.default_rng(49)
-    first = LatentPolicy(gen, sample_latent(rng), features)
-    first.act(env, "right", rng)
-    table = [a.copy() for a in first._table]
-    rows = {index: (list(cumulative), total) for index, (cumulative, total) in first._cdfs.items()}
-    second = LatentPolicy(gen, sample_latent(rng), features)
-    second.act(env, "right", rng)
-    assert not np.array_equal(second._table[0], first._table[0])   # a different latent
-    assert all(np.array_equal(a, b) for a, b in zip(first._table, table))
-    assert first._cdfs == rows
-    assert not any(np.shares_memory(a, b) for a in first._table for b in features._buffers)
+    obs = env.board_observations()
+    assert features.probs(features.table(env), z).tobytes() == \
+        gen.probs_from_features(gen.state_features(obs), z[None]).tobytes()
+
+
+def test_board_features_refuse_a_second_pitch_size():
+    from policyspace.errors import ConfigError
+    gen = soccer_gen(50)
+    four, six = MarkovSoccer(SoccerConfig(rows=4)), MarkovSoccer(SoccerConfig(rows=6))
+    four.reset(0)
+    six.reset(0)
+    features = evaluation.BoardFeatures(gen)
+    policy = LatentPolicy(gen, sample_latent(np.random.default_rng(51)), features)
+    policy.act(four, "right", np.random.default_rng(52))
+    assert features.board_count == four.board_count
+    for use in (lambda: features.table(six), lambda: features.row(six, "right", 0),
+                lambda: LatentPolicy(gen, policy.latent, features).act(
+                    six, "right", np.random.default_rng(53))):
+        with pytest.raises(ConfigError, match=f"{four.board_count}-board pitch"):
+            use()
+    assert features.table(four) is features.table(four)   # the first pitch still serves
 
 
 def gauntlet_fingerprint(gen, rng_seed, config=None):
@@ -302,12 +349,14 @@ def test_round_robin_matches_the_uncached_sampler(monkeypatch):
 
 
 class ForwardCounts:
-    """Counts `state_features` passes per (generator, observation rows) and
-    the rows of each `probs_from_features` pass, and refuses full `probs_np`
-    forwards."""
+    """Counts `state_features` and `latent_terms` passes per (generator,
+    observation rows) and the rows of each `BoardFeatures.probs` fill, and
+    refuses head passes (`probs_from_features`) and full `probs_np`
+    forwards: the generators here are multiplicative, so every fill is an
+    affine one."""
 
     def __init__(self, monkeypatch):
-        self.policies, self.features, self.heads = [], Counter(), []
+        self.policies, self.features, self.terms, self.fills = [], Counter(), Counter(), []
         counts = self
 
         class CountedPolicy(LatentPolicy):
@@ -316,23 +365,33 @@ class ForwardCounts:
                 counts.policies.append(self)
 
         state_features = PolicyGenerator.state_features
-        probs_from_features = PolicyGenerator.probs_from_features
+        latent_terms = PolicyGenerator.latent_terms
+        fill = evaluation.BoardFeatures.probs
 
         def counting_features(gen, obs):
+            features = state_features(gen, obs)
             self.features[id(gen), obs.tobytes()] += 1
-            return state_features(gen, obs)
+            self.rows_of[id(features)] = id(gen), obs.tobytes()
+            return features
 
-        def counting_heads(gen, features, z, buffers=None):
-            probs = probs_from_features(gen, features, z, buffers)
-            self.heads.append(len(probs))
+        def counting_terms(gen, features):
+            self.terms[self.rows_of[id(features)]] += 1
+            return latent_terms(gen, features)
+
+        def counting_fills(board_features, entry, latent):
+            probs = fill(board_features, entry, latent)
+            self.fills.append(len(probs))
             return probs
 
         def refused(*args):
-            raise AssertionError("a full forward in the soccer evaluation loop")
+            raise AssertionError("a head pass or full forward in the soccer evaluation loop")
 
+        self.rows_of = {}
         monkeypatch.setattr(evaluation, "LatentPolicy", CountedPolicy)
         monkeypatch.setattr(PolicyGenerator, "state_features", counting_features)
-        monkeypatch.setattr(PolicyGenerator, "probs_from_features", counting_heads)
+        monkeypatch.setattr(PolicyGenerator, "latent_terms", counting_terms)
+        monkeypatch.setattr(evaluation.BoardFeatures, "probs", counting_fills)
+        monkeypatch.setattr(PolicyGenerator, "probs_from_features", refused)
         monkeypatch.setattr(PolicyGenerator, "probs_np", refused)
 
     def shared_features(self, gen):
@@ -342,28 +401,32 @@ class ForwardCounts:
         return next(iter(shared.values()))
 
     def check_table(self, generators, board):
-        # one state_features pass per generator, over the whole board array
+        # one state_features and one latent_terms pass per generator, over the
+        # whole board array
         assert list(self.features.values()) == [1] * len(generators)
+        assert self.terms == self.features
         for gen in generators:
             assert (id(gen), board.tobytes()) in self.features
             assert self.shared_features(gen)._rows == {}
-        # one whole-board head pass per policy that acted, kept whole; a
+        # one whole-board affine fill per policy that acted, kept whole; a
         # panel member no game picked never acts. Rows are made only for the
         # boards a policy visited.
         acted = [p for p in self.policies if len(p._cdfs)]
-        assert self.heads == [len(board)] * len(acted)
+        assert self.fills == [len(board)] * len(acted)
         assert all(p._table[0].shape == (len(board), 5) for p in acted)
         assert all(len(p._cdfs) < len(board) for p in acted)
 
     def check_memo(self, generators):
-        # one one-row state_features pass per (generator, board), kept in the
-        # generator's shared rows, and one one-row head pass per (policy, board)
+        # one one-row state_features and latent_terms pass per (generator,
+        # board), kept in the generator's shared rows, and one one-row affine
+        # fill per (policy, board)
         for gen in generators:
             rows = self.shared_features(gen)._rows
             assert sum(n for (g, _), n in self.features.items() if g == id(gen)) == len(rows)
         assert max(self.features.values()) == 1
-        assert self.heads == [1] * sum(len(p._cdfs) for p in self.policies)
-        assert len(self.features) < len(self.heads)
+        assert self.terms == self.features
+        assert self.fills == [1] * sum(len(p._cdfs) for p in self.policies)
+        assert len(self.features) < len(self.fills)
 
 
 def test_gauntlet_computes_state_features_once_per_call(monkeypatch):

@@ -392,6 +392,100 @@ def test_step_pair_refuses_a_finished_game():
     assert env.tick == 1
 
 
+# -- the game loop ---------------------------------------------------------------
+
+
+class RecordingPolicy:
+    """Draws its actions from the rng it is given, and records the board it
+    reads at each act; from tick `illegal_at` on it returns `illegal`."""
+
+    def __init__(self, illegal_at=None, illegal=None):
+        self.boards, self.illegal_at, self.illegal = [], illegal_at, illegal
+
+    def act(self, env, side, rng):
+        self.boards.append((side, dict(env.pos), env.possession, env.tick,
+                            env.board_index(side)))
+        if env.tick == self.illegal_at:
+            return self.illegal
+        return int(rng.integers(5))
+
+
+def step_game(env, left, right, rng):
+    """The game `play` plays, tick by tick through the dict step."""
+    while not env.finished:
+        env.step({"left": left.act(env, "left", rng), "right": right.act(env, "right", rng)})
+
+
+PLAY_CONFIGS = {
+    **SLOT_STEP_CONFIGS,
+    "2x2": {"rows": 2, "cols": 2, "start_left": (0, 0), "start_right": (1, 1)},
+    "3x4": {"rows": 3, "cols": 4},
+    "8x8": {"rows": 8, "cols": 8, "draw_prob": 0.005},
+}
+
+
+def game_end(env):
+    return env.result, env.tick, env.last_order, env.finished, env.rng.random()
+
+
+@pytest.mark.parametrize("cfg", PLAY_CONFIGS.values(), ids=PLAY_CONFIGS.keys())
+def test_play_plays_the_game_the_dict_step_plays(cfg):
+    for seed in range(20):
+        by_play, by_step = MarkovSoccer(SoccerConfig(**cfg)), MarkovSoccer(SoccerConfig(**cfg))
+        by_play.reset(seed)
+        by_step.reset(seed)
+        played = (RecordingPolicy(), RecordingPolicy())
+        stepped = (RecordingPolicy(), RecordingPolicy())
+        rng_play, rng_step = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        assert by_play.play(*played, rng_play) == by_play.result
+        step_game(by_step, *stepped, rng_step)
+        for a, b in zip(played, stepped):
+            assert a.boards == b.boards
+        assert game_end(by_play) == game_end(by_step)
+        assert rng_play.random() == rng_step.random()
+
+
+def test_play_for_some_ticks_stops_on_the_board_it_reached():
+    for seed in range(20):
+        whole, in_parts = (MarkovSoccer(SoccerConfig(draw_prob=0.0)) for _ in range(2))
+        whole.reset(seed)
+        in_parts.reset(seed)
+        rng_whole, rng_parts = np.random.default_rng(seed), np.random.default_rng(seed)
+        policies = (RecordingPolicy(), RecordingPolicy())
+        whole.play(*policies, rng_whole)
+        parts = (RecordingPolicy(), RecordingPolicy())
+        while in_parts.play(*parts, rng_parts, ticks=3) is None:
+            assert in_parts.tick % 3 == 0 and not in_parts.finished
+        assert [p.boards for p in parts] == [p.boards for p in policies]
+        assert game_end(in_parts) == game_end(whole)
+
+
+@pytest.mark.parametrize("illegal", [5, -1, 2.0, True, "3", None])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_play_refuses_an_illegal_action_mid_game_as_step_does(side, illegal):
+    cfg = SoccerConfig(draw_prob=0.0, max_episode_timesteps=100)
+    for seed in range(10):
+        by_play, by_step = MarkovSoccer(cfg), MarkovSoccer(cfg)
+        by_play.reset(seed)
+        by_step.reset(seed)
+        made = {}
+
+        def policies():
+            made[side] = RecordingPolicy(illegal_at=4 + seed % 3, illegal=illegal)
+            return [made[side] if s == side else RecordingPolicy() for s in ("left", "right")]
+
+        rng_play, rng_step = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.raises(ConfigError, match="illegal action") as by_loop:
+            by_play.play(*policies(), rng_play)
+        with pytest.raises(ConfigError, match="illegal action") as by_dict:
+            step_game(by_step, *policies(), rng_step)
+        assert str(by_loop.value) == str(by_dict.value)
+        # the refused tick drew nothing: the same tick, board and unused draws
+        assert by_play.tick == by_step.tick == 4 + seed % 3
+        assert board(by_play) == board(by_step) and by_play._draws == by_step._draws
+        assert rng_play.random() == rng_step.random()
+
+
 # -- the pinned random stream ----------------------------------------------------
 
 # per-tick (last_order, result, tick, possession) under seeded random actions,
