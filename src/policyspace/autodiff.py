@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
-The engine supports a fixed vocabulary of array operations (the fused
-dense layer ``affine``, add, elementwise mul, softmax, log, exp, reductions,
-gather/take). ``generator.mix``, ``training.clipped_surrogate`` and
-``diversity.diversity_loss`` are fused nodes built the way ``affine`` is: a
-numpy body computes the value, a closure the closed-form backward. Graphs are
+The engine supports the array operations the package's losses use: the
+fused dense layer ``affine``, add, negation and subtraction, elementwise mul,
+square, softmax, sum, mean and reshape. ``generator.mix``,
+``training.clipped_surrogate`` and ``diversity.diversity_loss`` are fused
+nodes built the way ``affine`` is: a numpy body computes the value, a
+closure the closed-form backward. Graphs are
 built eagerly; a node requires a gradient when one of its inputs does, and
 ``Tensor.backward()`` walks only those nodes, once, in reverse topological
 order, accumulating exact gradients into every reachable parameter.
@@ -80,9 +81,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.data.shape})"
-
     def _accum(self, grad: Array):
         """Add out of place, as inner nodes may share a buffer; a leaf copies,
         so it owns the buffer that `clip_grad_norm` scales in place."""
@@ -150,9 +148,6 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return Tensor(other) + (-self)
-
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
         out = Tensor(self.data * other.data, parents=(self, other), op="mul")
@@ -168,34 +163,12 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data / other.data, parents=(self, other), op="div")
-
-        def backward(g):
-            self._accum(_unbroadcast(g / other.data, self.data.shape))
-            other._accum(_unbroadcast(-g * self.data / other.data**2, other.data.shape))
-
-        out._backward = backward
-        return out
-
     def square(self):
         out = Tensor(self.data * self.data, parents=(self,), op="square")
         out._backward = lambda g: self._accum(2.0 * self.data * g)
         return out
 
     # -- nonlinearities ---------------------------------------------------
-
-    def exp(self):
-        e = np.exp(self.data)
-        out = Tensor(e, parents=(self,), op="exp")
-        out._backward = lambda g: self._accum(g * e)
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), parents=(self,), op="log")
-        out._backward = lambda g: self._accum(g / self.data)
-        return out
 
     def softmax(self, axis: int = -1):
         p = softmax_np(self.data, axis)
@@ -204,40 +177,6 @@ class Tensor:
         def backward(g):
             dot = (g * p).sum(axis=axis, keepdims=True)
             self._accum(p * (g - dot))
-
-        out._backward = backward
-        return out
-
-    def log_softmax(self, axis: int = -1):
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        logp = shifted - lse
-        out = Tensor(logp, parents=(self,), op="log_softmax")
-
-        def backward(g):
-            p = np.exp(logp)
-            self._accum(g - p * g.sum(axis=axis, keepdims=True))
-
-        out._backward = backward
-        return out
-
-    # -- clipping and pairwise extrema -------------------------------------
-
-    def clip(self, lo: float, hi: float):
-        """Clamp to [lo, hi]; gradient is 1 inside the interval, 0 outside."""
-        out = Tensor(np.clip(self.data, lo, hi), parents=(self,), op="clip")
-        mask = (self.data >= lo) & (self.data <= hi)
-        out._backward = lambda g: self._accum(g * mask)
-        return out
-
-    def minimum(self, other: "Tensor"):
-        take_self = self.data <= other.data
-        out = Tensor(np.where(take_self, self.data, other.data),
-                     parents=(self, other), op="minimum")
-
-        def backward(g):
-            self._accum(_unbroadcast(g * take_self, self.data.shape))
-            other._accum(_unbroadcast(g * ~take_self, other.data.shape))
 
         out._backward = backward
         return out
@@ -265,33 +204,6 @@ class Tensor:
         out._backward = lambda g: self._accum(g.reshape(self.data.shape))
         return out
 
-    def take(self, indices, axis: int = 0):
-        """Select rows along `axis`; backward scatter-adds into the source."""
-        idx = np.asarray(indices)
-        out = Tensor(np.take(self.data, idx, axis=axis), parents=(self,), op="take")
-
-        def backward(g):
-            full = np.zeros_like(self.data)
-            # scatter-add handles repeated indices correctly
-            np.add.at(full, (slice(None),) * axis + (idx,), g)
-            self._accum(full)
-
-        out._backward = backward
-        return out
-
-    def gather(self, indices):
-        """Pick one column per row of a 2-D tensor: out[i] = self[i, indices[i]]."""
-        idx = np.asarray(indices)
-        rows = np.arange(self.data.shape[0])
-        out = Tensor(self.data[rows, idx], parents=(self,), op="gather")
-
-        def backward(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, (rows, idx), g)
-            self._accum(full)
-
-        out._backward = backward
-        return out
 
 
 def constant(x) -> Tensor:

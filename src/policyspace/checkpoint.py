@@ -17,7 +17,7 @@ import numpy as np
 
 from .envs import ENVIRONMENTS, make_config
 from .envs.base import field_types, type_rule
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError, IntegrityError, open_input
 from .generator import GeneratorConfig, PolicyGenerator
 
 MAGIC = b"PSPC"
@@ -100,7 +100,7 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         blob = fh.read()
     if blob[:4] != MAGIC or len(blob) < 40:
         raise IntegrityError(f"{path}: not a checkpoint file")

@@ -35,7 +35,7 @@ from .diversity import DiversityConfig
 from .envs import ENVIRONMENTS, make_env
 from .envs.base import (at_least, check_ranges, check_types, field_types, from_json, one_of,
                         to_dict, type_name)
-from .errors import ConfigError
+from .errors import ConfigError, open_input
 from .generator import GeneratorConfig, PolicyGenerator
 from .training import METHODS, TrainerConfig
 
@@ -282,8 +282,10 @@ def check_resolved(config) -> dict:
 
 def load_run_spec(path) -> dict:
     """A run is specified by either an INI config or an existing manifest."""
+    with open_input(path) as fh:
+        raw = fh.read()
     try:
-        text = open(path).read()
+        text = raw.decode()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not text: {exc}") from exc
     if text.lstrip().startswith("{"):

@@ -52,10 +52,6 @@ class MultiGoal(Environment):
         self.position = np.zeros(2)
         self.captured = False
 
-    @property
-    def goals(self) -> np.ndarray:
-        return CORNERS
-
     def living_agents(self) -> list[str]:
         return [] if self.captured else ["agent_0"]
 

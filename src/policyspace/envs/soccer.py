@@ -14,8 +14,8 @@ per-side table numbers the cells in each side's attacking frame. The rules
 are written once, in `MarkovSoccer.play`, a game loop that asks two players
 for their actions each tick and applies each move by the rules in order (a
 goal with possession, the edge, a bump, the move) by table lookups;
-positions stay `(row, col)` tuples in `pos`. `step_pair` and the dict
-`step` are one-tick plays between two fixed actions.
+positions stay `(row, col)` tuples in `pos`. The dict `step` is a one-tick
+`play` between two `FixedAction` players.
 
 Observations are side-invariant: both players see a board on which they
 attack to the right (coordinates are mirrored for the right player), as
@@ -87,7 +87,7 @@ class SoccerConfig:
 
 
 class FixedAction:
-    """A player that plays one action id: `step_pair`'s two players."""
+    """A player that plays one action id: the dict `step`'s two players."""
 
     __slots__ = ("action",)
 
@@ -102,13 +102,12 @@ class MarkovSoccer(Environment):
     """Soccer on one pitch. `play(left, right, rng)` holds the rules: it plays
     from the current board until the result (or for `ticks` ticks), asking
     the two players' `act` for each tick's actions, as the game loop of
-    `evaluation.play_game` does. `step_pair(left, right)` is a one-tick
-    `play` between two fixed action ids and returns nothing, since game loop
-    policies read `pos`, `possession` and `board_index`. The dict `step`
-    wraps `step_pair` with `Environment.step`'s checks and returns both
-    sides' observations of the new board, their rewards and their dones. All
-    take their uniforms from `_draws`, a block of `rng`'s next draws (see the
-    module docstring).
+    `evaluation.play_game` does; game loop policies read `pos`, `possession`
+    and `board_index` themselves. The dict `step` is a one-tick `play`
+    between two `FixedAction` players behind `Environment.step`'s checks,
+    and returns both sides' observations of the new board, their rewards
+    and their dones. Both take their uniforms from `_draws`, a block of
+    `rng`'s next draws (see the module docstring).
 
     What a tick reads of the config is read once, at construction: `_moves`
     maps each cell to one `(cell moved to, side scoring)` entry per action,
@@ -157,7 +156,7 @@ class MarkovSoccer(Environment):
 
     def reset_pair(self, seed: int):
         """`reset` without building the observations, which game loop policies
-        do not read; the slot form of `reset`, as `step_pair` is of `step`."""
+        do not read."""
         self._start(seed)
         self._kick_off()
 
@@ -278,18 +277,12 @@ class MarkovSoccer(Environment):
             self._finished = result is not None   # a tick at the cap always ends in a draw
         return result
 
-    def step_pair(self, left: int, right: int):
-        """Advance one tick with the left and right players' action ids: a
-        one-tick `play` between the two fixed actions. The slot form of
-        `step`, refusing what it refuses with the same errors; it returns
-        nothing, since game loop policies read the board themselves."""
-        self.play(FixedAction(left), FixedAction(right), None, 1)
-
     def step(self, actions: dict) -> tuple[dict, dict, dict]:
-        """`step_pair` behind `Environment.step`'s checks, returning both
-        sides' observations of the new board, their rewards and their dones."""
+        """A one-tick `play` between two `FixedAction` players behind
+        `Environment.step`'s checks, returning both sides' observations of
+        the new board, their rewards and their dones."""
         self._check_step(actions)
-        self.step_pair(int(actions["left"]), int(actions["right"]))
+        self.play(FixedAction(int(actions["left"])), FixedAction(int(actions["right"])), None, 1)
         rewards = {"left": 0.0, "right": 0.0}
         if self.result in ("left", "right"):
             rewards[self.result] = 1.0

@@ -15,3 +15,12 @@ class NumericError(ArithmeticError):
 
 class IntegrityError(RuntimeError):
     """Corrupt or tampered artifact (checkpoint checksum, replay log)."""
+
+
+def open_input(path):
+    """Open an input file for reading bytes; a path that names no readable
+    file, such as a missing file or a directory, is a configuration error."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc

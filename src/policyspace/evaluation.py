@@ -26,7 +26,8 @@ W.T). The base and the k parts are computed once, and a fill is their sum
 under the latent and a softmax over (boards, actions). The affine sum rounds
 differently from the head pass, so its probabilities agree with `probs_np`
 up to the last bits, and a sampled action can differ only when a uniform
-falls between two adjacent doubles.
+falls between two adjacent doubles. A `concat` generator's fill is
+`probs_np` of the kept observation rows.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class BoardFeatures:
     softmax(base + z_0 * part_0 + z_1 * part_1 + ...) over the kept boards,
     summed in that order: arithmetic on (boards, actions) arrays, with no
     pass through the hidden layers. A `concat` generator's logits are not
-    affine in the latent, so its features are kept, and `probs` is its head
-    pass (`probs_from_features`)."""
+    affine in the latent, so its observation rows are kept, and `probs` is
+    `probs_np` of them."""
 
     def __init__(self, gen: PolicyGenerator):
         self.gen = gen
@@ -109,14 +110,13 @@ class BoardFeatures:
             self.board_count = env.board_count
 
     def _terms(self, obs: np.ndarray) -> tuple:
-        """(features, terms) of observation rows: the terms where the logits
-        are affine in the latent, else the features. The terms are kept in
-        column-major order, so that a fill's sums and reductions over each
-        board's few actions run along contiguous columns."""
-        features = self.gen.state_features(obs)
-        terms = self.gen.latent_terms(features)
+        """(observations, terms) of observation rows: the terms where the
+        logits are affine in the latent, else the observations. The terms are
+        kept in column-major order, so that a fill's sums and reductions over
+        each board's few actions run along contiguous columns."""
+        terms = self.gen.latent_terms(obs)
         if terms is None:
-            return features, None
+            return obs, None
         base, parts = terms
         return None, (np.asfortranarray(base), [np.asfortranarray(part) for part in parts])
 
@@ -136,9 +136,9 @@ class BoardFeatures:
     def probs(self, entry: tuple, latent: np.ndarray) -> np.ndarray:
         """The action distributions under `latent` of the boards of `entry`,
         a `table` or a `row`."""
-        features, terms = entry
+        obs, terms = entry
         if terms is None:
-            return self.gen.probs_from_features(features, latent[None])
+            return self.gen.probs_np(obs, latent[None])
         base, parts = terms
         logits = base + latent[0] * parts[0]
         for i in range(1, len(parts)):
@@ -151,16 +151,17 @@ class LatentPolicy:
 
     A soccer observation is a function of `MarkovSoccer.board_index`, so the
     policy keeps each board's action distribution, as a row of its cumulative
-    sum (a list) and total, for its own lifetime; a row is made on its board's
-    first visit. On a pitch of at most `TABLE_BOARDS` boards the first act
-    fills every board at once (`features.probs` of `features.table`, 800
-    boards on the 4x5 pitch) and keeps its cumulative sums and totals as two
-    arrays, which later rows are read from: a 10-game search policy visits
-    only some of the boards. Above the bound each new board is filled alone,
-    from `features.row`. A fill is the affine sum of the latent's terms (see
-    `BoardFeatures`), or a head pass for `concat`. Rows of the affine sum or
-    of a batched forward can differ from a one-row forward in the last bits,
-    so an action can differ from an uncached sampler's only when a uniform
+    sums (a list), for its own lifetime; a row is made on its board's first
+    visit. On a pitch of at most `TABLE_BOARDS` boards the first act fills
+    every board at once (`features.probs` of `features.table`, 800 boards on
+    the 4x5 pitch) and keeps their cumulative sums as one array, which later
+    rows are read from: a 10-game search policy visits only some of the
+    boards. Above the bound each new board is filled alone, from
+    `features.row`. A fill is the affine sum of the latent's terms (see
+    `BoardFeatures`), or `probs_np` for `concat`. An action is drawn by
+    `PolicyGenerator.act`'s rule (see `act`). Rows of the affine sum or of a
+    batched forward can differ from a one-row forward in the last bits, so
+    an action can differ from an uncached sampler's only when a uniform
     falls between two adjacent doubles.
     The generator's weights and the latent must not change while the policy
     or its `features` is alive, and the environments it plays on must share
@@ -173,34 +174,30 @@ class LatentPolicy:
         self.gen = gen
         self.latent = np.asarray(latent, dtype=np.float64)
         self.features = BoardFeatures(gen) if features is None else features
-        # board index -> (cumulative probs as a list, their total), per board seen
-        self._cdfs: dict = {}
-        # after a whole-pitch fill: every board's (cumulative sums, totals) arrays
-        self._table = None
+        self._cdfs: dict = {}   # board index -> cumulative probs as a list, per board seen
+        self._table = None      # after a whole-pitch fill: every board's cumulative sums
 
     def act(self, env: MarkovSoccer, side: str, rng: np.random.Generator) -> int:
         index = env.board_index(side)
         try:
-            cumulative, total = self._cdfs[index]
+            cumulative = self._cdfs[index]
         except KeyError:
-            cumulative, total = self._cdfs[index] = self._row(env, side, index)
-        # the first index reaching u, as np.searchsorted(side="left")
-        return bisect.bisect_left(cumulative, rng.random() * total)
+            cumulative = self._cdfs[index] = self._row(env, side, index)
+        # PolicyGenerator.act's rule, (cdf < u * cdf[-1]).sum(), by bisection
+        return bisect.bisect_left(cumulative, rng.random() * cumulative[-1])
 
-    def _row(self, env: MarkovSoccer, side: str, index: int) -> tuple:
-        """Board `index`'s row, made on its first visit."""
+    def _row(self, env: MarkovSoccer, side: str, index: int) -> list:
+        """Board `index`'s cumulative sums, made on its first visit."""
         if self._table is None:
             features = self.features
             if env.board_count > TABLE_BOARDS:
-                probs = features.probs(features.row(env, side, index), self.latent)[0]
-                return np.cumsum(probs).tolist(), float(probs.sum())
+                return np.cumsum(features.probs(features.row(env, side, index),
+                                                self.latent)[0]).tolist()
             probs = features.probs(features.table(env), self.latent)
-            totals = probs.sum(axis=1)
             for action in range(1, probs.shape[1]):   # np.cumsum(probs, axis=1), in place
                 probs[:, action] += probs[:, action - 1]
-            self._table = probs, totals
-        cumulative, totals = self._table
-        return cumulative[index].tolist(), float(totals[index])
+            self._table = probs
+        return self._table[index].tolist()
 
 
 class BotPolicy:
@@ -434,12 +431,3 @@ def write_results_csv(path, rows: list[dict]):
         writer.writerow(["method", "seed", "metric", "value"])
         for row in rows:
             writer.writerow([row["method"], row["seed"], row["metric"], repr(row["value"])])
-
-
-def read_results_csv(path) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append({"method": rec["method"], "seed": int(rec["seed"]),
-                         "metric": rec["metric"], "value": float(rec["value"])})
-    return rows

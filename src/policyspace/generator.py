@@ -11,6 +11,10 @@ agent episode. Two latent integrations are provided:
   before the logit head. Hidden parameter count stays within (k+1)*d^2
   plus biases.
 
+One logits body builds the graph on `Tensor` inputs (`logits`) and the
+same values, bit for bit, with no graph on arrays (`logits_np`). The
+multiplicative logits are affine in the latent (`latent_terms`).
+
 Either model can learn to ignore the latent (zero the latent pathways),
 recovering a standard single-policy architecture. The value network is
 always a separate MLP on the concatenated (observation, latent) input;
@@ -50,14 +54,14 @@ def branch_outputs(x: np.ndarray, branches: list[Layer]) -> list[np.ndarray]:
     return [affine_np(x, b.weight.data, b.bias.data, b.activation) for b in branches]
 
 
-def mix(h0, branches: list[Layer], z: np.ndarray, outs: list | None = None):
-    """The multiplicative mix h0 + sum_i branch_i(h0) * z_i, given the `outs`
-    of an array h0 if known; the leading axes of h0 and z broadcast, so an
-    (m, 1, k) z mixes m latents into one (n, d) h0. For a `Tensor` h0 it is one
-    graph node whose value is this same loop over arrays, and whose backward
-    forms all k branches' gradients with stacked matmuls."""
+def mix(h0, branches: list[Layer], z: np.ndarray):
+    """The multiplicative mix h0 + sum_i branch_i(h0) * z_i; the leading axes
+    of h0 and z broadcast, so an (m, 1, k) z mixes m latents into one (n, d)
+    h0. For a `Tensor` h0 it is one graph node whose value is this same loop
+    over arrays, and whose backward forms all k branches' gradients with
+    stacked matmuls."""
     x = h0.data if isinstance(h0, Tensor) else h0
-    outs = branch_outputs(x, branches) if outs is None else outs
+    outs = branch_outputs(x, branches)
     mixed = x + outs[0] * z[..., 0:1]
     for i in range(1, len(outs)):   # summed into the result in place
         mixed += outs[i] * z[..., i:i + 1]
@@ -166,13 +170,6 @@ class PolicyGenerator:
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
-    def hidden_parameter_count(self) -> tuple[int, int]:
-        """(weight count, bias count) of hidden layers, logit head excluded."""
-        hidden = self._policy_layers()[:-1]
-        weights = sum(l.weight.data.size for l in hidden)
-        biases = sum(l.bias.data.size for l in hidden)
-        return weights, biases
-
     def get_flat(self) -> np.ndarray:
         return np.concatenate([p.data.ravel() for p in self.parameters()])
 
@@ -199,25 +196,12 @@ class PolicyGenerator:
             raise ConfigError(f"latent size {z.shape[-1]} != expected {self.latent_dim}")
         return z
 
-    def _features(self, obs, wrap) -> tuple:
-        """The latent-free part of the policy forward: the observation (`concat`), or
-        the shared layer's output and, unless building a graph, the k branch outputs."""
-        if self.architecture == "concat":
-            return obs, None
-        h0 = self.shared(wrap(obs))
-        return h0, (None if isinstance(h0, Tensor) else branch_outputs(h0, self.branches))
-
-    def _head(self, features: tuple, z, wrap):
-        """The latent part of the policy forward: the latent joins, then the
-        logit layers."""
-        x, outs = features
-        if self.architecture == "concat":
-            return self.policy_net(wrap(_join(x, z)))
-        return self.head(mix(x, self.branches, z, outs))
-
     def _logits(self, obs, z, wrap):
         """The one logits body; `wrap` makes graph inputs (`constant`) or arrays."""
-        return self._head(self._features(self._obs(obs), wrap), self._latent(z), wrap)
+        obs, z = self._obs(obs), self._latent(z)
+        if self.architecture == "concat":
+            return self.policy_net(wrap(_join(obs, z)))
+        return self.head(mix(self.shared(wrap(obs)), self.branches, z))
 
     def logits(self, obs: np.ndarray, z: np.ndarray) -> Tensor:
         """Graph-building logits for batched (obs, z) rows."""
@@ -233,19 +217,10 @@ class PolicyGenerator:
     def probs_np(self, obs: np.ndarray, z: np.ndarray) -> np.ndarray:
         return softmax_np(self.logits_np(obs, z))
 
-    def state_features(self, obs: np.ndarray) -> tuple:
-        """The part of `probs_np` that does not depend on the latent; valid
-        while the weights do not change."""
-        return self._features(self._obs(obs), np.asarray)
-
-    def probs_from_features(self, features: tuple, z: np.ndarray) -> np.ndarray:
-        """``probs_np(obs, z)`` bit for bit, given ``state_features(obs)``."""
-        return softmax_np(self._head(features, self._latent(z), np.asarray))
-
-    def latent_terms(self, features: tuple) -> tuple | None:
-        """The logits as an affine function of the latent, given
-        ``state_features(obs)``: a base of shape (n, A) and a list of k parts
-        of that shape, with ``logits_np(obs, z)`` equal to
+    def latent_terms(self, obs: np.ndarray) -> tuple | None:
+        """The logits of observation rows as an affine function of the latent:
+        a base of shape (n, A) and a list of k parts of that shape, with
+        ``logits_np(obs, z)`` equal to
         ``base + z_0 * parts[0] + ... + z_{k-1} * parts[k-1]``. The head is an
         identity layer after `mix`, so head(h0 + sum_i z_i o_i) is head(h0)
         plus sum_i z_i (o_i @ W.T). The two sides round differently, so they
@@ -253,8 +228,9 @@ class PolicyGenerator:
         affine in z."""
         if self.architecture == "concat":
             return None
-        h0, outs = features
-        return self.head(h0), [out @ self.head.weight.data.T for out in outs]
+        h0 = self.shared(self._obs(obs))
+        weight = self.head.weight.data
+        return self.head(h0), [out @ weight.T for out in branch_outputs(h0, self.branches)]
 
     # -- value forward ---------------------------------------------------------
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .envs.base import at_least, between, check_ranges, check_types
 from .generator import sample_latent
 
 TRACE_ACTIONS = ("sample", "mutate", "replicate", "prune")
@@ -32,6 +32,14 @@ def mutate(z: np.ndarray, rng: np.random.Generator, scale: float = 0.1) -> np.nd
             return moved / norm
 
 
+# SearchConfig field -> its legal range
+SEARCH_RANGES = {
+    "generations": at_least(1), "episodes_per_latent": at_least(1), "top_k": at_least(1),
+    "explore_fraction": between(0.0, 1.0), "mutation_scale": at_least(0.0),
+    "max_best": at_least(1),
+}
+
+
 @dataclass
 class SearchConfig:
     generations: int = 100
@@ -42,10 +50,8 @@ class SearchConfig:
     max_best: int = 100
 
     def validate(self):
-        if self.generations < 1:
-            raise ConfigError("need at least one generation")
-        if self.episodes_per_latent < 1:
-            raise ConfigError("need at least one episode per latent")
+        check_types(self)
+        check_ranges(self, SEARCH_RANGES)
 
 
 @dataclass
@@ -174,17 +180,3 @@ def save_trace(path, trace: list[dict]):
             writer.writerow([row["generation"], *[repr(v) for v in row["latent"]],
                              repr(row["score"]), row["action"]])
 
-
-def load_trace(path) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        coords = (reader.fieldnames or [])[1:-2]   # z0 .. z{k-1}, as save_trace writes them
-        for rec in reader:
-            rows.append({
-                "generation": int(rec["generation"]),
-                "latent": [float(rec[name]) for name in coords],
-                "score": float(rec["score"]),
-                "action": rec["action"],
-            })
-    return rows

@@ -78,10 +78,6 @@ class DenseNet:
         return self.layers[0].in_dim
 
     @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-    @property
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 

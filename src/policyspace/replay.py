@@ -16,7 +16,7 @@ import json
 
 from .envs import ENVIRONMENTS, make_config
 from .envs.base import type_name, type_rule
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError, IntegrityError, open_input
 
 
 def config_hash(config: dict) -> str:
@@ -78,9 +78,12 @@ def read_replay(path) -> tuple[dict, list[dict]]:
     """Parse a replay log; a corrupt or mistyped line aborts with its number."""
     header = None
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open_input(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise IntegrityError(f"corrupt replay line {lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:

@@ -4,6 +4,8 @@ fused loss nodes, and a random-action episode logger."""
 
 import numpy as np
 
+import generic_ops as ops
+
 
 def finite_diff_grads(f, params, h=1e-5):
     """Central-difference gradient of the scalar function `f()` w.r.t. each
@@ -69,8 +71,9 @@ def diversity_oracle(grid, b, mode="exp_neg_kl"):
 
 
 # -- generic-op oracles for the fused graph nodes ----------------------------------
-# Each composes generic engine ops, every one checked against finite differences
-# on its own, so its value and gradients check a fused node's closed form.
+# Each composes generic engine ops (those of `generic_ops` among them), every one
+# checked against finite differences on its own, so its value and gradients
+# check a fused node's closed form.
 
 
 def ppo_surrogate_generic(logits, actions, log_probs_old, advantages, clip_epsilon,
@@ -79,12 +82,12 @@ def ppo_surrogate_generic(logits, actions, log_probs_old, advantages, clip_epsil
     from log_softmax, gather, clip and minimum; returns (total, surrogate, entropy)."""
     from policyspace.autodiff import constant
 
-    log_all = logits.log_softmax(axis=-1)
-    ratio = (log_all.gather(actions) - constant(log_probs_old)).exp()
+    log_all = ops.log_softmax(logits, axis=-1)
+    ratio = ops.exp(ops.gather(log_all, actions) - constant(log_probs_old))
     adv = constant(advantages)
-    surrogate = (ratio * adv).minimum(
-        ratio.clip(1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv).mean()
-    entropy = -(log_all.exp() * log_all).sum(axis=-1).mean()
+    surrogate = ops.minimum(
+        ratio * adv, ops.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv).mean()
+    entropy = -(ops.exp(log_all) * log_all).sum(axis=-1).mean()
     return surrogate + entropy_coef * entropy, surrogate, entropy
 
 
@@ -97,13 +100,13 @@ def diversity_loss_generic(action_probs, num_latents, num_states, smoothing,
         probs = (probs + smoothing) * (1.0 / (1.0 + smoothing * probs.data.shape[-1]))
     grid = probs.reshape((num_latents, num_states, probs.data.shape[-1]))
     left, right = np.triu_indices(num_latents, k=1)
-    p, q = grid.take(left, axis=0), grid.take(right, axis=0)
-    logp, logq = p.log(), q.log()
+    p, q = ops.take(grid, left, axis=0), ops.take(grid, right, axis=0)
+    logp, logq = ops.log(p), ops.log(q)
     kl_fwd = (p * (logp - logq)).sum(axis=-1)
     kl_bwd = (q * (logq - logp)).sum(axis=-1)
     if mode == "raw_kl":
         return (kl_fwd.mean() + kl_bwd.mean()) * 0.5
-    return ((-kl_fwd).exp().mean() + (-kl_bwd).exp().mean()) * 0.5
+    return (ops.exp(-kl_fwd).mean() + ops.exp(-kl_bwd).mean()) * 0.5
 
 
 def mix_generic(h0, branches, z):

@@ -30,6 +30,7 @@ from policyspace.replay import read_replay, replay_episode
 from policyspace.training import (Discriminator, Trainer, TrainerConfig,
                                   collect_rollouts, ppo_objective)
 
+import generic_ops as ops
 from helpers import finite_diff_grads, random_episode, relative_error
 
 pytestmark = pytest.mark.acceptance
@@ -66,17 +67,17 @@ def _loss_suite(seed):
 
     def clip_loss():
         logits = gen.logits(obs, z)
-        log_all = logits.log_softmax(axis=-1)
-        ratio = (log_all.gather(actions) - constant(logp_old)).exp()
+        log_all = ops.log_softmax(logits, axis=-1)
+        ratio = ops.exp(ops.gather(log_all, actions) - constant(logp_old))
         advc = constant(adv)
-        return (ratio * advc).minimum(ratio.clip(0.8, 1.2) * advc).mean()
+        return ops.minimum(ratio * advc, ops.clip(ratio, 0.8, 1.2) * advc).mean()
 
     def value_loss():
         return (gen.value(obs, z) - constant(targets)).square().mean()
 
     def entropy_bonus():
-        log_all = gen.logits(obs, z).log_softmax(axis=-1)
-        return -(log_all.exp() * log_all).sum(axis=-1).mean()
+        log_all = ops.log_softmax(gen.logits(obs, z), axis=-1)
+        return -(ops.exp(log_all) * log_all).sum(axis=-1).mean()
 
     def div_loss():
         return estimate_for_generator(gen, div_states, div_latents, smoothing=0.05)

@@ -4,6 +4,7 @@ import pytest
 from policyspace.autodiff import Tensor, affine, constant, parameter, softmax_np
 from policyspace.errors import NumericError
 
+import generic_ops as ops
 from helpers import check_gradients, finite_diff_grads, relative_error
 
 
@@ -25,7 +26,7 @@ def test_unreached_parameter_gets_zero_gradient():
 
 def test_nonfinite_loss_raises_with_op_name():
     p = parameter(np.array([0.0]))
-    loss = p.log().sum()
+    loss = ops.log(p).sum()
     with pytest.raises(NumericError, match="sum"):
         loss.backward()
 
@@ -73,7 +74,7 @@ def test_elementwise_and_normalizing_ops_match_fd(op):
         forward = lambda: affine(p, w, b, op)
     else:
         params = [p]
-        forward = getattr(p, op)
+        forward = p.softmax if op == "softmax" else (lambda: getattr(ops, op)(p))
 
     check_gradients(lambda: (forward() * weights).sum(), params)
 
@@ -82,24 +83,24 @@ def test_log_and_div_match_fd():
     rng = np.random.default_rng(7)
     p = parameter(rng.random((3, 4)) + 0.5)
     q = parameter(rng.random((3, 4)) + 0.5)
-    check_gradients(lambda: (p.log() * q + p / q).sum(), [p, q])
+    check_gradients(lambda: (ops.log(p) * q + ops.div(p, q)).sum(), [p, q])
 
 
 def test_minimum_and_clip_match_fd():
     rng = np.random.default_rng(11)
     a = parameter(rng.standard_normal(12))
     b = parameter(rng.standard_normal(12))
-    check_gradients(lambda: a.minimum(b).sum(), [a, b])
-    check_gradients(lambda: a.clip(-0.5, 0.5).sum(), [a])
+    check_gradients(lambda: ops.minimum(a, b).sum(), [a, b])
+    check_gradients(lambda: ops.clip(a, -0.5, 0.5).sum(), [a])
 
 
 def test_gather_and_take_match_fd():
     rng = np.random.default_rng(13)
     p = parameter(rng.standard_normal((6, 4)))
     idx = np.array([0, 3, 3, 1, 2, 0])
-    check_gradients(lambda: p.gather(idx).square().sum(), [p])
+    check_gradients(lambda: ops.gather(p, idx).square().sum(), [p])
     take_idx = np.array([0, 2, 2, 5])
-    check_gradients(lambda: p.take(take_idx, axis=0).square().sum(), [p])
+    check_gradients(lambda: ops.take(p, take_idx, axis=0).square().sum(), [p])
 
 
 def test_broadcast_add_and_mul_match_fd():
@@ -170,7 +171,7 @@ def test_requires_grad_propagates_from_parents():
     c = constant(np.ones(3))
     assert (p * c).requires_grad and (c + p).requires_grad
     assert not (c * 2.0).requires_grad
-    assert not (-c).exp().sum().requires_grad
+    assert not ops.exp(-c).sum().requires_grad
 
 
 def test_constants_get_no_gradient():

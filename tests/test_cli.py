@@ -13,7 +13,7 @@ from policyspace.envs import ENVIRONMENTS, MarkovSoccer, MultiGoal, MultiGoalCon
 from policyspace.envs.base import field_types
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator
-from policyspace.latent_search import load_trace
+from policyspace.latent_search import TRACE_ACTIONS
 
 
 TINY_MULTIGOAL = """
@@ -167,6 +167,16 @@ def test_train_rejects_bad_config_with_exit_2(tmp_path, capsys):
 
 def test_train_missing_file_exit_2(tmp_path):
     assert main(["train", str(tmp_path / "nope.ini")]) == 2
+
+
+@pytest.mark.parametrize("verb", [["train"], ["adapt"], ["eval", "bots"], ["replay"]],
+                         ids=["train", "adapt", "eval", "replay"])
+def test_a_directory_input_path_exits_2(tmp_path, capsys, verb):
+    # an input that is not a readable file is a configuration error, as a
+    # missing file is
+    assert main([*verb, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Is a directory" in err
 
 
 TINY_RUNS = {"multigoal": TINY_MULTIGOAL, "farmworld": TINY_FARMWORLD, "soccer": TINY_SOCCER}
@@ -482,14 +492,14 @@ def test_adapt_traces_every_latent_coordinate(tmp_path, capsys):
     assert rc == 0
     line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("best_latent")][0]
     assert len(line.split()) == 3
-    lines = trace.read_text().splitlines()
-    assert lines[0] == "generation,z0,z1,score,action"
-    rows = load_trace(trace)
-    assert len(rows) == 3
-    for row, text in zip(rows, lines[1:]):
-        fields = text.split(",")
-        assert row["latent"] == [float(fields[1]), float(fields[2])]
-        assert row["score"] == float(fields[3]) and row["action"] == fields[4]
+    with open(trace, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["generation", "z0", "z1", "score", "action"]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    for row in rows:
+        latent = np.array([float(row[1]), float(row[2])])
+        assert np.linalg.norm(latent) == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(float(row[3])) and row[4] in TRACE_ACTIONS
 
 
 def test_adapt_identical_seeds_identical_traces(tmp_path):
@@ -705,6 +715,19 @@ def test_replay_corrupt_log_exit_4(tmp_path, capsys):
     path.write_text('{"env": "multigoal", "seed": 1, "config": {}}\nnot json\n')
     assert main(["replay", str(path)]) == 4
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [1, 2, 3])
+@pytest.mark.parametrize("garbage", [b"\xff\xfe", bytes(range(128, 256))],
+                         ids=["byte order mark", "random bytes"])
+def test_replay_log_that_is_not_utf8_exit_4(tmp_path, capsys, garbage, line):
+    lines = logged_episode(tmp_path).read_bytes().splitlines(keepends=True)
+    lines[line - 1] = garbage + lines[line - 1]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"".join(lines))
+    assert main(["replay", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert f"line {line}: not UTF-8" in err and "Traceback" not in err
 
 
 REPLAY_HEADER = {"env": "multigoal", "seed": 1, "config": {"max_episode_timesteps": 5}}

@@ -22,8 +22,7 @@ def test_reset_same_seed_gives_identical_observations():
 
 
 def test_goals_are_the_four_unit_square_corners():
-    env = MultiGoal()
-    corners = {tuple(g) for g in env.goals}
+    corners = {tuple(g) for g in CORNERS}
     assert corners == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
 
 

@@ -1,3 +1,4 @@
+import csv
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from policyspace.envs.soccer import BOT_KINDS
 from policyspace.evaluation import (BotPolicy, LatentPolicy, MatchScore,
                                     RandomPolicy, ablation_sweep, bot_gauntlet,
                                     evaluate_final_health, play_game,
-                                    play_series, read_results_csv,
+                                    play_series,
                                     round_robin_matrix, round_robin_pair,
                                     specialization, specialization_eval,
                                     write_results_csv)
@@ -172,9 +173,9 @@ def test_memoized_policy_matches_the_uncached_sampler_in_every_state():
     env = MarkovSoccer(config)
     env.reset(0)
     # the whole-board affine fill the policy's rows are made from
-    base, parts = gen.latent_terms(gen.state_features(env.board_observations()))
+    base, parts = gen.latent_terms(env.board_observations())
     board = softmax_np(base + z[0] * parts[0] + z[1] * parts[1] + z[2] * parts[2])
-    cumsum, totals = np.cumsum(board, axis=1), board.sum(axis=1)
+    cumsum = np.cumsum(board, axis=1)
     cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
     states = [(left, right, possession) for left in cells for right in cells
               if left != right for possession in ("left", "right")]
@@ -192,13 +193,12 @@ def test_memoized_policy_matches_the_uncached_sampler_in_every_state():
                 assert rng_a.random() == rng_b.random()
             visited.add(index)
             # the sampler's row, made on the board's first visit: row `index`
-            # of the whole-board pass's cumulative sum, and its total, bit for bit
+            # of the whole-board pass's cumulative sum, bit for bit
             cdf = memoized._cdfs[index]
-            assert cdf == (cumsum[index].tolist(), totals[index])
-            assert type(cdf[0]) is list and type(cdf[1]) is float
-    # one row per board played; the pass's arrays are kept whole
+            assert cdf == cumsum[index].tolist() and type(cdf) is list
+    # one row per board played; the pass's cumulative sums are kept whole
     assert len(memoized._cdfs) == len(visited) == len(states)
-    assert np.array_equal(memoized._table[0], cumsum) and np.array_equal(memoized._table[1], totals)
+    assert np.array_equal(memoized._table, cumsum)
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 5), (4, 5), (6, 5), (5, 4)])
@@ -242,8 +242,8 @@ AFFINE_BOUND = 64 * np.finfo(np.float64).eps
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_the_affine_fill_is_the_head_pass_within_a_bound(rows, cols, hidden, activation):
     # BoardFeatures.probs sums a latent's affine terms; on every board it is
-    # probs_from_features of the same features within AFFINE_BOUND: the whole
-    # pitch at once up to TABLE_BOARDS, one board at a time (8x8) above it
+    # probs_np of the same observations within AFFINE_BOUND: the whole pitch
+    # at once up to TABLE_BOARDS, one board at a time (8x8) above it
     config = SoccerConfig(rows=rows, cols=cols, start_left=(0, 0), start_right=(1, 1))
     env = MarkovSoccer(config)
     env.reset(0)
@@ -254,7 +254,7 @@ def test_the_affine_fill_is_the_head_pass_within_a_bound(rows, cols, hidden, act
     rng = np.random.default_rng(rows)
     for _ in range(3):
         z = sample_latent(rng)
-        head_pass = gen.probs_from_features(gen.state_features(obs), z[None])
+        head_pass = gen.probs_np(obs, z[None])
         if env.board_count <= evaluation.TABLE_BOARDS:
             affine = features.probs(features.table(env), z)
         else:   # the per-board terms of 50 boards, each made on its board
@@ -275,18 +275,18 @@ def test_the_latent_terms_are_the_logits_of_the_multiplicative_generator_only():
     obs = np.random.default_rng(1).random((6, 41))
     z = sample_latent(np.random.default_rng(2))
     gen = soccer_gen(3)
-    base, parts = gen.latent_terms(gen.state_features(obs))
+    base, parts = gen.latent_terms(obs)
     assert base.shape == (6, 5) and [part.shape for part in parts] == [(6, 5)] * 3
     logits = base + z[0] * parts[0] + z[1] * parts[1] + z[2] * parts[2]
     assert np.allclose(logits, gen.logits_np(obs, np.broadcast_to(z, (6, 3))),
                        rtol=0.0, atol=AFFINE_BOUND)
     concat = PolicyGenerator(41, 5, np.random.default_rng(3), hidden_dim=8, architecture="concat")
-    assert concat.latent_terms(concat.state_features(obs)) is None
+    assert concat.latent_terms(obs) is None
 
 
 def test_concat_policies_fill_by_the_head_pass():
-    # a concat generator's logits are not affine in z: the kept features are
-    # the head pass's input, and a fill is that head pass
+    # a concat generator's logits are not affine in z: the kept rows are the
+    # observations, and a fill is probs_np of them
     env = MarkovSoccer()
     env.reset(0)
     gen = PolicyGenerator(env.observation_size, 5, np.random.default_rng(4), hidden_dim=8,
@@ -295,7 +295,7 @@ def test_concat_policies_fill_by_the_head_pass():
     features = evaluation.BoardFeatures(gen)
     obs = env.board_observations()
     assert features.probs(features.table(env), z).tobytes() == \
-        gen.probs_from_features(gen.state_features(obs), z[None]).tobytes()
+        gen.probs_np(obs, z[None]).tobytes()
 
 
 def test_board_features_refuse_a_second_pitch_size():
@@ -349,14 +349,13 @@ def test_round_robin_matches_the_uncached_sampler(monkeypatch):
 
 
 class ForwardCounts:
-    """Counts `state_features` and `latent_terms` passes per (generator,
-    observation rows) and the rows of each `BoardFeatures.probs` fill, and
-    refuses head passes (`probs_from_features`) and full `probs_np`
+    """Counts `latent_terms` passes per (generator, observation rows) and the
+    rows of each `BoardFeatures.probs` fill, and refuses full `probs_np`
     forwards: the generators here are multiplicative, so every fill is an
     affine one."""
 
     def __init__(self, monkeypatch):
-        self.policies, self.features, self.terms, self.fills = [], Counter(), Counter(), []
+        self.policies, self.terms, self.fills = [], Counter(), []
         counts = self
 
         class CountedPolicy(LatentPolicy):
@@ -364,19 +363,12 @@ class ForwardCounts:
                 super().__init__(*args)
                 counts.policies.append(self)
 
-        state_features = PolicyGenerator.state_features
         latent_terms = PolicyGenerator.latent_terms
         fill = evaluation.BoardFeatures.probs
 
-        def counting_features(gen, obs):
-            features = state_features(gen, obs)
-            self.features[id(gen), obs.tobytes()] += 1
-            self.rows_of[id(features)] = id(gen), obs.tobytes()
-            return features
-
-        def counting_terms(gen, features):
-            self.terms[self.rows_of[id(features)]] += 1
-            return latent_terms(gen, features)
+        def counting_terms(gen, obs):
+            self.terms[id(gen), obs.tobytes()] += 1
+            return latent_terms(gen, obs)
 
         def counting_fills(board_features, entry, latent):
             probs = fill(board_features, entry, latent)
@@ -384,14 +376,11 @@ class ForwardCounts:
             return probs
 
         def refused(*args):
-            raise AssertionError("a head pass or full forward in the soccer evaluation loop")
+            raise AssertionError("a full forward in the soccer evaluation loop")
 
-        self.rows_of = {}
         monkeypatch.setattr(evaluation, "LatentPolicy", CountedPolicy)
-        monkeypatch.setattr(PolicyGenerator, "state_features", counting_features)
         monkeypatch.setattr(PolicyGenerator, "latent_terms", counting_terms)
         monkeypatch.setattr(evaluation.BoardFeatures, "probs", counting_fills)
-        monkeypatch.setattr(PolicyGenerator, "probs_from_features", refused)
         monkeypatch.setattr(PolicyGenerator, "probs_np", refused)
 
     def shared_features(self, gen):
@@ -401,32 +390,28 @@ class ForwardCounts:
         return next(iter(shared.values()))
 
     def check_table(self, generators, board):
-        # one state_features and one latent_terms pass per generator, over the
-        # whole board array
-        assert list(self.features.values()) == [1] * len(generators)
-        assert self.terms == self.features
+        # one latent_terms pass per generator, over the whole board array
+        assert list(self.terms.values()) == [1] * len(generators)
         for gen in generators:
-            assert (id(gen), board.tobytes()) in self.features
+            assert (id(gen), board.tobytes()) in self.terms
             assert self.shared_features(gen)._rows == {}
         # one whole-board affine fill per policy that acted, kept whole; a
         # panel member no game picked never acts. Rows are made only for the
         # boards a policy visited.
         acted = [p for p in self.policies if len(p._cdfs)]
         assert self.fills == [len(board)] * len(acted)
-        assert all(p._table[0].shape == (len(board), 5) for p in acted)
+        assert all(p._table.shape == (len(board), 5) for p in acted)
         assert all(len(p._cdfs) < len(board) for p in acted)
 
     def check_memo(self, generators):
-        # one one-row state_features and latent_terms pass per (generator,
-        # board), kept in the generator's shared rows, and one one-row affine
-        # fill per (policy, board)
+        # one one-row latent_terms pass per (generator, board), kept in the
+        # generator's shared rows, and one one-row affine fill per (policy, board)
         for gen in generators:
             rows = self.shared_features(gen)._rows
-            assert sum(n for (g, _), n in self.features.items() if g == id(gen)) == len(rows)
-        assert max(self.features.values()) == 1
-        assert self.terms == self.features
+            assert sum(n for (g, _), n in self.terms.items() if g == id(gen)) == len(rows)
+        assert max(self.terms.values()) == 1
         assert self.fills == [1] * sum(len(p._cdfs) for p in self.policies)
-        assert len(self.features) < len(self.fills)
+        assert len(self.terms) < len(self.fills)
 
 
 def test_gauntlet_computes_state_features_once_per_call(monkeypatch):
@@ -492,12 +477,12 @@ class FixedDraw:
         return self.u
 
 
-def sampled(cumulative, total, rng):
+def sampled(cumulative, rng):
     """The action `LatentPolicy.act` draws from a given cumulative table row."""
     env = MarkovSoccer(SoccerConfig())
     env.reset(0)
     policy = LatentPolicy(soccer_gen(), np.ones(3) / np.sqrt(3))
-    policy._cdfs[env.board_index("right")] = (list(cumulative), total)
+    policy._cdfs[env.board_index("right")] = list(cumulative)
     return policy.act(env, "right", rng)
 
 
@@ -510,16 +495,17 @@ def test_bisect_sampler_matches_searchsorted():
              *(np.nextafter(c, -np.inf) for c in cumulative[1:]), 0.1, 0.3, 0.75]
     for u in draws:
         expected = int(np.searchsorted(cumulative, u, side="left"))
-        assert sampled(cumulative.tolist(), 1.0, FixedDraw(u)) == expected
-    assert [sampled(cumulative.tolist(), 1.0, FixedDraw(u)) for u in (0.0, 0.25, 0.5)] == [0, 1, 3]
+        assert sampled(cumulative.tolist(), FixedDraw(u)) == expected
+    assert [sampled(cumulative.tolist(), FixedDraw(u)) for u in (0.0, 0.25, 0.5)] == [0, 1, 3]
     rng = np.random.default_rng(48)
     for _ in range(200):
         probs = rng.dirichlet(np.ones(5)) * (rng.random(5) < 0.6)
-        cumulative, total = np.cumsum(probs), probs.sum()
+        cumulative = np.cumsum(probs)
         seed = int(rng.integers(2 ** 32))
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert sampled(cumulative.tolist(), float(total), a) == \
-            int(np.searchsorted(cumulative, b.random() * total))
+        u = b.random() * cumulative[-1]
+        action = int(np.searchsorted(cumulative, u))
+        assert sampled(cumulative.tolist(), a) == action == (cumulative < u).sum()
         assert a.random() == b.random()
 
 
@@ -781,7 +767,9 @@ def test_results_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "results.csv"
     write_results_csv(path, rows)
-    loaded = read_results_csv(path)
+    with open(path, newline="") as fh:
+        loaded = [{"method": rec["method"], "seed": int(rec["seed"]), "metric": rec["metric"],
+                   "value": float(rec["value"])} for rec in csv.DictReader(fh)]
     assert loaded == rows
     header = path.read_text().splitlines()[0]
     assert header == "method,seed,metric,value"

@@ -105,7 +105,9 @@ def test_multiplicative_branch_selection_is_structural():
 
 def test_multiplicative_hidden_parameter_bound():
     gen = make_gen("multiplicative", obs_size=53, num_actions=6, hidden_dim=64)
-    weights, biases = gen.hidden_parameter_count()
+    hidden = [gen.shared, *gen.branches]   # the logit head excluded
+    weights = sum(layer.weight.data.size for layer in hidden)
+    biases = sum(layer.bias.data.size for layer in hidden)
     k, d = gen.latent_dim, gen.hidden_dim
     assert weights <= (k + 1) * d * d
     assert biases == (k + 1) * d

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from policyspace.envs import MultiGoal, MultiGoalConfig
 from policyspace.errors import ConfigError
 from policyspace.generator import PolicyGenerator, sample_latent
 from policyspace.latent_search import (SearchConfig, episode_score_fn,
-                                       load_trace, mutate, optimize_latents,
+                                       mutate, optimize_latents,
                                        run_episode, save_trace)
 
 
@@ -137,13 +139,14 @@ def test_trace_round_trip(tmp_path):
                               SearchConfig(generations=15))
     path = tmp_path / "trace.csv"
     save_trace(path, result.trace)
-    rows = load_trace(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 15
     for loaded, original in zip(rows, result.trace):
-        assert loaded["generation"] == original["generation"]
+        assert int(loaded["generation"]) == original["generation"]
         assert loaded["action"] == original["action"]
-        assert loaded["score"] == original["score"]
-        assert loaded["latent"] == pytest.approx(original["latent"], abs=0.0)
+        assert float(loaded["score"]) == original["score"]
+        assert [float(loaded[f"z{i}"]) for i in range(3)] == original["latent"]
 
 
 def test_config_validation():
@@ -153,6 +156,35 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         optimize_latents(lambda z: 0.0, np.random.default_rng(0),
                          SearchConfig(episodes_per_latent=0))
+
+
+BAD_SEARCH_VALUES = [
+    ("generations", 0), ("generations", True), ("generations", 2.0),
+    ("episodes_per_latent", 0), ("episodes_per_latent", "1"), ("top_k", 0), ("top_k", -3),
+    ("max_best", 0), ("explore_fraction", 1.5), ("explore_fraction", -0.25),
+    ("explore_fraction", float("nan")), ("explore_fraction", "half"),
+    ("mutation_scale", float("nan")), ("mutation_scale", float("inf")),
+    ("mutation_scale", -0.1),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_SEARCH_VALUES)
+def test_search_config_refuses_a_bad_value_before_scoring(field, value):
+    config = SearchConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"field {field}"):
+        config.validate()
+    scored = []
+    with pytest.raises(ConfigError, match=f"field {field}"):
+        optimize_latents(lambda z: scored.append(z) or 0.0, np.random.default_rng(0), config)
+    assert scored == []
+
+
+def test_search_config_accepts_the_edges_of_each_range():
+    for edge in ({"explore_fraction": 0.0}, {"explore_fraction": 1}, {"mutation_scale": 0.0},
+                 {"top_k": 1, "max_best": 1}, {"generations": np.int64(3)}):
+        config = SearchConfig(**{"generations": 12, **edge})
+        result = optimize_latents(lambda z: float(z[0]), np.random.default_rng(1), config)
+        assert result.evaluations == config.generations
 
 
 def test_run_episode_gives_each_agent_its_latent_and_sums_its_rewards():

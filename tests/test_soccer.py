@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from policyspace.envs.soccer import (BOT_KINDS, Bot, MarkovSoccer, SoccerConfig,
-                                     bot_action, bot_match_config)
+from policyspace.envs.soccer import (BOT_KINDS, Bot, FixedAction, MarkovSoccer,
+                                     SoccerConfig, bot_action, bot_match_config)
 from policyspace.errors import ConfigError
 
 from helpers import soccer_moves_oracle
@@ -294,6 +294,12 @@ def test_config_accepts_every_legal_start_cell_and_numpy_integers():
                  start_left=(np.int64(0), 0)).validate()
 
 
+def step_pair(env, left, right):
+    """The slot step: one tick of `play` between two fixed action ids, the
+    tick the dict `step` plays behind `Environment.step`'s checks."""
+    env.play(FixedAction(left), FixedAction(right), None, 1)
+
+
 # -- the move table against the rules ------------------------------------------
 
 
@@ -319,7 +325,7 @@ def test_the_move_table_plays_the_rules(rows, cols):
                         for order, coin in orders.items():
                             env.pos, env.possession, env.result = dict(start), possession, None
                             env.tick, env._finished, env._draws = 0, False, [coin, 0.5]
-                            env.step_pair(left, right)
+                            step_pair(env, left, right)
                             expected = soccer_moves_oracle(rows, cols, start, possession,
                                                            {"left": left, "right": right}, order)
                             assert (env.pos, env.possession, env.result) == expected
@@ -356,7 +362,7 @@ def test_step_pair_plays_the_game_step_plays(cfg):
         while not by_dict.finished:
             left, right = (int(a) for a in actions.integers(5, size=2))
             by_dict.step({"left": left, "right": right})
-            by_slot.step_pair(left, right)
+            step_pair(by_slot, left, right)
             assert board(by_slot) == board(by_dict)
         assert by_slot.finished and by_slot.result is not None
         assert by_slot.rng.random() == by_dict.rng.random()
@@ -371,7 +377,7 @@ def test_step_pair_refuses_an_illegal_action_as_step_does(left, right):
     with pytest.raises(ConfigError, match="illegal action") as by_dict:
         env.step({"left": left, "right": right})
     with pytest.raises(ConfigError, match="illegal action") as by_slot:
-        env.step_pair(left, right)
+        step_pair(env, left, right)
     assert str(by_slot.value) == str(by_dict.value)
     assert env.tick == 0 and not env.finished
 
@@ -379,16 +385,16 @@ def test_step_pair_refuses_an_illegal_action_as_step_does(left, right):
 def test_step_pair_accepts_a_numpy_integer_as_step_does():
     by_dict, by_slot = fresh(seed=2), fresh(seed=2)
     by_dict.step({"left": np.int64(2), "right": STAND})
-    by_slot.step_pair(np.int64(2), STAND)
+    step_pair(by_slot, np.int64(2), STAND)
     assert board(by_slot) == board(by_dict) and by_slot.tick == 1
 
 
 def test_step_pair_refuses_a_finished_game():
     env = fresh(draw_prob=1.0)
-    env.step_pair(STAND, STAND)
+    step_pair(env, STAND, STAND)
     assert env.finished and env.result == "draw" and env.tick == 1
     with pytest.raises(ConfigError, match="finished"):
-        env.step_pair(STAND, STAND)
+        step_pair(env, STAND, STAND)
     assert env.tick == 1
 
 
@@ -520,7 +526,7 @@ def tick_stream(cfg: dict, seed: int) -> list:
     env.reset(seed)
     actions, ticks = np.random.default_rng(seed), []
     while not env.finished:
-        env.step_pair(*(int(a) for a in actions.integers(5, size=2)))
+        step_pair(env, *(int(a) for a in actions.integers(5, size=2)))
         ticks.append((env.last_order, env.result, env.tick, env.possession))
     return ticks
 
