@@ -266,6 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a path that names the wrong thing: a missing file, or a file where a
+# directory goes or the reverse
+PATH_ERRORS = (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -280,7 +285,7 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except PATH_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -72,9 +72,11 @@ def specialization(record: dict) -> float:
 # The most boards (`MarkovSoccer.board_count`) on which a policy tabulates the
 # whole pitch at its first act. A gauntlet policy visits a few hundred boards,
 # so on a large pitch the whole-board passes cost more than the one-row misses
-# they replace: with one BLAS thread, and fills made by head passes, a
-# hidden-64 `eval bots` gauntlet was faster with the table up to 8x5 (3,200
-# boards), level at 7x6 and 9x5, and 12-19% slower at 10x5 (5,000).
+# they replace. The bound is a crossover measured when fills were head passes
+# (0.5-1.4 ms each), before the latent-affine fills (68-87 us): with one BLAS
+# thread, a hidden-64 `eval bots` gauntlet was faster with the table up to 8x5
+# (3,200 boards), level at 7x6 and 9x5, and 12-19% slower at 10x5 (5,000).
+# It has not been measured again with affine fills.
 TABLE_BOARDS = 3200
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .envs.base import at_least, between, check_ranges, check_types
 from .generator import sample_latent
+from .training import RolloutState, Trajectory
 
 TRACE_ACTIONS = ("sample", "mutate", "replicate", "prune")
 
@@ -66,7 +67,6 @@ class Candidate:
 class SearchResult:
     best_latent: np.ndarray
     best_score: float
-    best: list[Candidate]
     trace: list[dict] = field(repr=False)
     evaluations: int = 0
 
@@ -75,8 +75,7 @@ def optimize_latents(score_fn, rng: np.random.Generator,
                      config: SearchConfig | None = None, latent_dim: int = 3) -> SearchResult:
     """Run the search; `score_fn(z) -> float` already averages its episodes.
 
-    Returns the best latent found, the (descending) candidate list, and a
-    trace row per evaluation.
+    Returns the best latent found, its score, and a trace row per evaluation.
     """
     cfg = config or SearchConfig()
     cfg.validate()
@@ -129,22 +128,19 @@ def optimize_latents(score_fn, rng: np.random.Generator,
         })
 
     return SearchResult(best_latent=best[0].latent.copy(), best_score=best[0].score,
-                        best=best, trace=trace, evaluations=cfg.generations)
+                        trace=trace, evaluations=cfg.generations)
 
 
 def run_episode(gen, env, obs: dict, latents: dict, rng: np.random.Generator) -> dict:
     """Play `env` from `obs` (what its `reset` returned) to the end, each agent
-    acting under its own entry of `latents`; returns each agent's return."""
-    returns = {a: 0.0 for a in obs}
+    acting under its own entry of `latents`, as a one-environment
+    `RolloutState` ticked until the episode ends; returns each agent's return."""
+    episodes = {a: Trajectory(latents[a]) for a in obs}
+    state = RolloutState([env])
+    state.obs[0], state.episodes[0] = obs, dict(episodes)
     while not env.finished:
-        agents = env.living_agents()
-        obs_mat = np.asarray([obs[a] for a in agents])
-        z_mat = np.asarray([latents[a] for a in agents])
-        actions, _, _ = gen.act(obs_mat, z_mat, rng)
-        obs, rewards, _ = env.step({a: int(x) for a, x in zip(agents, actions)})
-        for a, r in rewards.items():
-            returns[a] += r
-    return returns
+        state.tick(gen, rng)
+    return {a: traj.episode_return for a, traj in episodes.items()}
 
 
 def play_episodes(gen, env, episodes: int, rng: np.random.Generator, latent=None):

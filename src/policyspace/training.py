@@ -76,24 +76,33 @@ class TrainerConfig:
         return 0.0 if self.method == "vanilla" else self.diversity.coef
 
 
-@dataclass
+@dataclass(slots=True)
 class Trajectory:
-    """One agent episode (or the truncated head of one)."""
+    """One agent episode, or one segment of it cut at a batch boundary.
+
+    While the episode runs its rows are appended as lists; `close` turns
+    them into arrays once, when the episode ends or the boundary cuts the
+    segment. `episode_return` runs over the whole episode, across segments.
+    """
     latent: np.ndarray
-    obs: np.ndarray           # (T, obs_size)
-    actions: np.ndarray       # (T,)
-    log_probs: np.ndarray     # (T,) under the weights that generated them
-    rewards: np.ndarray       # (T,)
-    values: np.ndarray        # (T,)
-    terminal: bool            # True if the episode actually ended
+    obs: list = field(default_factory=list)        # (T, obs_size) once closed
+    actions: list = field(default_factory=list)    # (T,)
+    log_probs: list = field(default_factory=list)  # (T,) under the weights that generated them
+    rewards: list = field(default_factory=list)    # (T,)
+    values: list = field(default_factory=list)     # (T,)
+    episode_return: float = 0.0
+    terminal: bool = False    # True if the episode actually ended
     bootstrap: float = 0.0    # value estimate past the last step (0 at terminal)
 
     def __len__(self):
         return len(self.actions)
 
-    @property
-    def episode_return(self) -> float:
-        return float(self.rewards.sum())
+    def close(self, terminal: bool, bootstrap: float = 0.0) -> Trajectory:
+        self.obs, self.log_probs = np.asarray(self.obs), np.asarray(self.log_probs)
+        self.actions = np.asarray(self.actions, dtype=np.int64)
+        self.rewards, self.values = np.asarray(self.rewards), np.asarray(self.values)
+        self.terminal, self.bootstrap = terminal, bootstrap
+        return self
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, bootstrap: float,
@@ -145,106 +154,89 @@ def assemble_batch(trajectories: list[Trajectory], discount: float, lam: float,
     )
 
 
-class _EpisodeBuffer:
-    """One agent's episode in flight: the latent it holds for the whole
-    episode, its return so far, and the rows of the segment recorded since
-    the last batch boundary."""
-
-    __slots__ = ("latent", "episode_return", "obs", "actions", "log_probs", "rewards", "values")
-
-    def __init__(self, latent, episode_return: float = 0.0):
-        self.latent = latent
-        self.episode_return = episode_return
-        self.obs, self.actions, self.log_probs, self.rewards, self.values = [], [], [], [], []
-
-    def to_trajectory(self, terminal: bool, bootstrap: float = 0.0) -> Trajectory:
-        return Trajectory(
-            latent=self.latent,
-            obs=np.asarray(self.obs), actions=np.asarray(self.actions, dtype=np.int64),
-            log_probs=np.asarray(self.log_probs), rewards=np.asarray(self.rewards),
-            values=np.asarray(self.values), terminal=terminal, bootstrap=bootstrap)
-
-
 class RolloutState:
     """Environments, each one's latest observations, and the episodes in flight.
 
-    `obs[i]` is empty until env `i` starts its first episode; `buffers[i]`
-    maps each living agent to its `_EpisodeBuffer`. The state persists across
-    training iterations so episodes continue where the previous batch cut
-    them off: the batch boundary truncates the recorded *segment* (finalized
-    with a bootstrap value), never the episode itself, and the buffer that
+    `episodes[i]` maps each living agent of env `i` to its open `Trajectory`.
+    The state persists across training iterations so episodes continue where
+    the previous batch cut them off: the batch boundary closes the recorded *segment* (with a
+    bootstrap value), never the episode itself, and the trajectory that
     replaces it keeps the agent's latent and running return.
     """
 
     def __init__(self, envs: list):
         self.envs = envs
         self.obs: list[dict] = [{} for _ in envs]
-        self.buffers: list[dict] = [{} for _ in envs]
+        self.episodes: list[dict] = [{} for _ in envs]
+
+    def tick(self, gen: PolicyGenerator, rng: np.random.Generator) -> tuple[int, list[Trajectory]]:
+        """Every living agent of every environment acts in one `gen.act` call,
+        then each environment steps once; each agent's row and reward go into
+        its trajectory. Returns the agent steps taken and the trajectories of
+        the episodes that ended, closed, in env and then agent order. A
+        finished environment stays finished until its caller restarts it."""
+        rows = [(i, agent, self.episodes[i][agent])
+                for i, env in enumerate(self.envs) for agent in env.living_agents()]
+        rows_obs = [self.obs[i][agent] for i, agent, _ in rows]
+        actions, log_probs, values = gen.act(np.asarray(rows_obs),
+                                             np.asarray([traj.latent for _, _, traj in rows]), rng)
+        per_env_actions: list[dict] = [{} for _ in self.envs]
+        for (i, agent, traj), obs, action, log_prob, value in zip(
+                rows, rows_obs, actions.tolist(), log_probs.tolist(), values.tolist()):
+            per_env_actions[i][agent] = action
+            traj.obs.append(obs)
+            traj.actions.append(action)
+            traj.log_probs.append(log_prob)
+            traj.values.append(value)
+
+        ended = []
+        for i, env in enumerate(self.envs):
+            self.obs[i], rewards, dones = env.step(per_env_actions[i])
+            episodes = self.episodes[i]
+            for agent, reward in rewards.items():
+                traj = episodes[agent]
+                traj.rewards.append(float(reward))
+                traj.episode_return += float(reward)
+                if dones[agent]:
+                    ended.append(episodes.pop(agent).close(terminal=True))
+        return len(rows), ended
 
 
 def collect_rollouts(gen: PolicyGenerator, state: RolloutState, steps: int,
                      rng: np.random.Generator) -> tuple[list[Trajectory], list[float]]:
-    """Advance the in-flight episodes until `steps` agent steps are banked.
+    """Tick the in-flight episodes until `steps` agent steps are banked.
 
-    Environments run in lockstep; each episode start draws a fresh seed and
-    fresh per-agent latents from `rng`. Returns the trajectory segments plus
-    the full returns of every agent episode that ended during this batch.
+    Each episode start draws a fresh seed and fresh per-agent latents from
+    `rng`. Returns the trajectory segments plus the full returns of every
+    agent episode that ended during this batch.
     """
     envs = state.envs
     segments: list[Trajectory] = []
-    finished_returns: list[float] = []
-
-    def start_episode(i):
-        state.obs[i] = envs[i].reset(int(rng.integers(2 ** 62)))
-        state.buffers[i] = {a: _EpisodeBuffer(sample_latent(rng, gen.latent_dim))
-                            for a in sorted(state.obs[i])}
-
-    for i in range(len(envs)):
-        if not state.obs[i]:
-            start_episode(i)
 
     collected = 0
-    while collected < steps:
-        rows = [(i, agent, state.buffers[i][agent])
-                for i, env in enumerate(envs) for agent in env.living_agents()]
-        rows_obs = [state.obs[i][agent] for i, agent, _ in rows]
-        actions, log_probs, values = gen.act(np.asarray(rows_obs),
-                                             np.asarray([buf.latent for _, _, buf in rows]), rng)
-
-        per_env_actions: list[dict] = [{} for _ in envs]
-        for (i, agent, buf), obs, action, log_prob, value in zip(
-                rows, rows_obs, actions.tolist(), log_probs.tolist(), values.tolist()):
-            per_env_actions[i][agent] = action
-            buf.obs.append(obs)
-            buf.actions.append(action)
-            buf.log_probs.append(log_prob)
-            buf.values.append(value)
-
+    while True:
         for i, env in enumerate(envs):
-            state.obs[i], rewards, dones = env.step(per_env_actions[i])
-            for agent, reward in rewards.items():
-                buf = state.buffers[i][agent]
-                buf.rewards.append(float(reward))
-                buf.episode_return += float(reward)
-                collected += 1
-                if dones[agent]:
-                    segments.append(buf.to_trajectory(terminal=True))
-                    finished_returns.append(buf.episode_return)
-                    del state.buffers[i][agent]
-            if env.finished:
-                start_episode(i)
+            if env.finished:    # so is a new environment, before its first reset
+                state.obs[i] = env.reset(int(rng.integers(2 ** 62)))
+                state.episodes[i] = {a: Trajectory(sample_latent(rng, gen.latent_dim))
+                                     for a in sorted(state.obs[i])}
+        if collected >= steps:
+            break
+        taken, ended = state.tick(gen, rng)
+        collected += taken
+        segments += ended
 
-    # the batch boundary truncates open segments; the episodes live on
-    leftovers = [(i, agent, buf) for i, bufs in enumerate(state.buffers)
-                 for agent, buf in bufs.items() if buf.actions]
+    # the batch boundary cuts open segments; the episodes live on
+    leftovers = [(i, agent, traj) for i, episodes in enumerate(state.episodes)
+                 for agent, traj in episodes.items() if traj.actions]
     if leftovers:
         obs_mat = np.asarray([state.obs[i][agent] for i, agent, _ in leftovers])
-        z_mat = np.asarray([buf.latent for _, _, buf in leftovers])
+        z_mat = np.asarray([traj.latent for _, _, traj in leftovers])
         tail_values = gen.value_np(obs_mat, z_mat)
-        for (i, agent, buf), v in zip(leftovers, tail_values):
-            segments.append(buf.to_trajectory(terminal=False, bootstrap=float(v)))
-            state.buffers[i][agent] = _EpisodeBuffer(buf.latent, buf.episode_return)
-    return segments, finished_returns
+        for (i, agent, traj), v in zip(leftovers, tail_values):
+            segments.append(traj.close(terminal=False, bootstrap=float(v)))
+            state.episodes[i][agent] = Trajectory(traj.latent, episode_return=traj.episode_return)
+    return segments, [traj.episode_return for traj in segments if traj.terminal]
 
 
 # -- losses ------------------------------------------------------------------
@@ -411,10 +403,11 @@ class Trainer:
             "iteration": self.iteration,
             "agent_steps": self.agent_steps,
             # running mean over the last 100 finished agent episodes; falls
-            # back to in-flight partial returns before the first one finishes
+            # back to the reward sums of this batch's segments before the
+            # first one finishes
             "mean_episode_reward": (float(np.mean(self.recent_returns))
                                     if self.recent_returns
-                                    else float(np.mean([t.episode_return for t in trajectories]))),
+                                    else float(np.mean([t.rewards.sum() for t in trajectories]))),
             "episodes": len(finished),
             "discriminator_loss": discriminator_loss,
             "wall_seconds": time.perf_counter() - start,

@@ -179,6 +179,22 @@ def test_a_directory_input_path_exits_2(tmp_path, capsys, verb):
     assert err.startswith("configuration error:") and "Is a directory" in err
 
 
+@pytest.mark.parametrize("verb", ["train", "adapt", "eval"])
+def test_an_output_path_of_the_wrong_kind_exits_2(tmp_path, capsys, verb):
+    # a run directory that is a file, or a trace or results file that is a
+    # directory, is a configuration error, not a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {"train": ["train", str(write_config(tmp_path)), "--run-dir", str(taken)],
+            "adapt": ["adapt", str(multigoal_checkpoint(tmp_path)), "--generations", "2",
+                      "--trace-out", str(tmp_path)],
+            "eval": ["eval", "specialization", str(farmworld_checkpoint(tmp_path)),
+                     "--episodes", "1", "--seeds", "1", "--out", str(tmp_path)]}[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
 TINY_RUNS = {"multigoal": TINY_MULTIGOAL, "farmworld": TINY_FARMWORLD, "soccer": TINY_SOCCER}
 INF, NAN = float("inf"), float("nan")
 REGION, LAYOUT_2X2 = [0, 0, 99, 99], {"width": 2, "height": 2, "agents": [[0, 0]],

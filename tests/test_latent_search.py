@@ -96,10 +96,14 @@ def test_stored_latents_lie_on_the_sphere_and_list_is_sorted():
     target = sample_latent(np.random.default_rng(9))
     result = optimize_latents(lambda z: float(z @ target), np.random.default_rng(10),
                               SearchConfig(generations=60))
-    scores = [c.score for c in result.best]
-    assert scores == sorted(scores, reverse=True)
-    for cand in result.best:
-        assert abs(np.linalg.norm(cand.latent) - 1.0) < 1e-9
+    # the result is the head of the list kept sorted by score: on a
+    # deterministic objective, the highest traced score and its latent
+    for row in result.trace:
+        assert abs(np.linalg.norm(row["latent"]) - 1.0) < 1e-9
+    top = max(result.trace, key=lambda row: row["score"])
+    assert result.best_score == top["score"]
+    assert result.best_latent.tolist() == top["latent"]
+    assert abs(np.linalg.norm(result.best_latent) - 1.0) < 1e-9
 
 
 def test_search_improves_with_budget_on_synthetic_objective():

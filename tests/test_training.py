@@ -8,7 +8,8 @@ import pytest
 
 from policyspace.autodiff import Tensor, parameter
 from policyspace.diversity import DiversityConfig
-from policyspace.envs import MultiGoal, MultiGoalConfig
+from policyspace.envs import (Farmworld, FarmworldConfig, MarkovSoccer, MultiGoal,
+                              MultiGoalConfig, SoccerConfig)
 from policyspace.errors import ConfigError, NumericError
 from policyspace.generator import PolicyGenerator, sample_latents
 from policyspace.training import (Discriminator, RolloutState, Trainer,
@@ -497,3 +498,37 @@ def test_finished_episode_returns_span_segments():
     total = sum(float(s.rewards.sum()) for s in first_episode)
     assert sum(len(s) for s in first_episode) == 12
     assert finished[0] == pytest.approx(total, abs=1e-12)
+
+
+# Two consecutive `collect_rollouts` calls on small states, so the second
+# starts from segments the first cut at the batch boundary: each segment's
+# length, actions, rewards and terminal flag, the finished returns, and the
+# trainer rng's next draw, as a sha256 prefix
+ROLLOUT_STATES = {
+    "soccer": lambda: RolloutState([MarkovSoccer(SoccerConfig(rows=3, cols=4, max_episode_timesteps=12))
+                                    for _ in range(3)]),
+    "farmworld": lambda: RolloutState([Farmworld(FarmworldConfig(
+        width=4, height=4, num_agents=3, num_chickens=2, num_towers=2,
+        agent_start_health=1.0, respawn_time=3, max_episode_timesteps=12)) for _ in range(2)]),
+    "multigoal": lambda: RolloutState([MultiGoal(MultiGoalConfig(max_episode_timesteps=14))
+                                       for _ in range(3)]),
+}
+GOLDEN_ROLLOUTS = {"soccer": "62b6862c698791b7", "farmworld": "589348744eb0b76b",
+                   "multigoal": "e11b4daab78a0035"}
+
+
+@pytest.mark.parametrize("name", GOLDEN_ROLLOUTS)
+def test_rollout_stream_is_pinned(name):
+    state = ROLLOUT_STATES[name]()
+    env = state.envs[0]
+    gen = PolicyGenerator(env.observation_size, env.num_actions, np.random.default_rng(40),
+                          hidden_dim=8)
+    rng = np.random.default_rng(41)
+    record = []
+    for steps in (37, 53):
+        segments, finished = collect_rollouts(gen, state, steps, rng)
+        record.append(([(len(t), t.actions.tolist(), t.rewards.tolist(), t.terminal)
+                        for t in segments], finished))
+    assert any(not t[3] for t in record[0][0]), "the first call must cut a segment"
+    digest = hashlib.sha256(repr((record, rng.random())).encode()).hexdigest()[:16]
+    assert digest == GOLDEN_ROLLOUTS[name]
