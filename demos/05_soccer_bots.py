@@ -1,5 +1,6 @@
-"""Markov soccer: the pitch, the bump-steal rule, side-invariant views, and
-the scripted opponent lineup.
+"""Markov soccer: the pitch, the bump-steal rule, side-invariant views, one
+game, and the scripted opponent lineup, whose series of 300 games each are
+played together as arrays of boards (`MarkovSoccer.play_lockstep`).
 
 Run: python demos/05_soccer_bots.py
 """
@@ -8,7 +9,7 @@ import numpy as np
 
 from policyspace.envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config
 from policyspace.envs.soccer import BOT_KINDS
-from policyspace.evaluation import BotPolicy, RandomPolicy, play_series
+from policyspace.evaluation import BotPolicy, RandomPolicy, play_game, play_series
 
 print("== the pitch ==")
 env = MarkovSoccer(SoccerConfig(initial_possession="left"))
@@ -32,7 +33,13 @@ print(f"observation size {left_view.size} "
       f"(own cell one-hot + opponent cell one-hot + possession flag)")
 print(f"possession flag: left sees {left_view[-1]:.0f}, right sees {right_view[-1]:.0f}")
 
-print("\n== the scripted lineup, playing each other ==")
+print("\n== one game between two random movers ==")
+env = MarkovSoccer()
+result = play_game(env, RandomPolicy(), RandomPolicy(), seed=3, rng=np.random.default_rng(3))
+print(env.render())
+print(f"result after {env.tick} ticks: {result}")
+
+print("\n== the scripted lineup, each series played in lockstep ==")
 rng = np.random.default_rng(1)
 for kind in BOT_KINDS:
     bot = Bot(kind)

@@ -84,10 +84,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def check_output_file(path: str):
+    """Refuse an output file path before any work is done for it: a
+    directory, or a path in a directory that does not exist."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output file {path!r} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"output file {path!r} is in {folder!r}, which is not a directory")
+
+
 # -- adapt -----------------------------------------------------------------------
 
 
 def cmd_adapt(args) -> int:
+    if args.trace_out:
+        check_output_file(args.trace_out)
     loaded = load_checkpoint(args.checkpoint)
     gen = loaded.generator
     env_name = args.env or loaded.env_name
@@ -177,6 +189,8 @@ def cmd_eval(args) -> int:
     for flag in ("games", "seeds", "episodes"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag} must be positive, got {getattr(args, flag)}")
+    out_path = args.out or f"results_{args.protocol}.csv"
+    check_output_file(out_path)
     checkpoints = [(path, load_checkpoint(path)) for path in args.checkpoints]
     needed = PROTOCOL_ENVS[args.protocol]
     for path, loaded in checkpoints:
@@ -194,7 +208,6 @@ def cmd_eval(args) -> int:
                 for metric, value in protocol(loaded, search, args,
                                               np.random.default_rng(args.seed + seed)).items()]
 
-    out_path = args.out or f"results_{args.protocol}.csv"
     write_results_csv(out_path, rows)
     for row in rows:
         print(f"{row['method']} seed={row['seed']} {row['metric']}={row['value']}")

@@ -7,15 +7,22 @@ executed in a uniformly random order; a mover stepping into the opponent's
 cell stays put and possession switches. Every tick independently ends the
 game in a draw with a small probability, which keeps games short.
 
-The pitch's geometry is worked out once, when a `MarkovSoccer` is built: a
+The pitch's geometry is worked out once per pitch size (`pitch_moves`): a
 move table gives, for each cell and action, the cell moved to (None off the
-pitch or for standing) and the side, if any, that scores by carrying the ball there, and a
-per-side table numbers the cells in each side's attacking frame. The rules
-are written once, in `MarkovSoccer.play`, a game loop that asks two players
-for their actions each tick and applies each move by the rules in order (a
-goal with possession, the edge, a bump, the move) by table lookups;
-positions stay `(row, col)` tuples in `pos`. The dict `step` is a one-tick
-`play` between two `FixedAction` players.
+pitch or for standing) and the side, if any, that scores by carrying the
+ball there, and a per-side table numbers the cells in each side's attacking
+frame. The rules are written once, in `MarkovSoccer.play`, a game loop that
+asks two players for their actions each tick and applies each move by the
+rules in order (a goal with possession, the edge, a bump, the move) by table
+lookups; positions stay `(row, col)` tuples in `pos`. The dict `step` is a
+one-tick `play` between two `FixedAction` players.
+
+`MarkovSoccer.play_lockstep` plays a whole series of games together, as
+arrays of boards: each tick is one lookup per live game in a tick table
+(`tick_table`), which holds the next board and the result of every board,
+action pair and move order of one pitch size. The table is built once per
+pitch size from the same move table, composing one mover's move with the
+other's.
 
 Observations are side-invariant: both players see a board on which they
 attack to the right (coordinates are mirrored for the right player), as
@@ -31,11 +38,14 @@ The pitch's uniforms (the possession coin, each tick's draw and move-order
 coins) come from `rng.random(DRAW_BLOCK)` blocks and are used in order, so a
 game plays exactly as if each were a scalar `rng.random()` call. After a game
 `rng` has run ahead to the end of the last block, and replacing `rng`
-mid-episode takes effect only once the block in hand is spent.
+mid-episode takes effect only once the block in hand is spent. A lockstep
+series draws everything, the players' actions too, from the one generator
+it is given (see `play_lockstep`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,6 +108,105 @@ class FixedAction:
         return self.action
 
 
+def goal_rows(rows: int) -> tuple:
+    """The two rows of a pitch's goal mouths: the middle two."""
+    return rows // 2 - 1, rows // 2
+
+
+@functools.cache
+def pitch_moves(rows: int, cols: int) -> dict:
+    """The move table of a rows x cols pitch, the pitch's geometry: cell ->
+    per action (the cell moved to, or None for off the pitch or standing;
+    the side that scores by carrying the ball there, or None). Every pitch
+    of the size shares the one dict, so nothing may change it."""
+    mouths = goal_rows(rows)
+
+    def move(cell: tuple, action: int) -> tuple:
+        if action == STAND:
+            return None, None
+        dr, dc = DELTAS[action]
+        r, c = cell[0] + dr, cell[1] + dc
+        if r in mouths and c in (-1, cols):
+            return None, "left" if c == cols else "right"
+        return ((r, c) if 0 <= r < rows and 0 <= c < cols else None), None
+
+    return {(r, c): tuple(move((r, c), action) for action in ACTION_IDS)
+            for r in range(rows) for c in range(cols)}
+
+
+# a lockstep game's result code -> `MarkovSoccer.result`; 0 while the game is on
+RESULTS = (None, "left", "right", "draw")
+DRAW = 3
+
+
+@dataclass(frozen=True)
+class TickTable:
+    """Every tick of one pitch size, by board number: a board is its
+    `board_index("left")`, an int from the left cell, the right cell and
+    the left side's possession. Entry `((board * 5 + a_left) * 5 + a_right)
+    * 2 + order` of `next_board` and `result` is the board after the tick
+    and its result code (`RESULTS`: 0 on, 1 or 2 when the left or right
+    side scored), with `order` 0 for the left side moving first.
+    `right_board` maps a board to its `board_index("right")`, and `boards`
+    to its (left cell, right cell, side in possession)."""
+
+    next_board: np.ndarray
+    result: np.ndarray
+    right_board: np.ndarray
+    boards: tuple
+
+
+@functools.cache
+def tick_table(rows: int, cols: int) -> TickTable:
+    """The tick table of a rows x cols pitch, built once per pitch size from
+    `pitch_moves`. One mover's move, with the other standing, gives a half
+    tick per board and action; a tick is the first mover's half, then, on
+    the board it leaves and unless it scored, the second mover's."""
+    cells = rows * cols
+    grid = list(pitch_moves(rows, cols).items())
+    # per cell number and action: the cell number moved to (-1: stays) and the scorer's code
+    target = np.array([[-1 if to is None else to[0] * cols + to[1] for to, _ in row]
+                       for _, row in grid])
+    scorer = np.array([[RESULTS.index(side) for _, side in row] for _, row in grid])
+    board = np.arange(2 * cells * cells)
+    at = {"left": board // (2 * cells), "right": board // 2 % cells}
+    ball = board % 2   # 1: the left side has the ball
+
+    def half(side: str) -> tuple:
+        """(next board, result) per board and action of `side`, the other standing."""
+        code, own, other = RESULTS.index(side), at[side], at[OTHER[side]][:, None]
+        to = target[own]
+        goal = (scorer[own] == code) & (ball == (side == "left"))[:, None]
+        bump = to == other   # the mover stays and the ball changes hands
+        moved = np.where((to >= 0) & ~bump, to, own[:, None])
+        left, right = (moved, other) if side == "left" else (other, moved)
+        next_board = (left * cells + right) * 2 + (ball[:, None] ^ bump)
+        return np.where(goal, board[:, None], next_board), np.where(goal, code, 0)
+
+    def tick(first: tuple, second: tuple) -> tuple:
+        """(next board, result) per board, first mover's action and second's."""
+        after, scored = first
+        then, then_scored = second[0][after], second[1][after]
+        return (np.where(scored[..., None] > 0, after[..., None], then),
+                np.where(scored[..., None] > 0, scored[..., None], then_scored))
+
+    left, right = half("left"), half("right")
+    left_first = tick(left, right)                                  # [board, a_left, a_right]
+    right_first = [part.transpose(0, 2, 1) for part in tick(right, left)]
+    next_board, result = (np.stack(parts, axis=-1).ravel()
+                          for parts in zip(left_first, right_first))
+    mirror = at["left"] // cols * cols + cols - 1 - at["left"] % cols, \
+        at["right"] // cols * cols + cols - 1 - at["right"] % cols
+    right_board = (mirror[1] * cells + mirror[0]) * 2 + 1 - ball
+    cell_of = [cell for cell, _ in grid]
+    boards = tuple((cell_of[l], cell_of[r], "left" if b else "right")
+                   for l, r, b in zip(at["left"].tolist(), at["right"].tolist(), ball.tolist()))
+    arrays = next_board, result.astype(np.int8), right_board
+    for array in arrays:   # one table serves every caller of its pitch size
+        array.flags.writeable = False
+    return TickTable(*arrays, boards)
+
+
 class MarkovSoccer(Environment):
     """Soccer on one pitch. `play(left, right, rng)` holds the rules: it plays
     from the current board until the result (or for `ticks` ticks), asking
@@ -107,12 +216,14 @@ class MarkovSoccer(Environment):
     between two `FixedAction` players behind `Environment.step`'s checks,
     and returns both sides' observations of the new board, their rewards
     and their dones. Both take their uniforms from `_draws`, a block of
-    `rng`'s next draws (see the module docstring).
+    `rng`'s next draws (see the module docstring). `play_lockstep` plays a
+    series of games from kick-off together, on the pitch size's
+    `tick_table`.
 
     What a tick reads of the config is read once, at construction: `_moves`
-    maps each cell to one `(cell moved to, side scoring)` entry per action,
-    and `_numbers` gives each side's cell numbers, which `board_index` and
-    `observe` read."""
+    (`pitch_moves`, shared by the pitches of one size) maps each cell to one
+    `(cell moved to, side scoring)` entry per action, and `_numbers` gives
+    each side's cell numbers, which `board_index` and `observe` read."""
 
     name = "soccer"
     config_class = SoccerConfig
@@ -127,29 +238,13 @@ class MarkovSoccer(Environment):
         self.observation_size = 2 * self._cells + 1
         # boards a side can see: own cell, opponent cell, own possession
         self.board_count = 2 * self._cells ** 2
-        mid = rows // 2
-        self.goal_rows = (mid - 1, mid)
+        self.goal_rows = goal_rows(rows)
         self._draw_prob, self._initial_possession = cfg.draw_prob, cfg.initial_possession
         self._starts = (tuple(cfg.start_left), tuple(cfg.start_right))
-        cells = [(r, c) for r in range(rows) for c in range(cols)]
-        # cell -> per action (the cell moved to, or None for off the pitch or
-        # standing; the side that scores by carrying the ball there, or None)
-        self._moves = {cell: tuple(self._move(cell, action) for action in ACTION_IDS)
-                       for cell in cells}
+        self._moves = pitch_moves(rows, cols)
         # side -> cell -> its number in the side's attacking frame (mirrored for right)
         self._numbers = {side: {(r, c): r * cols + (c if side == "left" else cols - 1 - c)
-                                for r, c in cells} for side in self.agent_ids}
-
-    def _move(self, cell: tuple, action: int) -> tuple:
-        """The move table's entry for `action` from `cell`: the pitch's geometry."""
-        if action == STAND:
-            return None, None
-        dr, dc = DELTAS[action]
-        r, c = cell[0] + dr, cell[1] + dc
-        if r in self.goal_rows and c in (-1, self.config.cols):
-            return None, "left" if c == self.config.cols else "right"
-        on_pitch = 0 <= r < self.config.rows and 0 <= c < self.config.cols
-        return ((r, c) if on_pitch else None), None
+                                for r, c in self._moves} for side in self.agent_ids}
 
     def living_agents(self) -> list[str]:
         return [] if self._finished else ["left", "right"]
@@ -276,6 +371,71 @@ class MarkovSoccer(Environment):
             self._draws = draws
             self._finished = result is not None   # a tick at the cap always ends in a draw
         return result
+
+    def play_lockstep(self, left, right, games: int, rng: np.random.Generator) -> list:
+        """Play `games` games from kick-off together and return their results
+        in game order. Every game is a board number (`board_index("left")`)
+        and each tick is one `tick_table` lookup per live game; a game that
+        ends leaves the live set. Everything is drawn from `rng`, in order:
+        the possession coins of all games at kick-off, then on each tick,
+        over the live games in game order, the left side's actions, the
+        right side's, and a (2, live) array of draw coins (first row) and
+        move-order coins (second row).
+
+        A player with an `act_boards(env, side, boards, rng)` method acts for
+        all live games in one call, given their `board_index(side)` numbers;
+        any other player is asked `act(self, side, rng)` once per live game,
+        with `pos`, `possession` and `tick` showing that game's board. An
+        action that is not an id raises with `play`'s message. The
+        environment's own game is ended."""
+        table = tick_table(self.config.rows, self.config.cols)
+        numbers, cells = self._numbers["left"], self._cells
+        kick_off = (numbers[self._starts[0]] * cells + numbers[self._starts[1]]) * 2
+        if self._initial_possession == "random":
+            boards = kick_off + (rng.random(games) < 0.5)
+        else:
+            boards = np.full(games, kick_off + (self._initial_possession == "left"))
+        draw_prob, cap = self._draw_prob, self.max_episode_timesteps
+        results = np.zeros(games, dtype=np.int8)
+        live = np.arange(games)
+        self.pos, self._finished, tick = dict(zip(self.agent_ids, self._starts)), True, 0
+        while live.size:
+            self.tick = tick
+            a = self._lockstep_actions(left, "left", boards, table, rng)
+            b = self._lockstep_actions(right, "right", boards, table, rng)
+            draw, order = rng.random((2, live.size))
+            index = ((boards * 5 + a) * 5 + b) * 2 + (order >= 0.5)
+            boards, result = table.next_board[index], table.result[index]
+            result[draw < draw_prob] = DRAW
+            tick += 1
+            if tick >= cap:
+                result[result == 0] = DRAW
+            over = result > 0
+            if over.any():
+                results[live[over]] = result[over]
+                on = ~over
+                live, boards = live[on], boards[on]
+        self.tick = tick
+        return [RESULTS[code] for code in results.tolist()]
+
+    def _lockstep_actions(self, player, side: str, boards: np.ndarray, table: TickTable,
+                          rng: np.random.Generator) -> np.ndarray:
+        """`side`'s actions in the live games on `boards` (left board numbers)."""
+        act_boards = getattr(player, "act_boards", None)
+        if act_boards is not None:
+            return act_boards(self, side, boards if side == "left" else table.right_board[boards],
+                              rng)
+        act, pos, shown = player.act, self.pos, table.boards
+        actions = []
+        for board in boards.tolist():
+            pos["left"], pos["right"], self.possession = shown[board]
+            actions.append(act(self, side, rng))
+        if set(map(type, actions)) != {int} or min(actions) < 0 \
+                or max(actions) >= self.num_actions:
+            for action in actions:
+                if not is_action(action, self.num_actions):
+                    raise ConfigError(f"{self.name}: illegal action {action!r} for {side}")
+        return np.array(actions)
 
     def step(self, actions: dict) -> tuple[dict, dict, dict]:
         """A one-tick `play` between two `FixedAction` players behind

@@ -7,16 +7,28 @@ generator, then pick the reply latent that best exploits that fixed choice,
 and only then play the scored series. Soccer series are reported as
 wins - losses over the configured number of games.
 
-Games and episodes reuse their environment: `play_game` resets the one
-`MarkovSoccer` built for a bot's search and series or for a round-robin
-pair, and `play_episodes` resets the one environment of its call. A soccer
-game is `MarkovSoccer.reset_pair` and one `MarkovSoccer.play`: a reset
-builds no observations, and the game loop runs inside the environment,
-with no observation, reward or done dict per tick, because the soccer
-policies read the board (`board_index`, `pos`) themselves. The pitch draws
-its uniforms from its own generator in blocks (see `envs.soccer`), so a
-game's result depends only on its seed and the policies' actions, as with
-scalar draws; the policies draw from the `rng` passed in.
+Games and episodes reuse their environment: the games of a bot's search
+and series, or of a round-robin pair, are played on the one `MarkovSoccer`
+built for them, and `play_episodes` resets the one environment of its call.
+
+A soccer series (`play_series`) is played in lockstep: all of its games at
+once, as an array of boards, by `MarkovSoccer.play_lockstep`, one tick-table
+lookup per live game and tick. Its stream is one child generator, seeded by
+a single draw from the `rng` passed in (the only draw the series takes from
+it), from which come the possession coins at kick-off and then, each tick,
+over the live games in game order, the left actions, the right actions, and
+the draw and move-order coins. A `LatentPolicy` draws all of its live
+games' actions at once from its whole-pitch table, a `RandomPolicy` in one
+`integers` call, and any other player (a `BotPolicy`) is asked once per live
+game, with the environment showing that game's board. A search's batches
+of a few games stay scalar (`play_seeded_games`, also a series' loop on
+pitches above `TABLE_BOARDS`): each game is `MarkovSoccer.reset_pair` with
+a seed drawn from `rng` and one `MarkovSoccer.play`, the game loop inside
+the environment, with no observation, reward or done dict per tick, because
+the soccer policies read the board (`board_index`, `pos`) themselves. The
+pitch draws its uniforms from its own generator in blocks (see
+`envs.soccer`), so such a game's result depends only on its seed and the
+policies' actions; the policies draw from the `rng` passed in.
 
 A soccer policy fills its action distributions from terms kept per
 generator and call (`BoardFeatures`). With the multiplicative architecture
@@ -70,14 +82,19 @@ def specialization(record: dict) -> float:
 
 
 # The most boards (`MarkovSoccer.board_count`) on which a policy tabulates the
-# whole pitch at its first act. A gauntlet policy visits a few hundred boards,
-# so on a large pitch the whole-board passes cost more than the one-row misses
-# they replace. The bound is a crossover measured when fills were head passes
-# (0.5-1.4 ms each), before the latent-affine fills (68-87 us): with one BLAS
-# thread, a hidden-64 `eval bots` gauntlet was faster with the table up to 8x5
-# (3,200 boards), level at 7x6 and 9x5, and 12-19% slower at 10x5 (5,000).
-# It has not been measured again with affine fills.
-TABLE_BOARDS = 3200
+# whole pitch at its first act and a series is played in lockstep on the
+# pitch's tick table; above it policies fill one board at a time and a
+# series plays its games one by one. Measured 2026-10-20 with one BLAS
+# thread: an `eval bots` gauntlet at the benchmark's settings (hidden 64, a
+# 10 x 10 search per bot, 200 games per bot) took 0.38-0.44 of the time with
+# the tables on every pitch from 4x5 (800 boards) to 10x10 (20,000), and 0.73
+# at 12x12 (41,472), so the time crossover lies above 41,472 boards. Memory
+# sets the bound: in a fresh process, one such gauntlet's peak RSS with the
+# tables was 2 MB above the per-board path's at 4x5, 20 MB at 8x8, 65 MB at
+# 10x10 and 170 MB at 12x12, mostly the whole-board observations and hidden
+# activations of one `latent_terms` pass. The bound, 10x10's 20,000 boards,
+# keeps that cost under about 70 MB.
+TABLE_BOARDS = 20000
 
 
 class BoardFeatures:
@@ -158,7 +175,8 @@ class LatentPolicy:
     every board at once (`features.probs` of `features.table`, 800 boards on
     the 4x5 pitch) and keeps their cumulative sums as one array, which later
     rows are read from: a 10-game search policy visits only some of the
-    boards. Above the bound each new board is filled alone, from
+    boards. A lockstep series reads that array directly (`act_boards`) and
+    makes no rows. Above the bound each new board is filled alone, from
     `features.row`. A fill is the affine sum of the latent's terms (see
     `BoardFeatures`), or `probs_np` for `concat`. An action is drawn by
     `PolicyGenerator.act`'s rule (see `act`). Rows of the affine sum or of a
@@ -188,18 +206,31 @@ class LatentPolicy:
         # PolicyGenerator.act's rule, (cdf < u * cdf[-1]).sum(), by bisection
         return bisect.bisect_left(cumulative, rng.random() * cumulative[-1])
 
+    def act_boards(self, env: MarkovSoccer, side: str, boards: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+        """One action per board of `boards` (`board_index(side)` numbers), all
+        drawn at once from the whole-pitch table by `act`'s rule, with one
+        uniform per board from `rng.random(len(boards))`: a lockstep series'
+        players."""
+        cumulative = self._cumulative(env)[boards]
+        return (cumulative < rng.random(len(boards))[:, None] * cumulative[:, -1:]).sum(axis=1)
+
     def _row(self, env: MarkovSoccer, side: str, index: int) -> list:
         """Board `index`'s cumulative sums, made on its first visit."""
-        if self._table is None:
+        if self._table is None and env.board_count > TABLE_BOARDS:
             features = self.features
-            if env.board_count > TABLE_BOARDS:
-                return np.cumsum(features.probs(features.row(env, side, index),
-                                                self.latent)[0]).tolist()
-            probs = features.probs(features.table(env), self.latent)
+            return np.cumsum(features.probs(features.row(env, side, index),
+                                            self.latent)[0]).tolist()
+        return self._cumulative(env)[index].tolist()
+
+    def _cumulative(self, env: MarkovSoccer) -> np.ndarray:
+        """Every board's cumulative sums, filled at the first call."""
+        if self._table is None:
+            probs = self.features.probs(self.features.table(env), self.latent)
             for action in range(1, probs.shape[1]):   # np.cumsum(probs, axis=1), in place
                 probs[:, action] += probs[:, action - 1]
             self._table = probs
-        return self._table[index].tolist()
+        return self._table
 
 
 class BotPolicy:
@@ -215,6 +246,10 @@ class BotPolicy:
 class RandomPolicy:
     def act(self, env: MarkovSoccer, side: str, rng: np.random.Generator) -> int:
         return int(rng.integers(env.num_actions))
+
+    def act_boards(self, env: MarkovSoccer, side: str, boards: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(env.num_actions, size=len(boards))
 
 
 @dataclass
@@ -263,12 +298,28 @@ def play_games(env: MarkovSoccer, games, side: str) -> MatchScore:
     return score
 
 
-def play_series(env: MarkovSoccer, left, right, games: int,
-                rng: np.random.Generator, perspective: str = "right") -> MatchScore:
-    """A series of games scored from `perspective`'s side, each seeded by a
-    draw from `rng`, which the policies also draw from."""
+def play_seeded_games(env: MarkovSoccer, left, right, games: int,
+                      rng: np.random.Generator, perspective: str = "right") -> MatchScore:
+    """Games one after another, scored from `perspective`'s side, each seeded
+    by a draw from `rng`, which the policies also draw from: a search's
+    batches, and a series on a pitch of more than `TABLE_BOARDS` boards."""
     return play_games(env, ((left, right, int(rng.integers(2 ** 62)), rng)
                             for _ in range(games)), perspective)
+
+
+def play_series(env: MarkovSoccer, left, right, games: int,
+                rng: np.random.Generator, perspective: str = "right") -> MatchScore:
+    """A series of games scored from `perspective`'s side. On a pitch of at
+    most `TABLE_BOARDS` boards the games are played in lockstep
+    (`MarkovSoccer.play_lockstep`) on a child generator seeded by one draw
+    from `rng`; above it they are `play_seeded_games`."""
+    if env.board_count > TABLE_BOARDS:
+        return play_seeded_games(env, left, right, games, rng, perspective)
+    score = MatchScore()
+    child = np.random.default_rng(int(rng.integers(2 ** 62)))
+    for result in env.play_lockstep(left, right, games, child):
+        score.add(result, perspective)
+    return score
 
 
 # -- bot gauntlet ---------------------------------------------------------------
@@ -283,8 +334,8 @@ def select_latent_vs_bot(gen: PolicyGenerator, bot: Bot, env: MarkovSoccer,
     bot_policy = BotPolicy(bot)
 
     def score(z: np.ndarray) -> float:
-        return play_series(env, bot_policy, LatentPolicy(gen, z, features),
-                           search.episodes_per_latent, rng).mean
+        return play_seeded_games(env, bot_policy, LatentPolicy(gen, z, features),
+                                 search.episodes_per_latent, rng).mean
 
     result = optimize_latents(score, rng, search, latent_dim=gen.latent_dim)
     return result.best_latent, result.best_score

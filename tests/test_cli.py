@@ -566,6 +566,33 @@ def farmworld_checkpoint(tmp_path, seed=0, name="farm.ckpt"):
     return path
 
 
+@pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
+@pytest.mark.parametrize("verb", ["adapt", "eval ablations", "eval bots", "eval round_robin"])
+def test_an_output_path_is_refused_before_any_search(tmp_path, capsys, monkeypatch, verb, where):
+    # the trace or results file is checked before the search or protocol
+    # runs, not when it is written at the end
+    import policyspace.cli as cli
+    import policyspace.evaluation as evaluation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(cli, "optimize_latents", refuse)
+    monkeypatch.setattr(evaluation, "optimize_latents", refuse)
+    out = str(tmp_path if where == "a directory" else tmp_path / "missing" / "out.csv")
+    fast = ["--seeds", "1", "--generations", "1", "--episodes-per-latent", "1", "--out", out]
+    soccer = str(soccer_checkpoint(tmp_path))
+    argv = {"adapt": ["adapt", str(farmworld_checkpoint(tmp_path)), "--generations", "2",
+                      "--trace-out", out],
+            "eval ablations": ["eval", "ablations", str(farmworld_checkpoint(tmp_path)), *fast],
+            "eval bots": ["eval", "bots", soccer, *fast],
+            "eval round_robin": ["eval", "round_robin", soccer, soccer, *fast]}[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: output file") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 HEADER_FAULTS = {
     "generator missing": lambda h: h.pop("generator"),
     "weight_count malformed": lambda h: h.update(weight_count="many"),

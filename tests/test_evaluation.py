@@ -28,7 +28,7 @@ def soccer_gen(seed=0, config=None):
 
 
 # a pitch with more boards than evaluation.TABLE_BOARDS: policies fill by board
-MEMO_PITCH = SoccerConfig(rows=8, cols=8)
+MEMO_PITCH = SoccerConfig(rows=11, cols=10)
 
 
 # -- specialization metric ------------------------------------------------------
@@ -237,13 +237,14 @@ def test_board_index_numbers_the_observation(rows, cols):
 AFFINE_BOUND = 64 * np.finfo(np.float64).eps
 
 
-@pytest.mark.parametrize("rows, cols", [(4, 5), (7, 5), (2, 5), (8, 8)])
+@pytest.mark.parametrize("rows, cols", [(4, 5), (7, 5), (2, 5), (8, 8), (11, 10)])
 @pytest.mark.parametrize("hidden", [32, 64])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_the_affine_fill_is_the_head_pass_within_a_bound(rows, cols, hidden, activation):
     # BoardFeatures.probs sums a latent's affine terms; on every board it is
     # probs_np of the same observations within AFFINE_BOUND: the whole pitch
-    # at once up to TABLE_BOARDS, one board at a time (8x8) above it
+    # at once up to TABLE_BOARDS (8x8 among them), one board at a time (11x10)
+    # above it
     config = SoccerConfig(rows=rows, cols=cols, start_left=(0, 0), start_right=(1, 1))
     env = MarkovSoccer(config)
     env.reset(0)
@@ -397,8 +398,9 @@ class ForwardCounts:
             assert self.shared_features(gen)._rows == {}
         # one whole-board affine fill per policy that acted, kept whole; a
         # panel member no game picked never acts. Rows are made only for the
-        # boards a policy visited.
-        acted = [p for p in self.policies if len(p._cdfs)]
+        # boards a policy visited one game at a time; a lockstep series'
+        # policy reads the whole table and makes none.
+        acted = [p for p in self.policies if p._table is not None]
         assert self.fills == [len(board)] * len(acted)
         assert all(p._table.shape == (len(board), 5) for p in acted)
         assert all(len(p._cdfs) < len(board) for p in acted)
@@ -511,36 +513,36 @@ def test_bisect_sampler_matches_searchsorted():
 
 GOLDEN_GAUNTLETS = {
     ("multiplicative", "tanh"): {
-        "straight": (8, 20, 2, "caddaf74606cdcbf78c270f49755ad3f4ad01c74c39cec3f"),
-        "oscillate0": (6, 0, 24, "45cb97bf1e90bfbf1a9947e4b5a8d0bffb863b9cdba4ee3f"),
-        "oscillate1": (7, 0, 23, "35c16f0a6757e7bf42108e110572e23f131ca7493793d73f"),
-        "stand": (6, 0, 24, "201fc027efeac2bffbd7667545b6e33f76de03569fc2e83f"),
-        "rule_based": (0, 22, 8, "8d3b685222ebb3bfcf8174b8a50aefbf3ce6b7472d74cdbf"),
-        "random": (10, 3, 17, "3ba48324704ee3bfd4757fd5b733c3bf380136a17410e93f"),
+        "straight": (7, 17, 6, "caddaf74606cdcbf78c270f49755ad3f4ad01c74c39cec3f"),
+        "oscillate0": (7, 0, 23, "fae51b3fdeeeed3f72918df7054ca03f31a5f8565789d63f"),
+        "oscillate1": (9, 0, 21, "0f009a5e8100ef3f330b311f2caea2bf5e99004a5a5fcf3f"),
+        "stand": (13, 0, 17, "cbb338806af3c33f4acbf42c7af8d93f31279e9e87d1ec3f"),
+        "rule_based": (0, 24, 6, "063d849ce918eebfd87186e831a1d53fa5584d861f76a13f"),
+        "random": (2, 5, 23, "d403674b378ed0bfc5b9a829b6caeebf227ec626eeacb5bf"),
     },
     ("multiplicative", "relu"): {
-        "straight": (6, 19, 5, "c69ba6b6b1e4ebbf97848e57215adfbf7c2a79d1b2448ebf"),
-        "oscillate0": (3, 0, 27, "78ff4c6321ccdebf73db1e4375dde63fce3649c20c40e03f"),
-        "oscillate1": (6, 0, 24, "be4c46c6a5f8d9bf4704c21e2e78ea3fdff8fc3d06e1d83f"),
-        "stand": (5, 0, 25, "8dba318ea9a3ef3f748611de0a9cbebffcf40a1b6811b7bf"),
-        "rule_based": (0, 21, 9, "27043d64b1c8e2bf091b64e20a35cebf1d2042561ec8e8bf"),
-        "random": (6, 5, 19, "4331ca8b99a1e7bf93ad61b4e190e53f43107acbba08963f"),
+        "straight": (4, 21, 5, "c69ba6b6b1e4ebbf97848e57215adfbf7c2a79d1b2448ebf"),
+        "oscillate0": (1, 0, 29, "f264d6d8ee36ee3f6963c950f187d33f48c53a4e66b6bfbf"),
+        "oscillate1": (4, 0, 26, "2c3eca68ad42e9bfb69feb7506c4c23fae299bee7e13e33f"),
+        "stand": (8, 0, 22, "609dd65ddf5ce1bf00464ae78c53d33f677826243f15e9bf"),
+        "rule_based": (1, 27, 2, "2fa5ad55ee09a3bf056be1ace322ea3fda071935c96ce2bf"),
+        "random": (5, 7, 18, "05a731127646c9bf0777043f4839d2bf362335817604eebf"),
     },
     ("concat", "tanh"): {
-        "straight": (0, 23, 7, "e56b623a332bec3fc43df5a41e27c93fc83ef9419ca3dbbf"),
-        "oscillate0": (3, 0, 27, "bc230816c538e4bf05eac69ff49ee83f6fde72c59edab7bf"),
-        "oscillate1": (3, 0, 27, "af4ee29311ed9bbff9fa76df97caeb3f82d5a5b3a0addf3f"),
-        "stand": (0, 0, 30, "4831ca3af78fecbf37939f5ff61ddcbf8129348bd2fbb93f"),
-        "rule_based": (0, 23, 7, "f53b02f6a474dc3f28b0deb7c9dae63f183346b4634ce1bf"),
-        "random": (1, 7, 22, "5e49c8a69fdbcbbf55782e5a0c12e0bfe8dd9aa7ffc7ea3f"),
+        "straight": (1, 22, 7, "e56b623a332bec3fc43df5a41e27c93fc83ef9419ca3dbbf"),
+        "oscillate0": (2, 0, 28, "0f2f85c74009e73f1426ec336c1cd9bf986bdb996d52e23f"),
+        "oscillate1": (3, 0, 27, "f44c431496f8d83f93b88a719840ed3f6376b384972fbc3f"),
+        "stand": (0, 0, 30, "83f25e3e591bcd3f1906d634aeb0e3bf05e025960f27e83f"),
+        "rule_based": (0, 26, 4, "224f39923a53edbfbc2580507e45cd3ff59ef62bc405d5bf"),
+        "random": (3, 5, 22, "2adad009a0beeabfc76f81d1ecb7d73f15152860ededd93f"),
     },
     ("concat", "relu"): {
-        "straight": (1, 20, 9, "8f52e4dea5e1c63ffebb6809f84cdebfc2d9c9c88799ebbf"),
-        "oscillate0": (6, 0, 24, "80f9f554e8afd2bf76ab75012900ebbf976f517a33d2dc3f"),
-        "oscillate1": (8, 0, 22, "21d1025c4113e6bf089134ec0762e53fae97e074d7d3d13f"),
-        "stand": (5, 0, 25, "5569b61266eed3bfb845f2292005e4bf6fb97c1a77e3e6bf"),
-        "rule_based": (0, 23, 7, "d1052043a3a7ce3f4f417f7360d0df3fa10f009c0fb0ea3f"),
-        "random": (4, 3, 23, "7c56de41073cea3f2f7dac8d5ca6e03fc6845d1a639acebf"),
+        "straight": (1, 22, 7, "8f52e4dea5e1c63ffebb6809f84cdebfc2d9c9c88799ebbf"),
+        "oscillate0": (6, 0, 24, "ae689794cfb3eabfcc0fb7b0f603d83f96d6a94d78d4d9bf"),
+        "oscillate1": (7, 0, 23, "6a7fcd27bb49e93fe64a3512e49ae3bf168064cf048089bf"),
+        "stand": (3, 0, 27, "5cb924be7d4399bfbb6d1d5c56c1ee3f64680c87239bd1bf"),
+        "rule_based": (0, 26, 4, "8c3604ba2822bb3fd93382ec0d20ed3f41b654752aa1d9bf"),
+        "random": (3, 8, 19, "e5afa315d4d3e9bf617cb374e29acabf700be1b1f4aee1bf"),
     },
 }
 
@@ -553,8 +555,11 @@ def golden_gen(seed, architecture="multiplicative", activation="tanh"):
 @pytest.mark.parametrize("architecture, activation", GOLDEN_GAUNTLETS,
                          ids=["-".join(k) for k in GOLDEN_GAUNTLETS])
 def test_gauntlet_results_are_pinned(architecture, activation):
-    # W/L/D and the selected latent's bytes, recorded before state features
-    # were shared: the whole RNG stream and every action must stay the same
+    # W/L/D and the selected latent's bytes. Each series is played in
+    # lockstep on a child generator seeded by one draw from the caller's rng,
+    # so the stream and every action up to the first series are as when the
+    # games were played one by one (the straight bot's latent is unchanged),
+    # and every later search and series is pinned on the lockstep stream
     results = bot_gauntlet(golden_gen(50, architecture, activation),
                            [Bot(kind) for kind in BOT_KINDS], games=30,
                            search=SearchConfig(generations=3, episodes_per_latent=3),
@@ -568,9 +573,61 @@ def test_round_robin_result_is_pinned():
     series, info = round_robin_pair(golden_gen(52), golden_gen(53, "concat", "relu"),
                                     SearchConfig(generations=3, episodes_per_latent=3),
                                     np.random.default_rng(54), games=40)
-    assert (series.wins, series.losses, series.draws) == (5, 10, 25)
+    assert (series.wins, series.losses, series.draws) == (6, 4, 30)
     assert info["latent_one"].tobytes().hex() == "bcf5f972ec7ecdbf215b9570cacbee3f5a25c812ee6dc23f"
     assert info["latent_two"].tobytes().hex() == "e619b0289457c73f69e90a0854d4883f0c578dc30576ef3f"
+
+
+# -- the lockstep series against the scalar games ------------------------------------
+
+DISTRIBUTION_GAMES = 4000   # K, games per arm
+DISTRIBUTION_BOUND = 4.0    # the largest |z| allowed on any rate
+DISTRIBUTION_PAIRINGS = [*BOT_KINDS, "random-vs-random", "latent-vs-latent"]
+
+
+def two_proportion_z(count_a: int, count_b: int, n: int) -> float:
+    """z of the difference between two rates over n trials each, pooled;
+    0 when both rates are 0 or both are 1."""
+    pooled = (count_a + count_b) / (2 * n)
+    spread = np.sqrt(pooled * (1 - pooled) * 2 / n)
+    return 0.0 if spread == 0.0 else (count_a - count_b) / n / spread
+
+
+@pytest.mark.parametrize("pairing", DISTRIBUTION_PAIRINGS)
+def test_the_lockstep_series_plays_the_scalar_games_in_distribution(pairing):
+    """The lockstep series (`MarkovSoccer.play_lockstep` behind `play_series`)
+    draws other numbers than games played one by one, each on its own
+    seeded generator (`play_seeded_games`), so the two can only agree in
+    distribution. Each arm plays K = 4,000 games of one pairing: each of the
+    six bots, on its `bot_match_config` pitch, against one fixed latent
+    (`sample_latent(default_rng(61))`) of `soccer_gen(60)`; `RandomPolicy`
+    against itself; and that latent against another
+    (`sample_latent(default_rng(64))`) of `soccer_gen(65)`, on the default
+    pitch. The scalar arm draws from `default_rng(62)`, the lockstep arm from
+    `default_rng(63)`. The win, loss and draw rates of the two arms must
+    each lie within |z| <= 4 of each other by a pooled two-proportion z. K,
+    the seeds and the bound were fixed before the first run."""
+    gen = soccer_gen(60)
+    latent = sample_latent(np.random.default_rng(61))
+    if pairing in BOT_KINDS:
+        bot = Bot(pairing)
+        env = MarkovSoccer(bot_match_config(bot))
+        players = lambda: (BotPolicy(bot), LatentPolicy(gen, latent))
+    elif pairing == "random-vs-random":
+        env = MarkovSoccer()
+        players = lambda: (RandomPolicy(), RandomPolicy())
+    else:
+        env = MarkovSoccer()
+        other = soccer_gen(65), sample_latent(np.random.default_rng(64))
+        players = lambda: (LatentPolicy(gen, latent), LatentPolicy(*other))
+    assert env.board_count <= evaluation.TABLE_BOARDS   # play_series plays in lockstep
+    scalar = evaluation.play_seeded_games(env, *players(), DISTRIBUTION_GAMES,
+                                          np.random.default_rng(62))
+    lockstep = play_series(env, *players(), DISTRIBUTION_GAMES, np.random.default_rng(63))
+    assert scalar.games == lockstep.games == DISTRIBUTION_GAMES
+    for rate in ("wins", "losses", "draws"):
+        z = two_proportion_z(getattr(scalar, rate), getattr(lockstep, rate), DISTRIBUTION_GAMES)
+        assert abs(z) <= DISTRIBUTION_BOUND, (rate, scalar, lockstep, z)
 
 
 # -- gauntlet and round robin ----------------------------------------------------

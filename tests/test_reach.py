@@ -155,7 +155,7 @@ def run_every_verb(work: Path):
     os.environ["POLICYSPACE_RUNS"] = str(work / "runs")
     train_ini = work / "multigoal-multiplicative-vanilla.ini"
     cli("train", train_ini, "--epochs", "1", "--verbose")
-    eight = train("eight", "soccer", env_lines="rows = 8\ncols = 8\n")
+    large = train("large", "soccer", env_lines="rows = 11\ncols = 10\n")
 
     fast = ("--generations", "1", "--episodes-per-latent", "1")
     farm = checkpoints["farmworld-multiplicative-adap"]
@@ -165,7 +165,7 @@ def run_every_verb(work: Path):
     cli("eval", "specialization", farm, "--episodes", "1", *games)
     cli("eval", "ablations", farm, *games)
     for soccer in (checkpoints["soccer-multiplicative-adap"],
-                   checkpoints["soccer-concat-adap"], eight):
+                   checkpoints["soccer-concat-adap"], large):
         cli("eval", "bots", soccer, *games, "--out", work / "bots.csv")
         cli("eval", "round_robin", soccer, soccer, *games, "--out", work / "rr.csv")
 

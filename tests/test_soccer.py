@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from policyspace.envs.soccer import (BOT_KINDS, Bot, FixedAction, MarkovSoccer,
-                                     SoccerConfig, bot_action, bot_match_config)
+from policyspace.envs.soccer import (BOT_KINDS, RESULTS, Bot, FixedAction, MarkovSoccer,
+                                     SoccerConfig, bot_action, bot_match_config, tick_table)
 from policyspace.errors import ConfigError
 
 from helpers import soccer_moves_oracle
@@ -330,6 +330,162 @@ def test_the_move_table_plays_the_rules(rows, cols):
                                                            {"left": left, "right": right}, order)
                             assert (env.pos, env.possession, env.result) == expected
                             assert env.last_order == order
+
+
+# -- the tick table and the lockstep series -------------------------------------
+
+ORDERS = (("left", "right"), ("right", "left"))
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 4), (4, 5), (5, 4), (6, 5)])
+def test_the_tick_table_plays_the_rules(rows, cols):
+    # every board of two distinct cells, every action pair and both move
+    # orders: the entry's next board and result are the oracle's tick, and
+    # the table's board numbers are board_index's
+    table = tick_table(rows, cols)
+    env = MarkovSoccer(SoccerConfig(rows=rows, cols=cols, start_left=(0, 0), start_right=(0, 1)))
+    assert len(table.boards) == env.board_count
+    assert table.next_board.shape == table.result.shape == (env.board_count * 5 * 5 * 2,)
+    played = 0
+    for board, (left_cell, right_cell, possession) in enumerate(table.boards):
+        if left_cell == right_cell:
+            continue
+        env.pos, env.possession = {"left": left_cell, "right": right_cell}, possession
+        assert env.board_index("left") == board
+        assert env.board_index("right") == table.right_board[board]
+        for left in range(5):
+            for right in range(5):
+                for order_code, order in enumerate(ORDERS):
+                    entry = ((board * 5 + left) * 5 + right) * 2 + order_code
+                    pos, after, result = soccer_moves_oracle(
+                        rows, cols, env.pos, possession, {"left": left, "right": right}, order)
+                    assert RESULTS[table.result[entry]] == result
+                    if result is None:
+                        assert table.boards[table.next_board[entry]] == \
+                            (pos["left"], pos["right"], after)
+                    played += 1
+    cells = rows * cols
+    assert played == cells * (cells - 1) * 2 * 5 * 5 * 2
+
+
+def test_the_tick_table_is_built_once_per_pitch_size():
+    # a pure function of rows and cols: environments of one pitch size, of
+    # any other config, and every series on them share one table
+    from policyspace.evaluation import BotPolicy, RandomPolicy, play_series
+    tick_table.cache_clear()
+    rng = np.random.default_rng(0)
+    for cfg in ({}, {"draw_prob": 0.1}, {"rows": 6}, {"rows": 6, "max_episode_timesteps": 9}):
+        for kind in ("straight", "random"):
+            env = MarkovSoccer(bot_match_config(Bot(kind), SoccerConfig(**cfg)))
+            play_series(env, BotPolicy(Bot(kind)), RandomPolicy(), 20, rng)
+            play_series(env, BotPolicy(Bot(kind)), RandomPolicy(), 20, rng)
+    assert tick_table.cache_info().misses == 2
+    assert tick_table(4, 5) is tick_table(4, 5)
+
+
+class AlwaysPlays:
+    """A player asked game by game: one action id, or one action per side."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def act(self, env, side, rng):
+        return self.action
+
+
+def lockstep_oracle(cfg: SoccerConfig, games: int, rng) -> list:
+    """The lockstep series of two random players by the rules written out
+    (`soccer_moves_oracle`) and its stream stated plainly: the possession
+    coins, then per tick over the live games the left actions, the right
+    actions, and the draw and order coins."""
+    on = {"left": tuple(cfg.start_left), "right": tuple(cfg.start_right)}
+    if cfg.initial_possession == "random":
+        possession = ["left" if u < 0.5 else "right" for u in rng.random(games)]
+    else:
+        possession = [cfg.initial_possession] * games
+    pos, results, tick = [dict(on) for _ in range(games)], [None] * games, 0
+    live = list(range(games))
+    while live:
+        left, right = rng.integers(5, size=len(live)), rng.integers(5, size=len(live))
+        draw, order = rng.random((2, len(live)))
+        for k, game in enumerate(live):
+            if draw[k] < cfg.draw_prob:
+                results[game] = "draw"
+                continue
+            actions = {"left": int(left[k]), "right": int(right[k])}
+            pos[game], possession[game], results[game] = soccer_moves_oracle(
+                cfg.rows, cfg.cols, pos[game], possession[game], actions,
+                ORDERS[int(order[k] >= 0.5)])
+        tick += 1
+        if tick >= cfg.max_episode_timesteps:
+            results = ["draw" if r is None and g in live else r for g, r in enumerate(results)]
+        live = [game for game in live if results[game] is None]
+    return results
+
+
+LOCKSTEP_CONFIGS = {
+    "default": {},
+    "draw_prob 0, cap 30": {"draw_prob": 0.0, "max_episode_timesteps": 30},
+    "cap 1": {"max_episode_timesteps": 1},
+    "6 rows": {"rows": 6, "draw_prob": 0.0, "max_episode_timesteps": 60},
+    "left starts with the ball": {"initial_possession": "left"},
+}
+
+
+@pytest.mark.parametrize("cfg", LOCKSTEP_CONFIGS.values(), ids=LOCKSTEP_CONFIGS.keys())
+def test_the_lockstep_series_plays_the_rules_on_its_named_stream(cfg):
+    from policyspace.evaluation import RandomPolicy
+    config = SoccerConfig(**cfg)
+    results = MarkovSoccer(config).play_lockstep(RandomPolicy(), RandomPolicy(), 300,
+                                                 np.random.default_rng(5))
+    assert results == lockstep_oracle(config, 300, np.random.default_rng(5))
+    assert set(results) <= {"left", "right", "draw"}
+
+
+def test_a_lockstep_series_asks_other_players_game_by_game_on_each_board():
+    # a player without act_boards sees each live game's board in pos,
+    # possession and tick, once per live game per tick
+    seen = []
+
+    class Watching(AlwaysPlays):
+        def act(self, env, side, rng):
+            seen.append((side, dict(env.pos), env.possession, env.tick))
+            return self.action
+
+    env = MarkovSoccer(SoccerConfig(draw_prob=0.0, initial_possession="left",
+                                    max_episode_timesteps=3))
+    results = env.play_lockstep(Watching(RIGHT), Watching(STAND), 4, np.random.default_rng(0))
+    # the left side runs right with the ball from (1, 1): blocked by the
+    # standing right player at (1, 3) whichever moves first
+    assert results == ["draw"] * 4
+    assert len(seen) == 2 * 4 * 3
+    assert [tick for *_, tick in seen] == [t for t in range(3) for _ in range(8)]
+    assert [side for side, *_ in seen] == (["left"] * 4 + ["right"] * 4) * 3
+    assert all(possession in ("left", "right") for _, _, possession, _ in seen)
+    assert seen[0][1] == {"left": (1, 1), "right": (1, 3)}
+
+
+@pytest.mark.parametrize("illegal", [5, -1, True, 2.0, "up"])
+def test_a_lockstep_series_refuses_an_illegal_action_as_play_does(illegal):
+    from policyspace.evaluation import RandomPolicy
+    for left, right, side in ((AlwaysPlays(illegal), RandomPolicy(), "left"),
+                              (RandomPolicy(), AlwaysPlays(illegal), "right")):
+        with pytest.raises(ConfigError, match=f"illegal action {illegal!r} for {side}"):
+            MarkovSoccer().play_lockstep(left, right, 3, np.random.default_rng(0))
+    # a numpy integer is an id, as in play
+    assert len(MarkovSoccer().play_lockstep(AlwaysPlays(np.int64(STAND)), RandomPolicy(), 3,
+                                            np.random.default_rng(0))) == 3
+
+
+def test_a_series_takes_one_draw_of_the_callers_rng():
+    from policyspace.evaluation import RandomPolicy, play_series
+    rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+    score = play_series(MarkovSoccer(), RandomPolicy(), RandomPolicy(), 50, rng)
+    child = np.random.default_rng(int(twin.integers(2 ** 62)))
+    results = MarkovSoccer().play_lockstep(RandomPolicy(), RandomPolicy(), 50, child)
+    assert (score.wins, score.losses, score.draws) == \
+        (results.count("right"), results.count("left"), results.count("draw"))
+    assert rng.random() == twin.random()
 
 
 # -- the slot step ---------------------------------------------------------------
