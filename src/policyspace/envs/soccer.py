@@ -1,28 +1,26 @@
 """Two-player gridworld soccer with simultaneous moves and possession stealing.
 
-A 4x5 pitch; the goal mouths are the two middle rows just off the left and
-right edges. The left player scores by carrying the ball off the right edge
-through a goal cell, and vice versa. Both actions are submitted together,
-executed in a uniformly random order; a mover stepping into the opponent's
-cell stays put and possession switches. Every tick independently ends the
-game in a draw with a small probability, which keeps games short.
+A 4x5 pitch by default, of at most `MAX_CELLS` cells; the goal mouths are
+the two middle rows just off the left and right edges. The left player
+scores by carrying the ball off the right edge through a goal cell, and vice
+versa. Both actions are submitted together, executed in a uniformly random
+order; a mover stepping into the opponent's cell stays put and possession
+switches. Every tick independently ends the game in a draw with a small
+probability, which keeps games short.
 
-The pitch's geometry is worked out once per pitch size (`pitch_moves`): a
-move table gives, for each cell and action, the cell moved to (None off the
-pitch or for standing) and the side, if any, that scores by carrying the
-ball there, and a per-side table numbers the cells in each side's attacking
-frame. The rules are written once, in `MarkovSoccer.play`, a game loop that
-asks two players for their actions each tick and applies each move by the
-rules in order (a goal with possession, the edge, a bump, the move) by table
-lookups; positions stay `(row, col)` tuples in `pos`. The dict `step` is a
-one-tick `play` between two `FixedAction` players.
-
-`MarkovSoccer.play_lockstep` plays a whole series of games together, as
-arrays of boards: each tick is one lookup per live game in a tick table
-(`tick_table`), which holds the next board and the result of every board,
-action pair and move order of one pitch size. The table is built once per
-pitch size from the same move table, composing one mover's move with the
-other's.
+The rules are written once, in the tick table of the pitch size
+(`tick_table`), built once per size and shared: for every board (an int from
+the left cell, the right cell and the side in possession), every action pair
+and both move orders, the board after the tick and its result. A tick is the
+first mover's half-move, then, unless it scored, the second mover's (a goal
+with possession, the edge or standing, a bump, the move).
+`MarkovSoccer.play` is the game loop: it asks two players for their actions
+each tick, applies the tick with one lookup in the table, and writes the
+board back to `pos` (`(row, col)` tuples) and `possession` for the players
+to read. The dict `step` is a one-tick `play` between two `FixedAction`
+players. `MarkovSoccer.play_lockstep` plays a whole series of games
+together, as arrays of boards, one lookup per live game and tick in the same
+table.
 
 Observations are side-invariant: both players see a board on which they
 attack to the right (coordinates are mirrored for the right player), as
@@ -56,12 +54,20 @@ from .base import (Environment, at_least, between, check_ranges, check_types, is
 
 # actions: up, down, left, right, stand
 ACTION_NAMES = ("up", "down", "left", "right", "stand")
-DELTAS = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0)}
+DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))   # per action: (row, col) step
 STAND = 4
 ACTION_IDS = range(len(ACTION_NAMES))
 OTHER = {"left": "right", "right": "left"}
 LEFT_FIRST, RIGHT_FIRST = ("left", "right"), ("right", "left")   # move orders
 DRAW_BLOCK = 64   # uniforms drawn from the pitch's rng at a time: a typical game's worth
+
+# The most cells of a pitch: 10x10 has 2 * 100**2 = 20,000 boards, each in the
+# tick table and in every policy's whole-pitch table. Measured 2026-10-20 with
+# one BLAS thread, an `eval bots` gauntlet at the benchmark's settings took
+# 0.38-0.44 of the time of filling one board at a time on every pitch from 4x5
+# to 10x10, but its peak RSS rose with the boards (+2 MB at 4x5, +65 MB at
+# 10x10, +170 MB at 12x12): the bound keeps that cost under about 70 MB.
+MAX_CELLS = 100
 
 
 # SoccerConfig field -> its legal range
@@ -82,11 +88,15 @@ class SoccerConfig:
     initial_possession: str = "random"   # "left" | "right" | "random"
 
     def validate(self):
-        """Check every field's type and range, and that the start cells are two
-        distinct cells of the pitch. A config is checked when it is read and
-        when a `MarkovSoccer` is built on it, not once per game."""
+        """Check every field's type and range, that the pitch has at most
+        `MAX_CELLS` cells, and that the start cells are two distinct cells of
+        the pitch. A config is checked when it is read and when a
+        `MarkovSoccer` is built on it, not once per game."""
         check_types(self)
         check_ranges(self, SOCCER_RANGES)
+        if self.rows * self.cols > MAX_CELLS:
+            raise ConfigError(f"the soccer pitch {self.rows}x{self.cols} has "
+                              f"{self.rows * self.cols} cells; at most {MAX_CELLS} are played")
         for name in ("start_left", "start_right"):
             cell = getattr(self, name)
             if not (0 <= cell[0] < self.rows and 0 <= cell[1] < self.cols):
@@ -113,27 +123,6 @@ def goal_rows(rows: int) -> tuple:
     return rows // 2 - 1, rows // 2
 
 
-@functools.cache
-def pitch_moves(rows: int, cols: int) -> dict:
-    """The move table of a rows x cols pitch, the pitch's geometry: cell ->
-    per action (the cell moved to, or None for off the pitch or standing;
-    the side that scores by carrying the ball there, or None). Every pitch
-    of the size shares the one dict, so nothing may change it."""
-    mouths = goal_rows(rows)
-
-    def move(cell: tuple, action: int) -> tuple:
-        if action == STAND:
-            return None, None
-        dr, dc = DELTAS[action]
-        r, c = cell[0] + dr, cell[1] + dc
-        if r in mouths and c in (-1, cols):
-            return None, "left" if c == cols else "right"
-        return ((r, c) if 0 <= r < rows and 0 <= c < cols else None), None
-
-    return {(r, c): tuple(move((r, c), action) for action in ACTION_IDS)
-            for r in range(rows) for c in range(cols)}
-
-
 # a lockstep game's result code -> `MarkovSoccer.result`; 0 while the game is on
 RESULTS = (None, "left", "right", "draw")
 DRAW = 3
@@ -146,9 +135,10 @@ class TickTable:
     the left side's possession. Entry `((board * 5 + a_left) * 5 + a_right)
     * 2 + order` of `next_board` and `result` is the board after the tick
     and its result code (`RESULTS`: 0 on, 1 or 2 when the left or right
-    side scored), with `order` 0 for the left side moving first.
-    `right_board` maps a board to its `board_index("right")`, and `boards`
-    to its (left cell, right cell, side in possession)."""
+    side scored), with `order` 0 for the left side moving first; a goal's
+    board is the one the scorer moved from. `right_board` maps a board to
+    its `board_index("right")`, and `boards` to its (left cell, right cell,
+    side in possession)."""
 
     next_board: np.ndarray
     result: np.ndarray
@@ -158,16 +148,23 @@ class TickTable:
 
 @functools.cache
 def tick_table(rows: int, cols: int) -> TickTable:
-    """The tick table of a rows x cols pitch, built once per pitch size from
-    `pitch_moves`. One mover's move, with the other standing, gives a half
-    tick per board and action; a tick is the first mover's half, then, on
-    the board it leaves and unless it scored, the second mover's."""
+    """The tick table of a rows x cols pitch, built once per pitch size. A
+    move takes a cell and an action to the cell moved to (none off the pitch
+    or for standing) and the side, if any, scoring there through a goal
+    mouth. A half tick is one mover's move, the other standing; a tick is the
+    first mover's half, then, on the board it leaves and unless it scored,
+    the second mover's."""
     cells = rows * cols
-    grid = list(pitch_moves(rows, cols).items())
-    # per cell number and action: the cell number moved to (-1: stays) and the scorer's code
-    target = np.array([[-1 if to is None else to[0] * cols + to[1] for to, _ in row]
-                       for _, row in grid])
-    scorer = np.array([[RESULTS.index(side) for _, side in row] for _, row in grid])
+    step_row, step_col = np.array(DELTAS).T
+    row, col = np.divmod(np.arange(cells)[:, None], cols)
+    to_row, to_col = row + step_row, col + step_col   # per cell number and action
+    on = (to_row >= 0) & (to_row < rows) & (to_col >= 0) & (to_col < cols) \
+        & (np.arange(len(DELTAS)) != STAND)
+    # the cell number moved to (-1: stays) and the scorer's code
+    target = np.where(on, to_row * cols + to_col, -1)
+    mouth = np.isin(to_row, goal_rows(rows))
+    scorer = np.select([mouth & (to_col == cols), mouth & (to_col == -1)],
+                       [RESULTS.index("left"), RESULTS.index("right")])
     board = np.arange(2 * cells * cells)
     at = {"left": board // (2 * cells), "right": board // 2 % cells}
     ball = board % 2   # 1: the left side has the ball
@@ -198,7 +195,7 @@ def tick_table(rows: int, cols: int) -> TickTable:
     mirror = at["left"] // cols * cols + cols - 1 - at["left"] % cols, \
         at["right"] // cols * cols + cols - 1 - at["right"] % cols
     right_board = (mirror[1] * cells + mirror[0]) * 2 + 1 - ball
-    cell_of = [cell for cell, _ in grid]
+    cell_of = [divmod(cell, cols) for cell in range(cells)]
     boards = tuple((cell_of[l], cell_of[r], "left" if b else "right")
                    for l, r, b in zip(at["left"].tolist(), at["right"].tolist(), ball.tolist()))
     arrays = next_board, result.astype(np.int8), right_board
@@ -208,22 +205,23 @@ def tick_table(rows: int, cols: int) -> TickTable:
 
 
 class MarkovSoccer(Environment):
-    """Soccer on one pitch. `play(left, right, rng)` holds the rules: it plays
-    from the current board until the result (or for `ticks` ticks), asking
-    the two players' `act` for each tick's actions, as the game loop of
-    `evaluation.play_game` does; game loop policies read `pos`, `possession`
-    and `board_index` themselves. The dict `step` is a one-tick `play`
-    between two `FixedAction` players behind `Environment.step`'s checks,
-    and returns both sides' observations of the new board, their rewards
-    and their dones. Both take their uniforms from `_draws`, a block of
-    `rng`'s next draws (see the module docstring). `play_lockstep` plays a
-    series of games from kick-off together, on the pitch size's
-    `tick_table`.
+    """Soccer on one pitch. `play(left, right, rng)` is the game loop: it
+    plays from the current board until the result (or for `ticks` ticks),
+    asking the two players' `act` for each tick's actions, as the game loop
+    of `evaluation.play_game` does, and looks each tick up in the pitch
+    size's `tick_table`; game loop policies read `pos`, `possession` and
+    `board_index` themselves. The dict `step` is a one-tick `play` between
+    two `FixedAction` players behind `Environment.step`'s checks, and
+    returns both sides' observations of the new board, their rewards and
+    their dones. Both take their uniforms from `_draws`, a block of `rng`'s
+    next draws (see the module docstring). `play_lockstep` plays a series of
+    games from kick-off together, on the same table.
 
-    What a tick reads of the config is read once, at construction: `_moves`
-    (`pitch_moves`, shared by the pitches of one size) maps each cell to one
-    `(cell moved to, side scoring)` entry per action, and `_numbers` gives
-    each side's cell numbers, which `board_index` and `observe` read."""
+    What a tick reads of the config is read once, at construction: the tick
+    table (`_table`, shared by the pitches of one size, and memoryviews of
+    its `next_board` and `result`, whose items are Python ints), and
+    `_numbers`, each side's cell numbers, which `board_index` and `observe`
+    read."""
 
     name = "soccer"
     config_class = SoccerConfig
@@ -241,10 +239,13 @@ class MarkovSoccer(Environment):
         self.goal_rows = goal_rows(rows)
         self._draw_prob, self._initial_possession = cfg.draw_prob, cfg.initial_possession
         self._starts = (tuple(cfg.start_left), tuple(cfg.start_right))
-        self._moves = pitch_moves(rows, cols)
+        self._table = tick_table(rows, cols)
+        self._next_board, self._result = memoryview(self._table.next_board), \
+            memoryview(self._table.result)
         # side -> cell -> its number in the side's attacking frame (mirrored for right)
         self._numbers = {side: {(r, c): r * cols + (c if side == "left" else cols - 1 - c)
-                                for r, c in self._moves} for side in self.agent_ids}
+                                for r in range(rows) for c in range(cols)}
+                         for side in self.agent_ids}
 
     def living_agents(self) -> list[str]:
         return [] if self._finished else ["left", "right"]
@@ -311,19 +312,22 @@ class MarkovSoccer(Environment):
     def play(self, left, right, rng, ticks: int | None = None) -> str | None:
         """Play from the current board until the result, or for `ticks` ticks,
         and return `result`. Each tick `left.act(self, "left", rng)` and then
-        `right.act(self, "right", rng)` give the two action ids, and the rules
-        play them: the draw, the move order, both moves (a goal with
-        possession, the edge or standing, a bump, the move) and the timeout
-        draw. The board is kept in locals; `pos`, `possession` and `tick` are
-        written back before each `act`, and everything once play stops. A
-        finished game refuses to play, and an action that is not an id
-        raises, before the tick draws anything, with `step`'s messages."""
+        `right.act(self, "right", rng)` give the two action ids; the draw
+        coin, then the move-order coin and one `tick_table` lookup play them,
+        and the timeout draw ends a game at the cap. The board is kept in
+        locals as its number; `pos` and `possession` are written back from
+        the board after each tick and `tick` before each `act`, and
+        everything once play stops. A finished game refuses to play, and an
+        action that is not an id raises, before the tick draws anything, with
+        `step`'s messages."""
         if self._finished:
             raise ConfigError(f"{self.name}: step() on a finished episode")
         act_left, act_right = left.act, right.act
-        moves, pos, draws = self._moves, self.pos, self._draws
+        next_board, results, shown = self._next_board, self._result, self._table.boards
+        pos, draws = self.pos, self._draws
         draw_prob, cap = self._draw_prob, self.max_episode_timesteps
         possession, tick, order, result = self.possession, self.tick, self.last_order, None
+        board = self.board_index("left")
         stop = None if ticks is None else tick + ticks
         try:
             while result is None and tick != stop:
@@ -338,30 +342,14 @@ class MarkovSoccer(Environment):
                     draws = self._refill()
                 if draws.pop() < draw_prob:
                     result = "draw"
-                else:   # the order coin; then the first mover's move, the second's
+                else:   # the order coin picks the entry's last bit
+                    entry = ((board * 5 + a) * 5 + b) * 2
                     if draws.pop() < 0.5:
-                        order = first, second = LEFT_FIRST
+                        order = LEFT_FIRST
                     else:
-                        order = first, second = RIGHT_FIRST
-                        a, b = b, a
-                    first_at, second_at = pos[first], pos[second]
-                    target, scorer = moves[first_at][a]
-                    if scorer == first and possession == first:
-                        result = first   # a goal by the first mover ends the tick
-                    elif target is not None:
-                        if target == second_at:   # bump: mover stays, ball changes hands
-                            possession = OTHER[possession]
-                        else:
-                            pos[first] = first_at = target
-                    if result is None:
-                        target, scorer = moves[second_at][b]
-                        if scorer == second and possession == second:
-                            result = second
-                        elif target is not None:
-                            if target == first_at:
-                                possession = OTHER[possession]
-                            else:
-                                pos[second] = target
+                        order, entry = RIGHT_FIRST, entry + 1
+                    board, result = next_board[entry], RESULTS[results[entry]]
+                    pos["left"], pos["right"], possession = shown[board]
                 tick += 1
                 if result is None and tick >= cap:
                     result = "draw"
@@ -388,7 +376,7 @@ class MarkovSoccer(Environment):
         with `pos`, `possession` and `tick` showing that game's board. An
         action that is not an id raises with `play`'s message. The
         environment's own game is ended."""
-        table = tick_table(self.config.rows, self.config.cols)
+        table = self._table
         numbers, cells = self._numbers["left"], self._cells
         kick_off = (numbers[self._starts[0]] * cells + numbers[self._starts[1]]) * 2
         if self._initial_possession == "random":
@@ -401,8 +389,8 @@ class MarkovSoccer(Environment):
         self.pos, self._finished, tick = dict(zip(self.agent_ids, self._starts)), True, 0
         while live.size:
             self.tick = tick
-            a = self._lockstep_actions(left, "left", boards, table, rng)
-            b = self._lockstep_actions(right, "right", boards, table, rng)
+            a = self._lockstep_actions(left, "left", boards, rng)
+            b = self._lockstep_actions(right, "right", boards, rng)
             draw, order = rng.random((2, live.size))
             index = ((boards * 5 + a) * 5 + b) * 2 + (order >= 0.5)
             boards, result = table.next_board[index], table.result[index]
@@ -418,14 +406,14 @@ class MarkovSoccer(Environment):
         self.tick = tick
         return [RESULTS[code] for code in results.tolist()]
 
-    def _lockstep_actions(self, player, side: str, boards: np.ndarray, table: TickTable,
+    def _lockstep_actions(self, player, side: str, boards: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
         """`side`'s actions in the live games on `boards` (left board numbers)."""
         act_boards = getattr(player, "act_boards", None)
         if act_boards is not None:
-            return act_boards(self, side, boards if side == "left" else table.right_board[boards],
-                              rng)
-        act, pos, shown = player.act, self.pos, table.boards
+            return act_boards(self, side,
+                              boards if side == "left" else self._table.right_board[boards], rng)
+        act, pos, shown = player.act, self.pos, self._table.boards
         actions = []
         for board in boards.tolist():
             pos["left"], pos["right"], self.possession = shown[board]

@@ -12,19 +12,19 @@ and series, or of a round-robin pair, are played on the one `MarkovSoccer`
 built for them, and `play_episodes` resets the one environment of its call.
 
 A soccer series (`play_series`) is played in lockstep: all of its games at
-once, as an array of boards, by `MarkovSoccer.play_lockstep`, one tick-table
-lookup per live game and tick. Its stream is one child generator, seeded by
-a single draw from the `rng` passed in (the only draw the series takes from
-it), from which come the possession coins at kick-off and then, each tick,
-over the live games in game order, the left actions, the right actions, and
-the draw and move-order coins. A `LatentPolicy` draws all of its live
-games' actions at once from its whole-pitch table, a `RandomPolicy` in one
-`integers` call, and any other player (a `BotPolicy`) is asked once per live
-game, with the environment showing that game's board. A search's batches
-of a few games stay scalar (`play_seeded_games`, also a series' loop on
-pitches above `TABLE_BOARDS`): each game is `MarkovSoccer.reset_pair` with
-a seed drawn from `rng` and one `MarkovSoccer.play`, the game loop inside
-the environment, with no observation, reward or done dict per tick, because
+once, as an array of boards, by `MarkovSoccer.play_lockstep`, one
+tick-table lookup per live game and tick. Its stream is one child
+generator, seeded by a single draw from the `rng` passed in (the only draw
+the series takes from it), from which come the possession coins at kick-off
+and then, each tick, over the live games in game order, the left actions,
+the right actions, and the draw and move-order coins. A `LatentPolicy`
+draws all of its live games' actions at once from its whole-pitch table, a
+`RandomPolicy` in one `integers` call, and any other player (a `BotPolicy`)
+is asked once per live game, with the environment showing that game's
+board. A search's batches of a few games stay scalar (`play_seeded_games`):
+each game is `MarkovSoccer.reset_pair` with a seed drawn from `rng` and one
+`MarkovSoccer.play`, the game loop inside the environment, which reads the
+same tick table, with no observation, reward or done dict per tick, because
 the soccer policies read the board (`board_index`, `pos`) themselves. The
 pitch draws its uniforms from its own generator in blocks (see
 `envs.soccer`), so such a game's result depends only on its seed and the
@@ -81,30 +81,13 @@ def specialization(record: dict) -> float:
 # -- soccer matches ------------------------------------------------------------
 
 
-# The most boards (`MarkovSoccer.board_count`) on which a policy tabulates the
-# whole pitch at its first act and a series is played in lockstep on the
-# pitch's tick table; above it policies fill one board at a time and a
-# series plays its games one by one. Measured 2026-10-20 with one BLAS
-# thread: an `eval bots` gauntlet at the benchmark's settings (hidden 64, a
-# 10 x 10 search per bot, 200 games per bot) took 0.38-0.44 of the time with
-# the tables on every pitch from 4x5 (800 boards) to 10x10 (20,000), and 0.73
-# at 12x12 (41,472), so the time crossover lies above 41,472 boards. Memory
-# sets the bound: in a fresh process, one such gauntlet's peak RSS with the
-# tables was 2 MB above the per-board path's at 4x5, 20 MB at 8x8, 65 MB at
-# 10x10 and 170 MB at 12x12, mostly the whole-board observations and hidden
-# activations of one `latent_terms` pass. The bound, 10x10's 20,000 boards,
-# keeps that cost under about 70 MB.
-TABLE_BOARDS = 20000
-
-
 class BoardFeatures:
     """One generator's latent-free forward on the boards of one pitch: `table`
-    is every board's at once, computed at its first use, and `row` one
-    board's, kept by board index. The policies of one search share one; the
-    gauntlet and round-robin functions keep one per generator for the length
-    of one call. The first use fixes the pitch's `board_count`, and a later
-    environment with another count is refused: its board indices number other
-    boards.
+    is every board's at once, computed at its first use. The policies of one
+    search share one; the gauntlet and round-robin functions keep one per
+    generator for the length of one call. The first use fixes the pitch's
+    `board_count`, and a later environment with another count is refused:
+    its board indices number other boards.
 
     What is kept is the latent's terms (`PolicyGenerator.latent_terms`): a
     multiplicative generator's logits are affine in the latent, a base plus
@@ -119,42 +102,31 @@ class BoardFeatures:
         self.gen = gen
         self.board_count = None
         self._table = None
-        self._rows: dict = {}
 
-    def _pitch(self, env: MarkovSoccer):
+    def table(self, env: MarkovSoccer) -> tuple:
+        """(observations, terms) of every board of `env`'s pitch: the terms
+        where the logits are affine in the latent, else the observations. The
+        terms are kept in column-major order, so that a fill's sums and
+        reductions over each board's few actions run along contiguous columns."""
         if env.board_count != self.board_count:
             if self.board_count is not None:
                 raise ConfigError(f"board features of a {self.board_count}-board pitch "
                                   f"cannot serve a {env.board_count}-board pitch")
             self.board_count = env.board_count
-
-    def _terms(self, obs: np.ndarray) -> tuple:
-        """(observations, terms) of observation rows: the terms where the
-        logits are affine in the latent, else the observations. The terms are
-        kept in column-major order, so that a fill's sums and reductions over
-        each board's few actions run along contiguous columns."""
-        terms = self.gen.latent_terms(obs)
-        if terms is None:
-            return obs, None
-        base, parts = terms
-        return None, (np.asfortranarray(base), [np.asfortranarray(part) for part in parts])
-
-    def table(self, env: MarkovSoccer) -> tuple:
-        self._pitch(env)
         if self._table is None:
-            self._table = self._terms(env.board_observations())
+            obs = env.board_observations()
+            terms = self.gen.latent_terms(obs)
+            if terms is None:
+                self._table = obs, None
+            else:
+                base, parts = terms
+                self._table = None, (np.asfortranarray(base),
+                                     [np.asfortranarray(part) for part in parts])
         return self._table
 
-    def row(self, env: MarkovSoccer, side: str, index: int) -> tuple:
-        self._pitch(env)
-        entry = self._rows.get(index)
-        if entry is None:
-            entry = self._rows[index] = self._terms(env.observe(side)[None])
-        return entry
-
     def probs(self, entry: tuple, latent: np.ndarray) -> np.ndarray:
-        """The action distributions under `latent` of the boards of `entry`,
-        a `table` or a `row`."""
+        """The action distributions under `latent` of every board of `entry`,
+        a `table`."""
         obs, terms = entry
         if terms is None:
             return self.gen.probs_np(obs, latent[None])
@@ -171,18 +143,17 @@ class LatentPolicy:
     A soccer observation is a function of `MarkovSoccer.board_index`, so the
     policy keeps each board's action distribution, as a row of its cumulative
     sums (a list), for its own lifetime; a row is made on its board's first
-    visit. On a pitch of at most `TABLE_BOARDS` boards the first act fills
-    every board at once (`features.probs` of `features.table`, 800 boards on
-    the 4x5 pitch) and keeps their cumulative sums as one array, which later
-    rows are read from: a 10-game search policy visits only some of the
-    boards. A lockstep series reads that array directly (`act_boards`) and
-    makes no rows. Above the bound each new board is filled alone, from
-    `features.row`. A fill is the affine sum of the latent's terms (see
-    `BoardFeatures`), or `probs_np` for `concat`. An action is drawn by
-    `PolicyGenerator.act`'s rule (see `act`). Rows of the affine sum or of a
-    batched forward can differ from a one-row forward in the last bits, so
-    an action can differ from an uncached sampler's only when a uniform
-    falls between two adjacent doubles.
+    visit. The first act fills every board at once (`features.probs` of
+    `features.table`, 800 boards on the 4x5 pitch) and keeps their cumulative
+    sums as one array, which later rows are read from: a 10-game search
+    policy visits only some of the boards. A lockstep series reads that
+    array directly (`act_boards`) and makes no rows. A fill is the affine
+    sum of the latent's terms (see `BoardFeatures`), or `probs_np` for
+    `concat`. An action is drawn by `PolicyGenerator.act`'s rule (see
+    `act`). Rows of the affine sum or of a batched forward can differ from a
+    one-row forward in the last bits, so an action can differ from an
+    uncached sampler's only when a uniform falls between two adjacent
+    doubles.
     The generator's weights and the latent must not change while the policy
     or its `features` is alive, and the environments it plays on must share
     one pitch size, as those of one gauntlet or round robin do: they come
@@ -202,7 +173,7 @@ class LatentPolicy:
         try:
             cumulative = self._cdfs[index]
         except KeyError:
-            cumulative = self._cdfs[index] = self._row(env, side, index)
+            cumulative = self._cdfs[index] = self._cumulative(env)[index].tolist()
         # PolicyGenerator.act's rule, (cdf < u * cdf[-1]).sum(), by bisection
         return bisect.bisect_left(cumulative, rng.random() * cumulative[-1])
 
@@ -214,14 +185,6 @@ class LatentPolicy:
         players."""
         cumulative = self._cumulative(env)[boards]
         return (cumulative < rng.random(len(boards))[:, None] * cumulative[:, -1:]).sum(axis=1)
-
-    def _row(self, env: MarkovSoccer, side: str, index: int) -> list:
-        """Board `index`'s cumulative sums, made on its first visit."""
-        if self._table is None and env.board_count > TABLE_BOARDS:
-            features = self.features
-            return np.cumsum(features.probs(features.row(env, side, index),
-                                            self.latent)[0]).tolist()
-        return self._cumulative(env)[index].tolist()
 
     def _cumulative(self, env: MarkovSoccer) -> np.ndarray:
         """Every board's cumulative sums, filled at the first call."""
@@ -302,19 +265,16 @@ def play_seeded_games(env: MarkovSoccer, left, right, games: int,
                       rng: np.random.Generator, perspective: str = "right") -> MatchScore:
     """Games one after another, scored from `perspective`'s side, each seeded
     by a draw from `rng`, which the policies also draw from: a search's
-    batches, and a series on a pitch of more than `TABLE_BOARDS` boards."""
+    batches."""
     return play_games(env, ((left, right, int(rng.integers(2 ** 62)), rng)
                             for _ in range(games)), perspective)
 
 
 def play_series(env: MarkovSoccer, left, right, games: int,
                 rng: np.random.Generator, perspective: str = "right") -> MatchScore:
-    """A series of games scored from `perspective`'s side. On a pitch of at
-    most `TABLE_BOARDS` boards the games are played in lockstep
+    """A series of games scored from `perspective`'s side, played in lockstep
     (`MarkovSoccer.play_lockstep`) on a child generator seeded by one draw
-    from `rng`; above it they are `play_seeded_games`."""
-    if env.board_count > TABLE_BOARDS:
-        return play_seeded_games(env, left, right, games, rng, perspective)
+    from `rng`."""
     score = MatchScore()
     child = np.random.default_rng(int(rng.integers(2 ** 62)))
     for result in env.play_lockstep(left, right, games, child):

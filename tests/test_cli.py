@@ -327,6 +327,7 @@ MALFORMED_INI = {
                                                              "max_episode_timesteps = 0"),
     "soccer text start cell": TINY_SOCCER.replace("[env]", "[env]\nstart_left = 9,9"),
     "soccer start cell with a text part": TINY_SOCCER.replace("[env]", "[env]\nstart_left = 1,x"),
+    "soccer pitch of 110 cells": TINY_SOCCER.replace("[env]", "[env]\nrows = 11\ncols = 10"),
     "farmworld region with three corners": TINY_FARMWORLD.replace("[env]",
                                                                   "[env]\nagent_region = 0,0,6"),
     "farmworld region off the grid": TINY_FARMWORLD.replace("[env]",
@@ -350,6 +351,7 @@ def test_train_rejects_malformed_ini_with_exit_2(tmp_path, capsys, text):
     path.write_bytes(text.encode("latin-1"))
     assert main(["train", str(path), "--run-dir", str(tmp_path / "run")]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_ini_start_cell_trains_from_that_cell(tmp_path):
@@ -606,6 +608,8 @@ HEADER_FAULTS = {
         lambda h: h.update(env="farmworld", env_config={"layout": OVERLAPPING_LAYOUT}),
     "env_config farmworld fence under a layout agent":
         lambda h: h.update(env="farmworld", env_config=FENCE_UNDER_LAYOUT),
+    "env_config soccer pitch of 110 cells":
+        lambda h: h.update(env="soccer", env_config={"rows": 11, "cols": 10}),
 }
 
 
@@ -793,6 +797,8 @@ MALFORMED_REPLAYS = {
                                       "config": {"layout": OVERLAPPING_LAYOUT}}, REPLAY_RECORD, 1),
     "farmworld fence under a layout agent": ({**REPLAY_HEADER, "env": "farmworld",
                                               "config": FENCE_UNDER_LAYOUT}, REPLAY_RECORD, 1),
+    "soccer pitch of 110 cells": ({**REPLAY_HEADER, "env": "soccer",
+                                   "config": {"rows": 11, "cols": 10}}, REPLAY_RECORD, 1),
     "unknown env": ({"env": "cartpole", "seed": 1, "config": {}}, REPLAY_RECORD, 1),
     "ablation env": ({**REPLAY_HEADER, "env": "far_corner", "config": {}}, REPLAY_RECORD, 1),
     "string action": (REPLAY_HEADER, {**REPLAY_RECORD, "action": "a"}, 2),

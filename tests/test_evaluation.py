@@ -7,7 +7,7 @@ import pytest
 import policyspace.evaluation as evaluation
 from policyspace.autodiff import softmax_np
 from policyspace.envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config
-from policyspace.envs.soccer import BOT_KINDS
+from policyspace.envs.soccer import BOT_KINDS, MAX_CELLS
 from policyspace.evaluation import (BotPolicy, LatentPolicy, MatchScore,
                                     RandomPolicy, ablation_sweep, bot_gauntlet,
                                     evaluate_final_health, play_game,
@@ -27,8 +27,8 @@ def soccer_gen(seed=0, config=None):
     return PolicyGenerator(obs_size, 5, np.random.default_rng(seed), hidden_dim=8)
 
 
-# a pitch with more boards than evaluation.TABLE_BOARDS: policies fill by board
-MEMO_PITCH = SoccerConfig(rows=11, cols=10)
+# the largest pitch played: MAX_CELLS cells, 20,000 boards
+BOUND_PITCH = SoccerConfig(rows=10, cols=10)
 
 
 # -- specialization metric ------------------------------------------------------
@@ -237,14 +237,13 @@ def test_board_index_numbers_the_observation(rows, cols):
 AFFINE_BOUND = 64 * np.finfo(np.float64).eps
 
 
-@pytest.mark.parametrize("rows, cols", [(4, 5), (7, 5), (2, 5), (8, 8), (11, 10)])
+@pytest.mark.parametrize("rows, cols", [(4, 5), (7, 5), (2, 5), (8, 8), (10, 10)])
 @pytest.mark.parametrize("hidden", [32, 64])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_the_affine_fill_is_the_head_pass_within_a_bound(rows, cols, hidden, activation):
-    # BoardFeatures.probs sums a latent's affine terms; on every board it is
-    # probs_np of the same observations within AFFINE_BOUND: the whole pitch
-    # at once up to TABLE_BOARDS (8x8 among them), one board at a time (11x10)
-    # above it
+    # BoardFeatures.probs sums a latent's affine terms; on every board of the
+    # pitch, up to the largest (10x10), it is probs_np of the same
+    # observations within AFFINE_BOUND
     config = SoccerConfig(rows=rows, cols=cols, start_left=(0, 0), start_right=(1, 1))
     env = MarkovSoccer(config)
     env.reset(0)
@@ -256,17 +255,7 @@ def test_the_affine_fill_is_the_head_pass_within_a_bound(rows, cols, hidden, act
     for _ in range(3):
         z = sample_latent(rng)
         head_pass = gen.probs_np(obs, z[None])
-        if env.board_count <= evaluation.TABLE_BOARDS:
-            affine = features.probs(features.table(env), z)
-        else:   # the per-board terms of 50 boards, each made on its board
-            indices, rows_made = [], []
-            for _ in range(50):
-                cells = rng.choice(rows * cols, size=2, replace=False)
-                env.pos = {side: divmod(int(c), cols) for side, c in zip(("left", "right"), cells)}
-                env.possession = ("left", "right")[int(rng.integers(2))]
-                indices.append(env.board_index("left"))
-                rows_made.append(features.probs(features.row(env, "left", indices[-1]), z))
-            head_pass, affine = head_pass[indices], np.concatenate(rows_made)
+        affine = features.probs(features.table(env), z)
         assert affine.shape == head_pass.shape
         assert np.abs(affine - head_pass).max() <= AFFINE_BOUND
         assert np.allclose(affine.sum(axis=1), 1.0, rtol=0.0, atol=AFFINE_BOUND)
@@ -309,7 +298,7 @@ def test_board_features_refuse_a_second_pitch_size():
     policy = LatentPolicy(gen, sample_latent(np.random.default_rng(51)), features)
     policy.act(four, "right", np.random.default_rng(52))
     assert features.board_count == four.board_count
-    for use in (lambda: features.table(six), lambda: features.row(six, "right", 0),
+    for use in (lambda: features.table(six),
                 lambda: LatentPolicy(gen, policy.latent, features).act(
                     six, "right", np.random.default_rng(53))):
         with pytest.raises(ConfigError, match=f"{four.board_count}-board pitch"):
@@ -317,36 +306,31 @@ def test_board_features_refuse_a_second_pitch_size():
     assert features.table(four) is features.table(four)   # the first pitch still serves
 
 
-def gauntlet_fingerprint(gen, rng_seed, config=None):
+def gauntlet_fingerprint(gen, rng_seed):
     results = bot_gauntlet(gen, [Bot(kind) for kind in BOT_KINDS], games=40,
                            search=SearchConfig(generations=3, episodes_per_latent=3),
-                           rng=np.random.default_rng(rng_seed), base=config)
+                           rng=np.random.default_rng(rng_seed))
     return {kind: (row["score"].wins, row["score"].losses, row["score"].draws,
                    row["latent"].tobytes()) for kind, row in results.items()}
 
 
 def test_gauntlet_matches_the_uncached_sampler(monkeypatch):
-    # on the default pitch (a whole-pitch table) and on one above the bound
-    # (a fill per board)
-    configs = (None, MEMO_PITCH)
-    gens = [soccer_gen(35, config) for config in configs]
-    memoized = [gauntlet_fingerprint(gen, 36, config) for gen, config in zip(gens, configs)]
+    gen = soccer_gen(35)
+    memoized = gauntlet_fingerprint(gen, 36)
     monkeypatch.setattr(evaluation, "LatentPolicy", UncachedLatentPolicy)
-    assert [gauntlet_fingerprint(gen, 36, config)
-            for gen, config in zip(gens, configs)] == memoized
+    assert gauntlet_fingerprint(gen, 36) == memoized
 
 
 def test_round_robin_matches_the_uncached_sampler(monkeypatch):
-    def run(config):
-        series, info = round_robin_pair(soccer_gen(37, config), soccer_gen(38, config),
+    def run():
+        series, info = round_robin_pair(soccer_gen(37), soccer_gen(38),
                                         SearchConfig(generations=3, episodes_per_latent=3),
-                                        np.random.default_rng(39), games=40, config=config)
+                                        np.random.default_rng(39), games=40)
         return (series, info["latent_one"].tobytes(), info["latent_two"].tobytes())
 
-    configs = (None, MEMO_PITCH)
-    memoized = [run(config) for config in configs]
+    memoized = run()
     monkeypatch.setattr(evaluation, "LatentPolicy", UncachedLatentPolicy)
-    assert [run(config) for config in configs] == memoized
+    assert run() == memoized
 
 
 class ForwardCounts:
@@ -395,7 +379,7 @@ class ForwardCounts:
         assert list(self.terms.values()) == [1] * len(generators)
         for gen in generators:
             assert (id(gen), board.tobytes()) in self.terms
-            assert self.shared_features(gen)._rows == {}
+            assert self.shared_features(gen).board_count == len(board)
         # one whole-board affine fill per policy that acted, kept whole; a
         # panel member no game picked never acts. Rows are made only for the
         # boards a policy visited one game at a time; a lockstep series'
@@ -405,60 +389,49 @@ class ForwardCounts:
         assert all(p._table.shape == (len(board), 5) for p in acted)
         assert all(len(p._cdfs) < len(board) for p in acted)
 
-    def check_memo(self, generators):
-        # one one-row latent_terms pass per (generator, board), kept in the
-        # generator's shared rows, and one one-row affine fill per (policy, board)
-        for gen in generators:
-            rows = self.shared_features(gen)._rows
-            assert sum(n for (g, _), n in self.terms.items() if g == id(gen)) == len(rows)
-        assert max(self.terms.values()) == 1
-        assert self.fills == [1] * sum(len(p._cdfs) for p in self.policies)
-        assert len(self.terms) < len(self.fills)
+
+def check_gauntlet_features(monkeypatch, config=None):
+    counts = ForwardCounts(monkeypatch)
+    search = SearchConfig(generations=3, episodes_per_latent=4)
+    bots = [Bot(kind) for kind in BOT_KINDS]
+    gen = soccer_gen(40, config)
+    results = bot_gauntlet(gen, bots, games=30, search=search, rng=np.random.default_rng(41),
+                           base=config)
+    assert [row["score"].games for row in results.values()] == [30] * len(bots)
+    # one policy per scored candidate and one for each bot's series
+    assert len(counts.policies) == len(bots) * (search.generations + 1)
+    counts.check_table([gen], MarkovSoccer(config).board_observations())
 
 
 def test_gauntlet_computes_state_features_once_per_call(monkeypatch):
+    check_gauntlet_features(monkeypatch)
+
+
+def test_gauntlet_at_the_pitch_bound_computes_state_features_once_per_call(monkeypatch):
+    # the largest pitch: its scalar search games and lockstep series read
+    # one whole-pitch pass over 20,000 boards
+    check_gauntlet_features(monkeypatch, BOUND_PITCH)
+
+
+def check_round_robin_features(monkeypatch, config=None):
     counts = ForwardCounts(monkeypatch)
     search = SearchConfig(generations=3, episodes_per_latent=4)
-    bots = [Bot(kind) for kind in BOT_KINDS]
-    gen = soccer_gen(40)
-    bot_gauntlet(gen, bots, games=30, search=search, rng=np.random.default_rng(41))
-    # one policy per scored candidate and one for each bot's series
-    assert len(counts.policies) == len(bots) * (search.generations + 1)
-    counts.check_table([gen], MarkovSoccer().board_observations())
-
-
-def test_gauntlet_above_the_table_bound_fills_once_per_board(monkeypatch):
-    counts = ForwardCounts(monkeypatch)
-    assert MarkovSoccer(MEMO_PITCH).board_count > evaluation.TABLE_BOARDS
-    search = SearchConfig(generations=3, episodes_per_latent=4)
-    bots = [Bot(kind) for kind in BOT_KINDS]
-    gen = soccer_gen(40, MEMO_PITCH)
-    bot_gauntlet(gen, bots, games=30, search=search, rng=np.random.default_rng(41),
-                 base=MEMO_PITCH)
-    assert len(counts.policies) == len(bots) * (search.generations + 1)
-    counts.check_memo([gen])
-
-
-def test_round_robin_computes_state_features_once_per_call(monkeypatch):
-    counts = ForwardCounts(monkeypatch)
-    search = SearchConfig(generations=3, episodes_per_latent=4)
-    gen_one, gen_two = soccer_gen(42), soccer_gen(43)
-    round_robin_pair(gen_one, gen_two, search, np.random.default_rng(44), games=30,
-                     family_panel=8)
+    gen_one, gen_two = soccer_gen(42, config), soccer_gen(43, config)
+    series, _ = round_robin_pair(gen_one, gen_two, search, np.random.default_rng(44),
+                                 games=30, family_panel=8, config=config)
+    assert series.games == 30
     # the panel, one policy per scored candidate in each pass, the fixed
     # opponent and the series' own policy
     assert len(counts.policies) == 8 + 2 * search.generations + 2
-    counts.check_table([gen_one, gen_two], MarkovSoccer().board_observations())
+    counts.check_table([gen_one, gen_two], MarkovSoccer(config).board_observations())
 
 
-def test_round_robin_above_the_table_bound_fills_once_per_board(monkeypatch):
-    counts = ForwardCounts(monkeypatch)
-    search = SearchConfig(generations=3, episodes_per_latent=4)
-    gen_one, gen_two = soccer_gen(42, MEMO_PITCH), soccer_gen(43, MEMO_PITCH)
-    round_robin_pair(gen_one, gen_two, search, np.random.default_rng(44), games=30,
-                     family_panel=8, config=MEMO_PITCH)
-    assert len(counts.policies) == 8 + 2 * search.generations + 2
-    counts.check_memo([gen_one, gen_two])
+def test_round_robin_computes_state_features_once_per_call(monkeypatch):
+    check_round_robin_features(monkeypatch)
+
+
+def test_round_robin_at_the_pitch_bound_computes_state_features_once_per_call(monkeypatch):
+    check_round_robin_features(monkeypatch, BOUND_PITCH)
 
 
 def test_a_new_call_builds_a_new_feature_table(monkeypatch):
@@ -620,7 +593,7 @@ def test_the_lockstep_series_plays_the_scalar_games_in_distribution(pairing):
         env = MarkovSoccer()
         other = soccer_gen(65), sample_latent(np.random.default_rng(64))
         players = lambda: (LatentPolicy(gen, latent), LatentPolicy(*other))
-    assert env.board_count <= evaluation.TABLE_BOARDS   # play_series plays in lockstep
+    assert env.board_count <= 2 * MAX_CELLS ** 2   # a pitch within the bound
     scalar = evaluation.play_seeded_games(env, *players(), DISTRIBUTION_GAMES,
                                           np.random.default_rng(62))
     lockstep = play_series(env, *players(), DISTRIBUTION_GAMES, np.random.default_rng(63))

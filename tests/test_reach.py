@@ -61,7 +61,7 @@ hidden_dim = 4
 
 [env]
 max_episode_timesteps = 6
-{env_lines}"""
+"""
 
 
 def defined_functions() -> dict:
@@ -135,11 +135,10 @@ def run_every_verb(work: Path):
         if code != 0:
             raise SystemExit(f"policyspace {' '.join(map(str, argv))} exited {code}")
 
-    def train(name, env, method="adap", architecture="multiplicative", trainer="",
-              env_lines=""):
+    def train(name, env, method="adap", architecture="multiplicative", trainer=""):
         config = work / f"{name}.ini"
         config.write_text(TRAIN_INI.format(env=env, method=method, architecture=architecture,
-                                           trainer=trainer, env_lines=env_lines))
+                                           trainer=trainer))
         cli("train", config, "--run-dir", work / name)
         return work / name / "checkpoint.ckpt"
 
@@ -155,7 +154,6 @@ def run_every_verb(work: Path):
     os.environ["POLICYSPACE_RUNS"] = str(work / "runs")
     train_ini = work / "multigoal-multiplicative-vanilla.ini"
     cli("train", train_ini, "--epochs", "1", "--verbose")
-    large = train("large", "soccer", env_lines="rows = 11\ncols = 10\n")
 
     fast = ("--generations", "1", "--episodes-per-latent", "1")
     farm = checkpoints["farmworld-multiplicative-adap"]
@@ -164,8 +162,7 @@ def run_every_verb(work: Path):
     games = ("--games", "2", "--seeds", "1", *fast)
     cli("eval", "specialization", farm, "--episodes", "1", *games)
     cli("eval", "ablations", farm, *games)
-    for soccer in (checkpoints["soccer-multiplicative-adap"],
-                   checkpoints["soccer-concat-adap"], large):
+    for soccer in (checkpoints["soccer-multiplicative-adap"], checkpoints["soccer-concat-adap"]):
         cli("eval", "bots", soccer, *games, "--out", work / "bots.csv")
         cli("eval", "round_robin", soccer, soccer, *games, "--out", work / "rr.csv")
 

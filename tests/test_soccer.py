@@ -284,6 +284,25 @@ def test_config_rejects_a_bad_field(field, value):
         MarkovSoccer(config)
 
 
+@pytest.mark.parametrize("rows, cols, played", [
+    (11, 10, False), (10, 11, False), (51, 2, False), (10, 10, True), (50, 2, True)])
+def test_a_pitch_has_at_most_100_cells(rows, cols, played):
+    from policyspace.evaluation import RandomPolicy
+    config = SoccerConfig(rows=rows, cols=cols, start_left=(0, 0), start_right=(0, 1))
+    if played:
+        config.validate()
+        env = MarkovSoccer(config)
+        env.reset(0)
+        assert env.board_count == 2 * 100 ** 2
+        assert env.play(RandomPolicy(), RandomPolicy(), np.random.default_rng(0), 50) in \
+            (None, "left", "right", "draw")
+        return
+    with pytest.raises(ConfigError, match="at most 100"):
+        config.validate()
+    with pytest.raises(ConfigError, match="at most 100"):
+        MarkovSoccer(config)
+
+
 def test_config_accepts_every_legal_start_cell_and_numpy_integers():
     config = SoccerConfig()
     cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
