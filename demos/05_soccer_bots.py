@@ -9,7 +9,7 @@ import numpy as np
 
 from policyspace.envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config
 from policyspace.envs.soccer import BOT_KINDS
-from policyspace.evaluation import BotPolicy, RandomPolicy, play_game, play_series
+from policyspace.evaluation import RandomPolicy, play_game, play_series
 
 print("== the pitch ==")
 env = MarkovSoccer(SoccerConfig(initial_possession="left"))
@@ -44,7 +44,7 @@ rng = np.random.default_rng(1)
 for kind in BOT_KINDS:
     bot = Bot(kind)
     config = bot_match_config(bot)
-    series = play_series(MarkovSoccer(config), BotPolicy(bot), RandomPolicy(), 300, rng,
+    series = play_series(MarkovSoccer(config), bot, RandomPolicy(), 300, rng,
                          perspective="left")
     print(f"{kind:>12s} ({bot.role:>7s}) vs a random mover over 300 games: "
           f"{series.wins}W {series.losses}L {series.draws}D")

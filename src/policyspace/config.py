@@ -23,6 +23,7 @@ import configparser
 import dataclasses
 import datetime
 import functools
+import io
 import json
 import os
 import platform
@@ -149,16 +150,15 @@ def _coerce(section: str, key: str, raw: str, fields: dict):
                           f"{type_name(fields[key])}") from exc
 
 
-def load_config_file(path) -> dict:
-    """Parse an INI config file into {section: {key: typed value}}."""
+def parse_config(text: str, path) -> dict:
+    """Parse the text of the INI config file `path` into {section: {key: typed
+    value}}, reading its line ends as a text-mode file would."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
         sections = {section: parser.items(section) for section in parser.sections()}
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
     run = dict(sections.get("run", ()))
     out: dict = {}
     for section, items in sections.items():
@@ -244,12 +244,12 @@ def write_manifest(path, resolved: dict):
     return manifest
 
 
-def read_manifest(path) -> dict:
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
+def parse_manifest(text: str, path) -> dict:
+    """The manifest object in the text of `path`, with its required fields."""
+    try:
+        manifest = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest {path} is not a JSON object")
     for field in ("config", "seed", "env"):
@@ -281,7 +281,8 @@ def check_resolved(config) -> dict:
 
 
 def load_run_spec(path) -> dict:
-    """A run is specified by either an INI config or an existing manifest."""
+    """A run is specified by either an INI config or an existing manifest; the
+    file is read once."""
     with open_input(path) as fh:
         raw = fh.read()
     try:
@@ -289,5 +290,5 @@ def load_run_spec(path) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not text: {exc}") from exc
     if text.lstrip().startswith("{"):
-        return resolve_config(check_resolved(read_manifest(path)["config"]))
-    return resolve_config(load_config_file(path))
+        return resolve_config(check_resolved(parse_manifest(text, path)["config"]))
+    return resolve_config(parse_config(text, path))

@@ -498,6 +498,12 @@ class Bot:
     def action(self, env: MarkovSoccer, rng: np.random.Generator) -> int:
         return bot_action(self.kind, env, rng)
 
+    def act(self, env: MarkovSoccer, side: str, rng: np.random.Generator) -> int:
+        """A game loop player's move: `action`, which a bot plays on the left only."""
+        if side != "left":
+            raise ConfigError("scripted bots always play the left side")
+        return self.action(env, rng)
+
 
 def _toward(src: tuple, dst: tuple) -> int:
     """Deterministic approach: close the row gap first, then the column gap."""

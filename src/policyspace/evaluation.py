@@ -11,35 +11,13 @@ Games and episodes reuse their environment: the games of a bot's search
 and series, or of a round-robin pair, are played on the one `MarkovSoccer`
 built for them, and `play_episodes` resets the one environment of its call.
 
-A soccer series (`play_series`) is played in lockstep: all of its games at
-once, as an array of boards, by `MarkovSoccer.play_lockstep`, one
-tick-table lookup per live game and tick. Its stream is one child
-generator, seeded by a single draw from the `rng` passed in (the only draw
-the series takes from it), from which come the possession coins at kick-off
-and then, each tick, over the live games in game order, the left actions,
-the right actions, and the draw and move-order coins. A `LatentPolicy`
-draws all of its live games' actions at once from its whole-pitch table, a
-`RandomPolicy` in one `integers` call, and any other player (a `BotPolicy`)
-is asked once per live game, with the environment showing that game's
-board. A search's batches of a few games stay scalar (`play_seeded_games`):
-each game is `MarkovSoccer.reset_pair` with a seed drawn from `rng` and one
-`MarkovSoccer.play`, the game loop inside the environment, which reads the
-same tick table, with no observation, reward or done dict per tick, because
-the soccer policies read the board (`board_index`, `pos`) themselves. The
-pitch draws its uniforms from its own generator in blocks (see
-`envs.soccer`), so such a game's result depends only on its seed and the
-policies' actions; the policies draw from the `rng` passed in.
-
-A soccer policy fills its action distributions from terms kept per
-generator and call (`BoardFeatures`). With the multiplicative architecture
-the logit head is an identity layer after the latent mix, so the logits are
-affine in the latent: head(h0 + sum_i z_i o_i) = head(h0) + sum_i z_i (o_i @
-W.T). The base and the k parts are computed once, and a fill is their sum
-under the latent and a softmax over (boards, actions). The affine sum rounds
-differently from the head pass, so its probabilities agree with `probs_np`
-up to the last bits, and a sampled action can differ only when a uniform
-falls between two adjacent doubles. A `concat` generator's fill is
-`probs_np` of the kept observation rows.
+A soccer player is anything with an `act(env, side, rng)` method: a
+`LatentPolicy`, a `RandomPolicy`, or a scripted `Bot`, which plays the left
+side. A search's batches of a few games are played one by one
+(`play_seeded_games`), each a `MarkovSoccer.reset_pair` with its own seed and
+one `MarkovSoccer.play`; a scored series is played in lockstep
+(`play_series`). The pitch draws its uniforms from its own generator,
+seeded by the game's seed (see `envs.soccer`), and the players from another.
 """
 
 from __future__ import annotations
@@ -82,8 +60,8 @@ def specialization(record: dict) -> float:
 
 
 class BoardFeatures:
-    """One generator's latent-free forward on the boards of one pitch: `table`
-    is every board's at once, computed at its first use. The policies of one
+    """One generator's latent-free forward on the boards of one pitch: every
+    board's at once, computed at the first `probs`. The policies of one
     search share one; the gauntlet and round-robin functions keep one per
     generator for the length of one call. The first use fixes the pitch's
     `board_count`, and a later environment with another count is refused:
@@ -103,11 +81,11 @@ class BoardFeatures:
         self.board_count = None
         self._table = None
 
-    def table(self, env: MarkovSoccer) -> tuple:
-        """(observations, terms) of every board of `env`'s pitch: the terms
-        where the logits are affine in the latent, else the observations. The
-        terms are kept in column-major order, so that a fill's sums and
-        reductions over each board's few actions run along contiguous columns."""
+    def probs(self, env: MarkovSoccer, latent: np.ndarray) -> np.ndarray:
+        """The action distributions under `latent` of every board of `env`'s
+        pitch. The first call computes what is kept; terms are kept in
+        column-major order, so that a fill's sums and reductions over each
+        board's few actions run along contiguous columns."""
         if env.board_count != self.board_count:
             if self.board_count is not None:
                 raise ConfigError(f"board features of a {self.board_count}-board pitch "
@@ -122,12 +100,7 @@ class BoardFeatures:
                 base, parts = terms
                 self._table = None, (np.asfortranarray(base),
                                      [np.asfortranarray(part) for part in parts])
-        return self._table
-
-    def probs(self, entry: tuple, latent: np.ndarray) -> np.ndarray:
-        """The action distributions under `latent` of every board of `entry`,
-        a `table`."""
-        obs, terms = entry
+        obs, terms = self._table
         if terms is None:
             return self.gen.probs_np(obs, latent[None])
         base, parts = terms
@@ -143,9 +116,9 @@ class LatentPolicy:
     A soccer observation is a function of `MarkovSoccer.board_index`, so the
     policy keeps each board's action distribution, as a row of its cumulative
     sums (a list), for its own lifetime; a row is made on its board's first
-    visit. The first act fills every board at once (`features.probs` of
-    `features.table`, 800 boards on the 4x5 pitch) and keeps their cumulative
-    sums as one array, which later rows are read from: a 10-game search
+    visit. The first act fills every board at once (`features.probs`, 800
+    boards on the 4x5 pitch) and keeps their cumulative sums as one array,
+    which later rows are read from: a 10-game search
     policy visits only some of the boards. A lockstep series reads that
     array directly (`act_boards`) and makes no rows. A fill is the affine
     sum of the latent's terms (see `BoardFeatures`), or `probs_np` for
@@ -189,21 +162,11 @@ class LatentPolicy:
     def _cumulative(self, env: MarkovSoccer) -> np.ndarray:
         """Every board's cumulative sums, filled at the first call."""
         if self._table is None:
-            probs = self.features.probs(self.features.table(env), self.latent)
+            probs = self.features.probs(env, self.latent)
             for action in range(1, probs.shape[1]):   # np.cumsum(probs, axis=1), in place
                 probs[:, action] += probs[:, action - 1]
             self._table = probs
         return self._table
-
-
-class BotPolicy:
-    def __init__(self, bot: Bot):
-        self.bot = bot
-
-    def act(self, env: MarkovSoccer, side: str, rng: np.random.Generator) -> int:
-        if side != "left":
-            raise ConfigError("scripted bots always play the left side")
-        return self.bot.action(env, rng)
 
 
 class RandomPolicy:
@@ -285,41 +248,33 @@ def play_series(env: MarkovSoccer, left, right, games: int,
 # -- bot gauntlet ---------------------------------------------------------------
 
 
-def select_latent_vs_bot(gen: PolicyGenerator, bot: Bot, env: MarkovSoccer,
-                         search: SearchConfig, rng: np.random.Generator,
-                         features: BoardFeatures) -> tuple[np.ndarray, float]:
-    """Latent-search the family for its best answer to one scripted bot on
-    `env`, built from `bot_match_config`; `features` is the generator's
-    state features (see `BoardFeatures`)."""
-    bot_policy = BotPolicy(bot)
-
-    def score(z: np.ndarray) -> float:
-        return play_seeded_games(env, bot_policy, LatentPolicy(gen, z, features),
-                                 search.episodes_per_latent, rng).mean
-
-    result = optimize_latents(score, rng, search, latent_dim=gen.latent_dim)
-    return result.best_latent, result.best_score
-
-
-def bot_gauntlet(gen: PolicyGenerator, bots: list[Bot], games: int = 1000,
-                 search: SearchConfig | None = None,
-                 rng: np.random.Generator | None = None,
-                 base: SoccerConfig | None = None) -> dict:
-    """Per-bot wins-losses of the searched family member over `games` games,
-    each bot's search and series on one environment built from `base`."""
-    rng = rng or np.random.default_rng(0)
-    search = search or SearchConfig(generations=10, episodes_per_latent=10)
-    results, features = {}, BoardFeatures(gen)   # one for the whole call
+def bot_gauntlet(gen: PolicyGenerator, bots: list[Bot], games: int, search: SearchConfig,
+                 rng: np.random.Generator, base: SoccerConfig | None = None) -> dict:
+    """Per-bot wins-losses over `games` games of the family member that a
+    latent search picks against the bot. Each bot's search and series are
+    played on one environment built from `bot_match_config` and `base`, and
+    every policy of the call shares one `BoardFeatures`."""
+    results, features = {}, BoardFeatures(gen)
     for bot in bots:
         env = MarkovSoccer(bot_match_config(bot, base))
-        latent, _ = select_latent_vs_bot(gen, bot, env, search, rng, features)
-        series = play_series(env, BotPolicy(bot), LatentPolicy(gen, latent, features),
-                             games, rng)
+
+        def score(z: np.ndarray) -> float:
+            return play_seeded_games(env, bot, LatentPolicy(gen, z, features),
+                                     search.episodes_per_latent, rng).mean
+
+        latent = optimize_latents(score, rng, search, latent_dim=gen.latent_dim).best_latent
+        series = play_series(env, bot, LatentPolicy(gen, latent, features), games, rng)
         results[bot.kind] = {"score": series, "latent": latent}
     return results
 
 
 # -- round robin -------------------------------------------------------------------
+
+
+def players_rng(seed: int) -> np.random.Generator:
+    """The players' generator of a game reset with `seed`: a child of
+    `SeedSequence(seed)`, independent of the pitch's `default_rng(seed)`."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
@@ -331,8 +286,8 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
     gen_one plays left. Pass 1 selects gen_two's latent against a fixed
     panel of gen_one's family; pass 2 selects gen_one's best response to
     that fixed opponent. Within a pass every candidate plays the same games:
-    each has its own seed s and draws from its own `default_rng(s)`. Every
-    game is played on one environment built from `config`.
+    each has its own seed s, and its players draw from `players_rng(s)`.
+    Every game is played on one environment built from `config`.
     """
     env = MarkovSoccer(config)
     panel = sample_latents(rng, family_panel, gen_one.latent_dim)
@@ -343,7 +298,7 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
 
     def score_two(z: np.ndarray) -> float:
         policy = LatentPolicy(gen_two, z, features_two)
-        return play_games(env, ((panel_policies[k], policy, s, np.random.default_rng(s))
+        return play_games(env, ((panel_policies[k], policy, s, players_rng(s))
                                 for k, s in zip(panel_order, panel_seeds)), "right").mean
 
     pass_one = optimize_latents(score_two, rng, search, latent_dim=gen_two.latent_dim)
@@ -354,7 +309,7 @@ def round_robin_pair(gen_one: PolicyGenerator, gen_two: PolicyGenerator,
 
     def score_one(z: np.ndarray) -> float:
         policy = LatentPolicy(gen_one, z, features_one)
-        return play_games(env, ((policy, fixed_opponent, s, np.random.default_rng(s))
+        return play_games(env, ((policy, fixed_opponent, s, players_rng(s))
                                 for s in reply_seeds), "left").mean
 
     pass_two = optimize_latents(score_one, rng, search, latent_dim=gen_one.latent_dim)

@@ -4,8 +4,9 @@ A generation-based stochastic search: the first three quarters of the
 generations explore (fresh uniform latents or mutations of a top-10
 member, 50/50), the rest exploit (re-score a top-10 member into its
 running mean, or prune the weakest of the top 10 and re-score it from
-scratch, 50/50). Every generation evaluates exactly one candidate by its
-mean return over a fixed number of episodes, so the episode budget is
+scratch, 50/50); these settings are the module constants below. Every
+generation evaluates exactly one candidate by its mean return over a fixed
+number of episodes, so the episode budget is
 generations * episodes_per_latent. Scoring never touches the generator's
 parameters.
 """
@@ -17,14 +18,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs.base import at_least, between, check_ranges, check_types
+from .envs.base import at_least, check_ranges, check_types
 from .generator import sample_latent
 from .training import RolloutState, Trajectory
 
 TRACE_ACTIONS = ("sample", "mutate", "replicate", "prune")
 
+TOP_K = 10                 # the top list that "mutate", "replicate" and "prune" draw from
+EXPLORE_FRACTION = 0.75    # the share of generations that explore
+MUTATION_SCALE = 0.1       # "mutate"'s per-coordinate step
+MAX_BEST = 100             # candidates kept, best first
 
-def mutate(z: np.ndarray, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:
+
+def mutate(z: np.ndarray, rng: np.random.Generator,
+           scale: float = MUTATION_SCALE) -> np.ndarray:
     """Perturb each coordinate by Unif[-scale, scale], renormalized to the sphere."""
     while True:
         moved = z + rng.uniform(-scale, scale, size=z.shape)
@@ -34,21 +41,13 @@ def mutate(z: np.ndarray, rng: np.random.Generator, scale: float = 0.1) -> np.nd
 
 
 # SearchConfig field -> its legal range
-SEARCH_RANGES = {
-    "generations": at_least(1), "episodes_per_latent": at_least(1), "top_k": at_least(1),
-    "explore_fraction": between(0.0, 1.0), "mutation_scale": at_least(0.0),
-    "max_best": at_least(1),
-}
+SEARCH_RANGES = {"generations": at_least(1), "episodes_per_latent": at_least(1)}
 
 
 @dataclass
 class SearchConfig:
     generations: int = 100
     episodes_per_latent: int = 1
-    top_k: int = 10
-    explore_fraction: float = 0.75
-    mutation_scale: float = 0.1
-    max_best: int = 100
 
     def validate(self):
         check_types(self)
@@ -85,22 +84,22 @@ def optimize_latents(score_fn, rng: np.random.Generator,
 
     def resort():
         best.sort(key=lambda c: (-c.score, c.order))
-        del best[cfg.max_best:]
+        del best[MAX_BEST:]
 
     def top_index() -> int:
-        return int(rng.integers(min(cfg.top_k, len(best))))
+        return int(rng.integers(min(TOP_K, len(best))))
 
     for generation in range(1, cfg.generations + 1):
         r = rng.random()
-        exploring = (generation <= cfg.explore_fraction * cfg.generations
-                     or len(best) <= cfg.top_k)
+        exploring = (generation <= EXPLORE_FRACTION * cfg.generations
+                     or len(best) <= TOP_K)
         if exploring:
-            if r <= 0.5 or len(best) <= cfg.top_k:
+            if r <= 0.5 or len(best) <= TOP_K:
                 action = "sample"
                 z = sample_latent(rng, latent_dim)
             else:
                 action = "mutate"
-                z = mutate(best[top_index()].latent, rng, cfg.mutation_scale)
+                z = mutate(best[top_index()].latent, rng)
             score = float(score_fn(z))
             best.append(Candidate(z, score, 1, order))
             order += 1
@@ -113,7 +112,7 @@ def optimize_latents(score_fn, rng: np.random.Generator,
             member.evals += 1
         else:
             action = "prune"
-            stale = best.pop(min(cfg.top_k, len(best)) - 1)
+            stale = best.pop(min(TOP_K, len(best)) - 1)
             z = stale.latent
             score = float(score_fn(z))
             best.append(Candidate(z, score, 1, order))

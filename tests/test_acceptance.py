@@ -21,7 +21,7 @@ from policyspace.checkpoint import load_checkpoint, save_checkpoint
 from policyspace.diversity import DiversityConfig, estimate_for_generator
 from policyspace.envs import Bot, MarkovSoccer, MultiGoal, MultiGoalConfig, SoccerConfig
 from policyspace.envs.farmworld import Farmworld, FarmworldConfig, build_ablation
-from policyspace.evaluation import (BotPolicy, LatentPolicy, ablation_sweep,
+from policyspace.evaluation import (LatentPolicy, ablation_sweep,
                                     bot_gauntlet, play_series, round_robin_matrix,
                                     specialization)
 from policyspace.generator import PolicyGenerator, sample_latent, sample_latents
@@ -270,7 +270,7 @@ def test_criterion_6_soccer_vs_naive_bots():
             t0 = time.perf_counter()
             total = 0.0
             for _ in range(10):
-                result = play_game(MarkovSoccer(config), BotPolicy(bot), LatentPolicy(gen, z),
+                result = play_game(MarkovSoccer(config), bot, LatentPolicy(gen, z),
                                    int(rng.integers(2 ** 62)), rng)
                 total += 1.0 if result == "right" else (-1.0 if result == "left" else 0.0)
             env_cost[0] += time.perf_counter() - t0
@@ -281,7 +281,7 @@ def test_criterion_6_soccer_vs_naive_bots():
                                   SearchConfig(generations=10, episodes_per_latent=10),
                                   latent_dim=gen.latent_dim)
         search_overhead += (time.perf_counter() - t0) - env_cost[0]
-        series = play_series(MarkovSoccer(config), BotPolicy(bot), LatentPolicy(gen, search.best_latent),
+        series = play_series(MarkovSoccer(config), bot, LatentPolicy(gen, search.best_latent),
                              1000, rng, perspective="right")
         results[kind] = series
 

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import platform
@@ -8,7 +9,8 @@ import pytest
 from helpers import random_episode, rewrite_checkpoint_header
 from policyspace.checkpoint import save_checkpoint
 from policyspace.cli import build_parser, main
-from policyspace.config import SCHEMA, load_config_file, resolve_config, write_manifest
+from policyspace.config import (SCHEMA, load_run_spec, parse_config, resolve_config,
+                                write_manifest)
 from policyspace.envs import ENVIRONMENTS, MarkovSoccer, MultiGoal, MultiGoalConfig, make_env
 from policyspace.envs.base import field_types
 from policyspace.errors import ConfigError
@@ -62,7 +64,7 @@ def read_metrics(run_dir):
 def test_vanilla_method_zeroes_the_diversity_coefficient(tmp_path):
     path = write_config(tmp_path, TINY_MULTIGOAL.replace("method = adap",
                                                          "method = vanilla"))
-    resolved = resolve_config(load_config_file(path))
+    resolved = load_run_spec(path)
     assert resolved["diversity"]["coef"] == 0.0
 
 
@@ -91,19 +93,39 @@ def test_env_default_tables():
 def test_missing_env_field_is_named(tmp_path):
     path = write_config(tmp_path, "[run]\nmethod = adap\n")
     with pytest.raises(ConfigError, match="env"):
-        resolve_config(load_config_file(path))
+        load_run_spec(path)
 
 
 def test_unknown_field_is_named(tmp_path):
     path = write_config(tmp_path, "[run]\nenv = multigoal\nwarp_speed = 9\n")
     with pytest.raises(ConfigError, match="warp_speed"):
-        resolve_config(load_config_file(path))
+        load_run_spec(path)
 
 
 def test_bad_type_is_reported(tmp_path):
     path = write_config(tmp_path, "[run]\nenv = multigoal\nseed = lots\n")
     with pytest.raises(ConfigError, match="seed"):
-        load_config_file(path)
+        parse_config(path.read_text(), path)
+
+
+def test_a_run_spec_is_opened_once_and_read_with_any_line_ends(tmp_path, monkeypatch):
+    ini = write_config(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, load_run_spec(ini))
+    for ends in ("\r\n", "\r"):
+        other = write_config(tmp_path, TINY_MULTIGOAL.replace("\n", ends), f"ends{len(ends)}.ini")
+        assert load_run_spec(other) == load_run_spec(ini)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for path in (ini, manifest):
+        load_run_spec(path)
+    assert opened == [str(ini), str(manifest)]
 
 
 def test_manifest_contains_resolved_simulator_numerics(tmp_path):
@@ -366,12 +388,12 @@ def test_ini_start_cell_trains_from_that_cell(tmp_path):
 
 def test_ini_farmworld_region_parses_as_a_tuple(tmp_path):
     path = write_config(tmp_path, TINY_FARMWORLD.replace("[env]", "[env]\nagent_region = 0,0,3,3"))
-    assert load_config_file(path)["env"]["agent_region"] == (0, 0, 3, 3)
-    assert resolve_config(load_config_file(path))["env"]["agent_region"] == [0, 0, 3, 3]
+    assert parse_config(path.read_text(), path)["env"]["agent_region"] == (0, 0, 3, 3)
+    assert load_run_spec(path)["env"]["agent_region"] == [0, 0, 3, 3]
 
 
 def test_train_rejects_an_off_pitch_start_cell_in_a_manifest_with_exit_2(tmp_path, capsys):
-    resolved = resolve_config(load_config_file(write_config(tmp_path, TINY_SOCCER)))
+    resolved = load_run_spec(write_config(tmp_path, TINY_SOCCER))
     resolved["env"]["start_left"] = [9, 9]
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"config": resolved, "seed": 3, "env": "soccer"}))
@@ -421,7 +443,7 @@ MANIFEST_FAULTS["vanilla with a NaN coef"] = (vanilla_with_a_nan_coef, "coef")
 
 @pytest.mark.parametrize("edit, field", MANIFEST_FAULTS.values(), ids=MANIFEST_FAULTS.keys())
 def test_train_rejects_malformed_manifest_with_exit_2(tmp_path, capsys, edit, field):
-    resolved = resolve_config(load_config_file(write_config(tmp_path)))
+    resolved = load_run_spec(write_config(tmp_path))
     edit(resolved)
     manifest = tmp_path / "manifest.json"
     write_manifest(manifest, resolved)
@@ -454,7 +476,7 @@ def test_an_integer_for_a_float_env_field_runs_the_float_game(tmp_path):
                                                  ("diversity", "smoothing", 0)])
 def test_an_integer_for_a_float_field_in_a_manifest_runs_as_a_float(tmp_path, section, key,
                                                                     value):
-    resolved = resolve_config(load_config_file(write_config(tmp_path)))
+    resolved = load_run_spec(write_config(tmp_path))
     runs = []
     for spelling in (value, float(value)):
         resolved[section][key] = spelling

@@ -1,5 +1,7 @@
+import copy
 import csv
 from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import policyspace.evaluation as evaluation
 from policyspace.autodiff import softmax_np
 from policyspace.envs import Bot, MarkovSoccer, SoccerConfig, bot_match_config
 from policyspace.envs.soccer import BOT_KINDS, MAX_CELLS
-from policyspace.evaluation import (BotPolicy, LatentPolicy, MatchScore,
+from policyspace.evaluation import (LatentPolicy, MatchScore,
                                     RandomPolicy, ablation_sweep, bot_gauntlet,
                                     evaluate_final_health, play_game,
                                     play_series,
@@ -109,7 +111,7 @@ def test_scripted_blocker_beats_the_straight_bot():
     bot = Bot("straight")
     config = bot_match_config(bot)
     rng = np.random.default_rng(3)
-    score = play_series(MarkovSoccer(config), BotPolicy(bot), StraightCounter(), 200, rng)
+    score = play_series(MarkovSoccer(config), bot, StraightCounter(), 200, rng)
     assert score.score > 0
 
 
@@ -117,7 +119,7 @@ def test_the_straight_bot_scores_on_a_six_row_pitch():
     # it starts on the top goal row, row 2, so running right scores
     bot = Bot("straight")
     env = MarkovSoccer(bot_match_config(bot, SoccerConfig(rows=6, draw_prob=0.0)))
-    score = play_series(env, BotPolicy(bot), RandomPolicy(), 100, np.random.default_rng(8),
+    score = play_series(env, bot, RandomPolicy(), 100, np.random.default_rng(8),
                         perspective="left")
     assert score.wins > 50
 
@@ -132,12 +134,53 @@ def test_play_game_plays_on_the_slot_step(monkeypatch):
     assert results <= {"left", "right", "draw"} and len(results) == 3
 
 
-def test_bot_policy_refuses_the_right_side():
+def test_a_bot_refuses_the_right_side():
     env = MarkovSoccer(SoccerConfig())
     env.reset(0)
     from policyspace.errors import ConfigError
     with pytest.raises(ConfigError):
-        BotPolicy(Bot("straight")).act(env, "right", np.random.default_rng(0))
+        Bot("straight").act(env, "right", np.random.default_rng(0))
+
+
+@dataclass(frozen=True)
+class AskedBot(Bot):
+    """A bot that records the tick and the board (right-side number) of each
+    move it is asked for by overriding `action`, as the `eval-bots`
+    benchmark's bot counts its agent steps."""
+
+    asked: list = field(default_factory=list, compare=False)
+
+    def action(self, env, rng):
+        self.asked.append((env.tick, env.board_index("right")))
+        return super().action(env, rng)
+
+
+class LiveBoards(RandomPolicy):
+    """A lockstep right-side player that records each tick's live boards."""
+
+    def __init__(self):
+        self.live = []
+
+    def act_boards(self, env, side, boards, rng):
+        self.live.append((env.tick, boards.tolist()))
+        return super().act_boards(env, side, boards, rng)
+
+
+@pytest.mark.parametrize("kind", BOT_KINDS)
+def test_a_bot_is_asked_once_per_game_and_tick(kind):
+    env = MarkovSoccer(bot_match_config(Bot(kind)))
+    rng = np.random.default_rng(69)
+    for seed in range(20):   # one game: a move on each of its ticks
+        bot = AskedBot(kind)
+        play_game(env, bot, RandomPolicy(), seed, rng)
+        assert [tick for tick, _ in bot.asked] == list(range(env.tick))
+    # a lockstep series: on each tick, one move per live game's board, so
+    # as many moves in all as the games' lengths add up to
+    bot, right = AskedBot(kind), LiveBoards()
+    assert play_series(env, bot, right, 50, rng).games == 50
+    assert len(right.live[0][1]) == 50
+    assert sorted(bot.asked) == sorted((tick, board) for tick, boards in right.live
+                                       for board in boards)
 
 
 def test_latent_policy_plays_deterministic_weights():
@@ -255,7 +298,7 @@ def test_the_affine_fill_is_the_head_pass_within_a_bound(rows, cols, hidden, act
     for _ in range(3):
         z = sample_latent(rng)
         head_pass = gen.probs_np(obs, z[None])
-        affine = features.probs(features.table(env), z)
+        affine = features.probs(env, z)
         assert affine.shape == head_pass.shape
         assert np.abs(affine - head_pass).max() <= AFFINE_BOUND
         assert np.allclose(affine.sum(axis=1), 1.0, rtol=0.0, atol=AFFINE_BOUND)
@@ -284,7 +327,7 @@ def test_concat_policies_fill_by_the_head_pass():
     z = sample_latent(np.random.default_rng(5))
     features = evaluation.BoardFeatures(gen)
     obs = env.board_observations()
-    assert features.probs(features.table(env), z).tobytes() == \
+    assert features.probs(env, z).tobytes() == \
         gen.probs_np(obs, z[None]).tobytes()
 
 
@@ -298,12 +341,14 @@ def test_board_features_refuse_a_second_pitch_size():
     policy = LatentPolicy(gen, sample_latent(np.random.default_rng(51)), features)
     policy.act(four, "right", np.random.default_rng(52))
     assert features.board_count == four.board_count
-    for use in (lambda: features.table(six),
+    for use in (lambda: features.probs(six, policy.latent),
                 lambda: LatentPolicy(gen, policy.latent, features).act(
                     six, "right", np.random.default_rng(53))):
         with pytest.raises(ConfigError, match=f"{four.board_count}-board pitch"):
             use()
-    assert features.table(four) is features.table(four)   # the first pitch still serves
+    # the first pitch still serves
+    assert features.probs(four, policy.latent).tobytes() == \
+        evaluation.BoardFeatures(gen).probs(four, policy.latent).tobytes()
 
 
 def gauntlet_fingerprint(gen, rng_seed):
@@ -355,8 +400,8 @@ class ForwardCounts:
             self.terms[id(gen), obs.tobytes()] += 1
             return latent_terms(gen, obs)
 
-        def counting_fills(board_features, entry, latent):
-            probs = fill(board_features, entry, latent)
+        def counting_fills(board_features, env, latent):
+            probs = fill(board_features, env, latent)
             self.fills.append(len(probs))
             return probs
 
@@ -543,12 +588,32 @@ def test_gauntlet_results_are_pinned(architecture, activation):
 
 
 def test_round_robin_result_is_pinned():
+    # recorded with each search game's players drawing from `players_rng(s)`
     series, info = round_robin_pair(golden_gen(52), golden_gen(53, "concat", "relu"),
                                     SearchConfig(generations=3, episodes_per_latent=3),
                                     np.random.default_rng(54), games=40)
-    assert (series.wins, series.losses, series.draws) == (6, 4, 30)
+    assert (series.wins, series.losses, series.draws) == (4, 5, 31)
     assert info["latent_one"].tobytes().hex() == "bcf5f972ec7ecdbf215b9570cacbee3f5a25c812ee6dc23f"
-    assert info["latent_two"].tobytes().hex() == "e619b0289457c73f69e90a0854d4883f0c578dc30576ef3f"
+    assert info["latent_two"].tobytes().hex() == "6f220bd51732e13f1034f10f1c08ca3f3ce63864d530eabf"
+
+
+def test_round_robin_players_draw_apart_from_the_pitch(monkeypatch):
+    # a search game's pitch draws its coins from `default_rng(s)`; its players
+    # must draw other numbers, and the same ones for every candidate of a
+    # pass that plays game s
+    draws = {}
+    play_game = evaluation.play_game
+
+    def recording(env, left, right, seed, rng):
+        players = copy.deepcopy(rng).random(64)
+        assert np.intersect1d(players, np.random.default_rng(seed).random(64)).size == 0
+        assert np.array_equal(draws.setdefault(seed, players), players)
+        return play_game(env, left, right, seed, rng)
+
+    monkeypatch.setattr(evaluation, "play_game", recording)
+    search = SearchConfig(generations=3, episodes_per_latent=4)
+    round_robin_pair(soccer_gen(66), soccer_gen(67), search, np.random.default_rng(68), games=5)
+    assert len(draws) == 2 * search.episodes_per_latent   # each pass's games
 
 
 # -- the lockstep series against the scalar games ------------------------------------
@@ -585,7 +650,7 @@ def test_the_lockstep_series_plays_the_scalar_games_in_distribution(pairing):
     if pairing in BOT_KINDS:
         bot = Bot(pairing)
         env = MarkovSoccer(bot_match_config(bot))
-        players = lambda: (BotPolicy(bot), LatentPolicy(gen, latent))
+        players = lambda: (bot, LatentPolicy(gen, latent))
     elif pairing == "random-vs-random":
         env = MarkovSoccer()
         players = lambda: (RandomPolicy(), RandomPolicy())

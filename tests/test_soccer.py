@@ -390,14 +390,14 @@ def test_the_tick_table_plays_the_rules(rows, cols):
 def test_the_tick_table_is_built_once_per_pitch_size():
     # a pure function of rows and cols: environments of one pitch size, of
     # any other config, and every series on them share one table
-    from policyspace.evaluation import BotPolicy, RandomPolicy, play_series
+    from policyspace.evaluation import RandomPolicy, play_series
     tick_table.cache_clear()
     rng = np.random.default_rng(0)
     for cfg in ({}, {"draw_prob": 0.1}, {"rows": 6}, {"rows": 6, "max_episode_timesteps": 9}):
         for kind in ("straight", "random"):
             env = MarkovSoccer(bot_match_config(Bot(kind), SoccerConfig(**cfg)))
-            play_series(env, BotPolicy(Bot(kind)), RandomPolicy(), 20, rng)
-            play_series(env, BotPolicy(Bot(kind)), RandomPolicy(), 20, rng)
+            play_series(env, Bot(kind), RandomPolicy(), 20, rng)
+            play_series(env, Bot(kind), RandomPolicy(), 20, rng)
     assert tick_table.cache_info().misses == 2
     assert tick_table(4, 5) is tick_table(4, 5)
 
