@@ -34,10 +34,19 @@ def runs_root() -> str:
     return os.environ.get("POLICYSPACE_RUNS", "runs")
 
 
+def check_flags(args, low: int, *flags):
+    """Refuse a count or seed flag below `low` before any file is touched."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < low:
+            raise ConfigError(f"--{flag} must be at least {low}, got {value}")
+
+
 # -- train ----------------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
+    check_flags(args, 0, "epochs")
     resolved = load_run_spec(args.config)
     if args.epochs is not None:
         resolved["run"]["epochs"] = args.epochs
@@ -98,6 +107,7 @@ def check_output_file(path: str):
 
 
 def cmd_adapt(args) -> int:
+    check_flags(args, 0, "seed")
     if args.trace_out:
         check_output_file(args.trace_out)
     loaded = load_checkpoint(args.checkpoint)
@@ -186,9 +196,8 @@ def _round_robin(checkpoints, search, args) -> list[dict]:
 
 
 def cmd_eval(args) -> int:
-    for flag in ("games", "seeds", "episodes"):
-        if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag} must be positive, got {getattr(args, flag)}")
+    check_flags(args, 1, "games", "seeds", "episodes")
+    check_flags(args, 0, "seed")
     out_path = args.out or f"results_{args.protocol}.csv"
     check_output_file(out_path)
     checkpoints = [(path, load_checkpoint(path)) for path in args.checkpoints]

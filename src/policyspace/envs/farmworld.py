@@ -12,10 +12,13 @@ resource kind it gains health from; harvesting the other kind afterwards
 yields nothing and is counted as a blunder. The locked state is never part
 of any observation.
 
-Observations cover the 13 cells within L1 distance 2 in a fixed scan order.
-Each cell contributes (type, health, orientation, haystack-flag), all scaled
-to [0, 1]; off-map cells read as a border type. The agent's own normalized
-health is appended.
+The unit arrays (positions, health, hits, attacks and mines left,
+orientations) are the whole state of the units; an occupancy grid records the
+kind and the index of the unit on each cell. Observations cover the 13 cells
+within L1 distance 2 in a fixed scan order. Each cell contributes (type,
+health, orientation, haystack-flag), all scaled to [0, 1] and computed from
+the units when the observation is made; off-map cells read as a border type.
+The agent's own normalized health is appended.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ GROUND, AGENT, CHICKEN, TOWER, FENCE = 0, 1, 2, 3, 4
 KIND_SCALE = 1.0 / 5.0
 # the channels of a cell's features: what an observation reads of each cell
 KIND, HEALTH, ORIENT, HAY = range(4)
-BORDER_FEATURES = np.array([1.0, 0.0, 0.0, 0.0])
+FENCE_FEATURES = (FENCE * KIND_SCALE, 1.0, 0.0, 0.0)
+BORDER_FEATURES = (1.0, 0.0, 0.0, 0.0)
 
 # actions: up, down, right, left, attack, mine
 ACTION_NAMES = ("up", "down", "right", "left", "attack", "mine")
@@ -216,12 +220,12 @@ class Farmworld(Environment):
     # -- grid bookkeeping ---------------------------------------------------
 
     def _clear_cell(self, r: int, c: int):
-        self.kind_grid[r, c] = GROUND
-        self.features[r, c] = 0.0
+        self._set_cell(r, c, GROUND)
 
-    def _set_cell(self, r: int, c: int, kind: int, health: float, orient: int, hay: bool):
+    def _set_cell(self, r: int, c: int, kind: int, index: int = 0):
+        """Record unit `index` of `kind` on (r, c); ground and fences have index 0."""
         self.kind_grid[r, c] = kind
-        self.features[r, c] = (kind * KIND_SCALE, health, orient / 3.0, 1.0 if hay else 0.0)
+        self.unit_grid[r, c] = index
 
     def _free(self, r: int, c: int) -> bool:
         return self.kind_grid[r, c] == GROUND
@@ -241,7 +245,7 @@ class Farmworld(Environment):
         cfg = self.config
         h, w = cfg.height, cfg.width
         self.kind_grid = np.zeros((h, w), dtype=np.int8)
-        self.features = np.zeros((h, w, 4))     # each cell's (KIND, HEALTH, ORIENT, HAY)
+        self.unit_grid = np.zeros((h, w), dtype=np.int64)   # the index of its unit
 
         n = cfg.num_agents
         self.agent_pos = np.zeros((n, 2), dtype=np.int64)
@@ -267,7 +271,7 @@ class Farmworld(Environment):
         self.tower_timer = np.zeros(cfg.num_towers, dtype=np.int64)
 
         for r, c in cfg.fence_cells:
-            self._set_cell(r, c, FENCE, 1.0, 0, False)
+            self._set_cell(r, c, FENCE)
 
         # a map places each unit on its own cell; otherwise cells are drawn in its region
         layout = cfg.layout
@@ -282,24 +286,20 @@ class Farmworld(Environment):
                     raise ConfigError(f"could not place {kind}; grid too crowded")
                 place(i, *cell)
         for r, c in layout["fences"] if layout is not None else ():
-            if self.kind_grid[r, c] != FENCE:
-                self._set_cell(r, c, FENCE, 1.0, 0, False)
+            self._set_cell(r, c, FENCE)
 
         return self._observations()
 
     def _place_agent(self, i: int, r: int, c: int):
-        """Put agent `i` on (r, c), facing its orientation. Its health feature is
-        computed, unfloored, from `agent_health`, never copied from its old cell."""
         self.agent_pos[i] = (r, c)
-        self._set_cell(r, c, AGENT, self.agent_health[i] / self.config.agent_max_health,
-                       self.agent_orient[i], False)
+        self._set_cell(r, c, AGENT, i)
 
     def _place_chicken(self, i: int, r: int, c: int):
         self.chicken_pos[i] = (r, c)
         self.chicken_hits[i] = self.config.chicken_max_health
         self.chicken_orient[i] = 0
         self.chicken_alive[i] = True
-        self._set_cell(r, c, CHICKEN, 1.0, 0, False)
+        self._set_cell(r, c, CHICKEN, i)
 
     def _place_tower(self, i: int, r: int, c: int):
         self.tower_pos[i] = (r, c)
@@ -307,45 +307,48 @@ class Farmworld(Environment):
         self.mine_left[i] = self.config.haystack_mines
         self.tower_hay[i] = False
         self.tower_alive[i] = True
-        self._set_cell(r, c, TOWER, 1.0, 0, False)
+        self._set_cell(r, c, TOWER, i)
 
     # -- observations ----------------------------------------------------------
 
     def living_agents(self) -> list[str]:
         return [self.agent_ids[i] for i in np.flatnonzero(self.agent_alive)]
 
+    def _cell_features(self) -> np.ndarray:
+        """What each cell shows an observer, its (KIND, HEALTH, ORIENT, HAY),
+        computed from the occupancy grid and the unit arrays, on the grid
+        padded by two border cells: cell (r, c) is at [r + 2, c + 2]."""
+        cfg = self.config
+        na, nc = cfg.num_agents, cfg.num_chickens
+        # one row per unit, between a ground row and the fence and border rows
+        rows = np.zeros((1 + na + nc + cfg.num_towers + 2, 4))
+        rows[-2:] = FENCE_FEATURES, BORDER_FEATURES
+        agents, chickens, towers = rows[1:1 + na], rows[1 + na:1 + na + nc], rows[1 + na + nc:-2]
+        agents[:, KIND] = AGENT * KIND_SCALE
+        agents[:, HEALTH] = self.agent_health / cfg.agent_max_health
+        agents[:, ORIENT] = self.agent_orient / 3.0
+        chickens[:, KIND] = CHICKEN * KIND_SCALE
+        chickens[:, HEALTH] = self.chicken_hits / cfg.chicken_max_health
+        chickens[:, ORIENT] = self.chicken_orient / 3.0
+        towers[:, KIND] = TOWER * KIND_SCALE
+        towers[:, HEALTH] = ((self.tower_left + self.mine_left)
+                             / (cfg.tower_attacks + cfg.haystack_mines))
+        towers[:, HAY] = self.tower_hay
+        first = np.array((0, 1, 1 + na, 1 + na + nc, len(rows) - 2))   # each kind's first row
+        slots = np.full((cfg.height + 4, cfg.width + 4), len(rows) - 1)
+        slots[2:-2, 2:-2] = first[self.kind_grid] + self.unit_grid
+        return rows[slots]
+
     def _observations(self, include: np.ndarray | None = None) -> dict:
         idx = np.flatnonzero(self.agent_alive) if include is None else include
         if idx.size == 0:
             return {}
-        h, w = self.config.height, self.config.width
-        cells = self.agent_pos[idx][:, None, :] + VIEW_OFFSETS[None, :, :]
-        rr, cc = cells[..., 0], cells[..., 1]
-        inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        rs, cs = rr.clip(0, h - 1), cc.clip(0, w - 1)
-        feats = self.features[rs, cs]
-        feats[~inside] = BORDER_FEATURES
+        cells = self.agent_pos[idx][:, None, :] + (VIEW_OFFSETS + 2)
+        feats = self._cell_features()[cells[..., 0], cells[..., 1]]
         flat = feats.reshape(idx.size, -1)
         own = (self.agent_health[idx] / self.config.agent_max_health)[:, None]
         obs = np.concatenate([flat, own], axis=1)
         return {self.agent_ids[i]: obs[row] for row, i in enumerate(idx)}
-
-    # -- unit state --------------------------------------------------------------
-
-    @staticmethod
-    def _unit_at(pos: np.ndarray, alive: np.ndarray, r: int, c: int) -> int:
-        """Index of the living unit, of the kind `pos` and `alive` hold, on (r, c)."""
-        return int(np.flatnonzero(alive & (pos[:, 0] == r) & (pos[:, 1] == c))[0])
-
-    def _tower_health(self, ti: int) -> float:
-        """Tower `ti`'s health feature: the attacks and mines it has left."""
-        cfg = self.config
-        return (self.tower_left[ti] + self.mine_left[ti]) / (cfg.tower_attacks + cfg.haystack_mines)
-
-    def _show_agent_health(self, i: int):
-        """Write agent `i`'s health, floored at 0, into its cell's features."""
-        r, c = self.agent_pos[i]
-        self.features[r, c, HEALTH] = max(0.0, self.agent_health[i]) / self.config.agent_max_health
 
     # -- harvesting ------------------------------------------------------------------
 
@@ -372,7 +375,6 @@ class Farmworld(Environment):
             r, c = self.agent_pos[i]
             if action < 4:
                 self.agent_orient[i] = ACTION_TO_ORIENT[action]
-                self.features[r, c, ORIENT] = self.agent_orient[i] / 3.0
                 dr, dc = ORIENT_DELTAS[self.agent_orient[i]]
                 nr, nc = r + dr, c + dc
                 if 0 <= nr < h and 0 <= nc < w and self._free(nr, nc):
@@ -384,50 +386,37 @@ class Farmworld(Environment):
             tr, tc = r + dr, c + dc
             if not (0 <= tr < h and 0 <= tc < w):
                 continue
-            target = self.kind_grid[tr, tc]
+            target, unit = self.kind_grid[tr, tc], self.unit_grid[tr, tc]
             if action == ATTACK:
                 if target == CHICKEN:
-                    ci = self._unit_at(self.chicken_pos, self.chicken_alive, tr, tc)
-                    self.chicken_hits[ci] -= 1
+                    self.chicken_hits[unit] -= 1
                     self.chicken_attacks[i] += 1
-                    if self.chicken_hits[ci] <= 0:
-                        self.chicken_alive[ci] = False
-                        self.chicken_timer[ci] = cfg.respawn_time
+                    if self.chicken_hits[unit] <= 0:
+                        self.chicken_alive[unit] = False
+                        self.chicken_timer[unit] = cfg.respawn_time
                         self._clear_cell(tr, tc)
                         self._harvest(i, CHICKEN, cfg.chicken_yield)
-                    else:
-                        self.features[tr, tc, HEALTH] = (self.chicken_hits[ci]
-                                                         / cfg.chicken_max_health)
                 elif target == TOWER:
-                    ti = self._unit_at(self.tower_pos, self.tower_alive, tr, tc)
-                    if not self.tower_hay[ti]:
-                        self.tower_left[ti] -= 1
+                    if not self.tower_hay[unit]:
+                        self.tower_left[unit] -= 1
                         self.tower_attacks[i] += 1
-                        if self.tower_left[ti] <= 0:
-                            self.tower_hay[ti] = True
-                            self.features[tr, tc, HAY] = 1.0
-                        self.features[tr, tc, HEALTH] = self._tower_health(ti)
+                        if self.tower_left[unit] <= 0:
+                            self.tower_hay[unit] = True
                 elif target == AGENT:
-                    vi = self._unit_at(self.agent_pos, self.agent_alive, tr, tc)
-                    self.agent_health[vi] -= cfg.agent_attack_damage
-                    self._show_agent_health(vi)
+                    self.agent_health[unit] -= cfg.agent_attack_damage
                     if cfg.agent_food_yield:
                         self.agent_health[i] = min(cfg.agent_max_health,
                                                    self.agent_health[i] + cfg.agent_food_yield)
                 # fences and ground shrug off attacks
             elif action == MINE:
-                if target == TOWER:
-                    ti = self._unit_at(self.tower_pos, self.tower_alive, tr, tc)
-                    if self.tower_hay[ti]:
-                        self.mine_left[ti] -= 1
-                        self.tower_attacks[i] += 1
-                        if self.mine_left[ti] <= 0:
-                            self.tower_alive[ti] = False
-                            self.tower_timer[ti] = cfg.respawn_time
-                            self._clear_cell(tr, tc)
-                            self._harvest(i, TOWER, cfg.tower_yield)
-                        else:
-                            self.features[tr, tc, HEALTH] = self._tower_health(ti)
+                if target == TOWER and self.tower_hay[unit]:
+                    self.mine_left[unit] -= 1
+                    self.tower_attacks[i] += 1
+                    if self.mine_left[unit] <= 0:
+                        self.tower_alive[unit] = False
+                        self.tower_timer[unit] = cfg.respawn_time
+                        self._clear_cell(tr, tc)
+                        self._harvest(i, TOWER, cfg.tower_yield)
 
         # chickens wander
         for ci in range(cfg.num_chickens):
@@ -438,20 +427,15 @@ class Farmworld(Environment):
             direction = int(self.rng.integers(4))
             self.chicken_orient[ci] = direction
             r, c = self.chicken_pos[ci]
-            self.features[r, c, ORIENT] = direction / 3.0
             dr, dc = ORIENT_DELTAS[direction]
             nr, nc = r + dr, c + dc
             if 0 <= nr < h and 0 <= nc < w and self._free(nr, nc):
-                hits = self.chicken_hits[ci]
                 self._clear_cell(r, c)
                 self.chicken_pos[ci] = (nr, nc)
-                self._set_cell(nr, nc, CHICKEN, hits / cfg.chicken_max_health,
-                               direction, False)
+                self._set_cell(nr, nc, CHICKEN, ci)
 
         # decay, respawns, deaths
-        for i in acted:
-            self.agent_health[i] -= cfg.health_decay
-            self._show_agent_health(i)
+        self.agent_health[acted] -= cfg.health_decay
 
         # chickens first, then towers, each in ascending index
         for alive, timer, region, place in (
@@ -504,7 +488,7 @@ class Farmworld(Environment):
             for c in range(self.config.width):
                 kind = self.kind_grid[r, c]
                 if kind == TOWER:
-                    row.append("h" if self.features[r, c, HAY] > 0 else "t")
+                    row.append("h" if self.tower_hay[self.unit_grid[r, c]] else "t")
                 else:
                     row.append(chars[int(kind)])
             rows.append("".join(row))

@@ -187,6 +187,17 @@ def test_train_rejects_bad_config_with_exit_2(tmp_path, capsys):
     assert "env" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epochs", ["-2", "-1"])
+def test_train_refuses_negative_epochs_before_making_the_run_dir(tmp_path, capsys, monkeypatch,
+                                                                 epochs):
+    # a manifest with negative epochs is refused when re-run, so the flag is too
+    monkeypatch.setenv("POLICYSPACE_RUNS", str(tmp_path / "runs"))
+    assert main(["train", str(write_config(tmp_path)), "--epochs", epochs]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: --epochs must be at least 0, got {epochs}\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_missing_file_exit_2(tmp_path):
     assert main(["train", str(tmp_path / "nope.ini")]) == 2
 
@@ -663,6 +674,27 @@ def test_eval_rejects_non_positive_counts_with_exit_2(tmp_path, capsys, protocol
     out = tmp_path / "out.csv"
     assert main(["eval", protocol, str(ckpt), flag, value, "--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["adapt", "eval specialization", "eval ablations",
+                                  "eval bots", "eval round_robin"])
+def test_a_negative_seed_exits_2_before_any_checkpoint_is_read(tmp_path, capsys, monkeypatch,
+                                                              verb):
+    import policyspace.cli as cli
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
+    out = tmp_path / "out.csv"
+    argv = {"adapt": ["adapt", "x.ckpt", "--trace-out", str(out)],
+            "eval specialization": ["eval", "specialization", "x.ckpt", "--out", str(out)],
+            "eval ablations": ["eval", "ablations", "x.ckpt", "--out", str(out)],
+            "eval bots": ["eval", "bots", "x.ckpt", "--out", str(out)],
+            "eval round_robin": ["eval", "round_robin", "x.ckpt", "y.ckpt", "--out", str(out)]}
+    assert main([*argv[verb], "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "configuration error: --seed must be at least 0, got -1\n"
     assert not out.exists()
 
 

@@ -188,13 +188,40 @@ def test_observation_is_13_cells_plus_own_health():
 
 
 def test_cells_beyond_l1_radius_two_do_not_influence_observation():
-    env = single_agent_env("A.....\n......\n......\n......\n......\n......")
+    env = single_agent_env("A.....\n......\n......\n......\n......\n.....t")
     before = env._observations()["agent_0"].copy()
-    env._set_cell(5, 5, TOWER, 1.0, 0, False)   # far corner, L1 distance 10
+    env.tower_left[0], env.tower_hay[0] = 0, True   # far corner, L1 distance 10
     after = env._observations()["agent_0"]
     assert np.array_equal(before, after)
-    env._set_cell(0, 2, TOWER, 1.0, 0, False)   # L1 distance 2: visible
+    env._clear_cell(5, 5)
+    env._place_tower(0, 0, 2)                       # L1 distance 2: visible
     assert not np.array_equal(before, env._observations()["agent_0"])
+
+
+def test_a_hand_built_scene_shows_each_documented_cell_feature():
+    # agent_0 on (1, 1) strikes the chicken west of it once, the tower east of
+    # it once, and the tower south of it twice into a haystack, then mines it
+    # once; the chicken, boxed in, turns at random every tick but never moves
+    env = single_agent_env("ff..\ncAt.\nft..", chicken_max_health=4, tower_attacks=2,
+                           haystack_mines=2, chicken_move_probability=1.0)
+    for action in (LEFT, ATTACK, RIGHT, ATTACK, DOWN, ATTACK, ATTACK, MINE):
+        obs, _, _ = step_all(env, action)
+    assert tuple(env.chicken_pos[0]) == (1, 0) and env.chicken_orient[0] == 3   # west
+    seen = dict(zip(map(tuple, VIEW_OFFSETS.tolist()), obs["agent_0"][:-1].reshape(13, 4)))
+    # (KIND, HEALTH, ORIENT, HAY): kind / 5, health scaled to [0, 1], orientation / 3
+    documented = {
+        (-1, 0): [0.8, 1.0, 0.0, 0.0],                   # fence
+        (-1, 1): [0.0, 0.0, 0.0, 0.0],                   # ground
+        (-2, 0): [1.0, 0.0, 0.0, 0.0],                   # off the map
+        (0, 0): [0.2, (5.0 - 8 * 0.1) / 10, 2 / 3, 0.0],  # itself after 8 ticks, facing south
+        (0, -1): [0.4, 3 / 4, 3 / 3, 0.0],               # chicken: 3 of 4 hits left, west
+        (0, 1): [0.6, 3 / 4, 0.0, 0.0],                  # tower: 1 attack and 2 mines left
+        (1, 0): [0.6, 1 / 4, 0.0, 1.0],                  # haystack: 1 mine left
+    }
+    for cell, features in documented.items():
+        for channel in range(4):
+            assert seen[cell][channel] == pytest.approx(features[channel]), (cell, channel)
+    assert seen[(0, 0)][1] == env.agent_health[0] / 10.0
 
 
 def test_border_cells_encode_type_one():
